@@ -76,8 +76,8 @@ def step_once(a: float, z0: complex, y0: complex, y1: complex,
     Returns (y, yprime, ok); ok is False if the tail criterion still
     fails at the smallest subdivision.
     """
-    c = scaled_derivs(a, z0, y0, y1, order + 1)
-    y, yp, tail = taylor_eval(c, h)
+    c0 = scaled_derivs(a, z0, y0, y1, order + 1)
+    y, yp, tail = taylor_eval(c0, h)
     if _step_ok(y, yp, h, tail):
         return y, yp, True
     depth = 0
@@ -89,8 +89,10 @@ def step_once(a: float, z0: complex, y0: complex, y1: complex,
         hh = h / pieces
         zc, yc, ypc = z0, y0, y1
         ok = True
-        for _ in range(pieces):
-            c = scaled_derivs(a, zc, yc, ypc, order + 1)
+        for piece in range(pieces):
+            # every subdivision starts at (z0, y0, y1), expanded above
+            c = c0 if piece == 0 else scaled_derivs(a, zc, yc, ypc,
+                                                    order + 1)
             y, yp, tail = taylor_eval(c, hh)
             if not _step_ok(y, yp, hh, tail):
                 ok = False

@@ -15,12 +15,13 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy.special import gammaln
 
 from . import pcf, taylor
 from .config import ChainConfig, DEFAULT_CONFIG
 from .errors import (ConvergenceError, HermiteParameterError,
-                     StepFailureError, TurningPointError)
+                     PcfZerosError, StepFailureError, TurningPointError)
 
 _RAY = cmath.exp(0.75j * math.pi)
 
@@ -254,26 +255,46 @@ def verify_zeros(a: float, zeros: list[ZeroRecord],
     """Fill est_rel_error = |U / (z U')|, the inverse condition number of
     each zero.
 
-    The quotient is obtained by a fresh Taylor propagation anchored at a
-    neighboring zero (normalized values (0, 1) there), which stays well
-    conditioned arbitrarily far from the origin; an isolated zero falls
-    back to absolute evaluation.
+    The quotient is obtained by a fresh Taylor step anchored at a
+    neighboring zero (the previous one; the second for the first zero),
+    where the values are normalized to (0, 1), which stays well
+    conditioned arbitrarily far from the origin.  All zeros take that
+    step at once, as one batched first try (`taylor.step_batch`).  The
+    few it does not accept, a step longer than h_max or one failing the
+    tail test, typically near the ends of a chain, fall back to a scalar
+    `taylor.propagate` with subdivision, as does a list of one zero,
+    which has no neighbor and is checked by absolute evaluation.  An
+    estimate that fails with a `PcfZerosError` is NaN; any other error
+    propagates.
     """
-    out = []
-    for i, rec in enumerate(zeros):
-        anchor = zeros[i - 1] if i > 0 else (
-            zeros[1] if len(zeros) > 1 else None)
-        try:
-            if anchor is None:
-                est = pcf.relative_error_estimate(a, rec.z, cfg)
-            else:
-                y, yp, _ = taylor.propagate(
-                    a, anchor.z, 0j, 1.0 + 0j, [rec.z], cfg.taylor_order)
-                if yp == 0:
-                    est = math.nan
-                else:
-                    est = abs(y / yp) / abs(rec.z)
-        except Exception:
-            est = math.nan
-        out.append(replace(rec, est_rel_error=est))
-    return out
+    if len(zeros) < 2:
+        ests = [_estimate(a, rec.z, None, cfg) for rec in zeros]
+    else:
+        z = np.array([rec.z for rec in zeros], dtype=complex)
+        anchor = np.concatenate((z[1:2], z[:-1]))
+        y, yp, ok = taylor.step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor,
+                                      cfg.taylor_order)
+        ok &= yp != 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ests = (np.abs(y / yp) / np.abs(z)).tolist()
+        for i in np.flatnonzero(~ok).tolist():
+            ests[i] = _estimate(a, zeros[i].z, complex(anchor[i]), cfg)
+    return [ZeroRecord(rec.index, rec.z, est, rec.inner_iterations,
+                       rec.deltas)
+            for rec, est in zip(zeros, ests)]
+
+
+def _estimate(a: float, z: complex, anchor: complex | None,
+              cfg: ChainConfig) -> float:
+    """Estimate for one zero: Taylor propagation from a neighboring zero
+    anchor, or absolute evaluation when there is none."""
+    try:
+        if anchor is None:
+            return pcf.relative_error_estimate(a, z, cfg)
+        y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [z],
+                                    cfg.taylor_order)
+    except PcfZerosError:
+        return math.nan
+    if yp == 0:
+        return math.nan
+    return abs(y / yp) / abs(z)

@@ -6,8 +6,11 @@ import to force the pure-Python twin.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import StepFailureError
 
@@ -23,6 +26,7 @@ KERNEL = kernel.KERNEL
 h_max = kernel.h_max
 
 DEFAULT_ORDER = 30
+TAIL_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ def step(state: TaylorState, h: complex) -> tuple[complex, complex]:
         return state.derivs[0], state.derivs[1]
     y, yp, tail = kernel.taylor_eval(state.derivs, h)
     scale = max(abs(y), abs(h) * abs(yp), 1e-300)
-    if tail <= 1e-15 * scale and abs(h) <= kernel.h_max(state.a, state.z0):
+    if tail <= TAIL_TOL * scale and abs(h) <= kernel.h_max(state.a, state.z0):
         return y, yp
     y, yp, ok = kernel.step_once(state.a, state.z0, state.derivs[0],
                                  state.derivs[1], h, state.N)
@@ -62,6 +66,55 @@ def step(state: TaylorState, h: complex) -> tuple[complex, complex]:
             f"step of size {abs(h):.3g} at z0={state.z0} failed the tail "
             "criterion after maximal subdivision")
     return y, yp
+
+
+def _cabs(x):
+    """|x| elementwise, rounded as Python's abs(complex) is: np.abs can
+    differ from it in the last bit, which would move the h_max test."""
+    return np.hypot(x.real, x.imag)
+
+
+def step_batch(a: float, z0, y0, y1, h, order: int = DEFAULT_ORDER):
+    """First try of many independent steps at once, vectorised over numpy
+    arrays: expand (y0, y1) at each point of z0 and evaluate at z0 + h.
+
+    z0 and h are arrays of one shape; y0 and y1 are scalars or arrays of
+    that shape.  Returns complex arrays (y, yprime) and a boolean array ok.  The
+    arithmetic and the acceptance test are those of the kernel's first
+    try in `step_once`: ok is true where the tail criterion holds and
+    |h| <= h_max(a, z0).  Where ok is false `step` would subdivide or
+    `propagate` take several steps, and (y, yprime) are not to be used.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    n = order + 1
+    q = 0.25 * z0 * z0 + a
+    hz = 0.5 * z0
+    # rejected entries may overflow; the tail test turns them down
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = [np.broadcast_to(y0, z0.shape), np.broadcast_to(y1, z0.shape)]
+        for k in range(n - 1):
+            t = q * c[k]
+            if k >= 1:
+                t += hz * c[k - 1]
+            if k >= 2:
+                t += 0.25 * c[k - 2]
+            t /= (k + 1) * (k + 2)
+            c.append(t)
+        y = c[n]
+        for k in range(n - 1, -1, -1):
+            y = y * h + c[k]
+        yp = n * c[n]
+        for k in range(n - 1, 0, -1):
+            yp = yp * h + k * c[k]
+        ah = _cabs(h)
+        tail = np.maximum(_cabs(c[n]) * ah ** n,
+                          _cabs(c[n - 1]) * ah ** (n - 1))
+        scale = np.maximum(np.maximum(_cabs(y), ah * _cabs(yp)), 1e-300)
+        # kernel.h_max, vectorised over z0
+        hm = 6.0 / np.maximum(_cabs(z0) * 0.5, max(math.sqrt(abs(a)), 1.0))
+        ok = (tail <= TAIL_TOL * scale) & (ah <= hm)
+    return y, yp, ok
 
 
 def propagate(a: float, z0: complex, y0: complex, y1: complex,

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from pcfzeros.chain import (coefficient_A, displace, first_zero_estimate,
-                            fixed_point_T, is_hermite, max_zero_index,
-                            refine_from_previous, run_chain, sqrt_A,
-                            verify_zeros)
+from pcfzeros import taylor
+from pcfzeros.chain import (ZeroRecord, coefficient_A, displace,
+                            first_zero_estimate, fixed_point_T, is_hermite,
+                            max_zero_index, refine_from_previous, run_chain,
+                            sqrt_A, verify_zeros)
 from pcfzeros.config import ChainConfig
-from pcfzeros.errors import HermiteParameterError
+from pcfzeros.errors import HermiteParameterError, StepFailureError
 
 
 def test_sqrt_A_branch():
@@ -128,6 +129,57 @@ def test_verify_zeros_estimates():
     ests = [r.est_rel_error for r in checked]
     assert all(math.isfinite(e) for e in ests)
     assert max(ests) < 1e-11
+
+
+@pytest.mark.parametrize("a, L", [(-1.7, 60.0), (20.5, 50.0)])
+def test_verify_zeros_matches_per_zero_propagation(a, L, monkeypatch):
+    zeros = run_chain(a, L)
+    want = []
+    for i, rec in enumerate(zeros):
+        anchor = zeros[i - 1 if i else 1].z
+        y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [rec.z])
+        want.append(abs(y / yp) / abs(rec.z))
+    fallbacks = []
+    propagate = taylor.propagate
+
+    def spy(a, z0, y0, y1, waypoints, order=taylor.DEFAULT_ORDER):
+        fallbacks.append(waypoints[0])
+        return propagate(a, z0, y0, y1, waypoints, order)
+    monkeypatch.setattr(taylor, "propagate", spy)
+    checked = verify_zeros(a, zeros)
+    # the batch takes almost every zero; the rest go the scalar way
+    assert 1 <= len(fallbacks) <= 10
+    assert [r.z for r in checked] == [r.z for r in zeros]
+    assert [r.index for r in checked] == [r.index for r in zeros]
+    for rec, est in zip(checked, want):
+        assert abs(rec.est_rel_error - est) <= 1e-15
+
+
+def test_verify_zeros_short_lists():
+    # a lone zero has no neighbor to anchor at: absolute evaluation
+    zeros = run_chain(2.3, 10.0)
+    (rec,) = verify_zeros(2.3, zeros[:1])
+    assert rec.est_rel_error < 1e-11
+    assert verify_zeros(2.3, []) == []
+
+
+def test_verify_zeros_step_failure_is_nan(monkeypatch):
+    zeros = run_chain(2.3, 10.0)
+
+    def failing(*args, **kwargs):
+        raise StepFailureError("forced")
+    monkeypatch.setattr(taylor, "propagate", failing)
+    ests = [r.est_rel_error for r in verify_zeros(2.3, zeros)]
+    # only the zeros the batch rejects are propagated one by one
+    assert 1 <= sum(map(math.isnan, ests)) < len(ests)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_verify_zeros_malformed_record_raises(n):
+    zeros = run_chain(2.3, 10.0)[:n]
+    zeros[-1] = ZeroRecord(index=n - 1, z=None)
+    with pytest.raises(TypeError):
+        verify_zeros(2.3, zeros)
 
 
 def test_refine_from_previous_is_fast():

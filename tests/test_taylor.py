@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from pcfzeros import taylor
+from pcfzeros import _taylor_py, taylor
 from pcfzeros.errors import StepFailureError
-from pcfzeros.taylor import derivatives_at, h_max, propagate, step
+from pcfzeros.taylor import (TAIL_TOL, derivatives_at, h_max, propagate,
+                             step, step_batch)
 
 
 def gauss_pair(a, z):
@@ -168,6 +169,113 @@ def test_propagate_polyline():
     scale = math.exp(logscale)
     assert abs(y * scale - yd) < 1e-11 * abs(yd)
     assert abs(yp * scale - ypd) < 1e-11 * abs(ypd)
+
+
+def _step_corpus(rng, m):
+    """m random (z0, y0, y1, h) over the ranges of the round-trip corpus,
+    with |h| up to 1.25 h_max(a, z0), so that some steps pass the first
+    try, some are subdivided and some exceed h_max."""
+    a = rng.uniform(-40.0, 40.0)
+    z0 = rng.uniform(-60.0, 60.0, m) + 1j * rng.uniform(-60.0, 60.0, m)
+    hm = np.array([h_max(a, z) for z in z0.tolist()])
+    h = hm * rng.uniform(0.0, 1.25, m) * np.exp(2j * np.pi * rng.random(m))
+    y0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+    y1 = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return a, z0.tolist(), y0.tolist(), y1.tolist(), h.tolist()
+
+
+def test_step_batch_matches_step():
+    rng = np.random.default_rng(20261018)
+    seen = {"ok": 0, "over_h_max": 0, "subdivided": 0}
+    for _ in range(20):
+        a, z0, y0, y1, h = _step_corpus(rng, 40)
+        yb, ypb, ok = step_batch(a, np.array(z0), np.array(y0),
+                                 np.array(y1), np.array(h))
+        for i, (z, u, up, d) in enumerate(zip(z0, y0, y1, h)):
+            st = derivatives_at(a, z, u, up)
+            # the first try of step, through the scalar kernel
+            y, yp, tail = taylor.kernel.taylor_eval(st.derivs, d)
+            scale = max(abs(y), abs(d) * abs(yp), 1e-300)
+            if abs(d) > h_max(a, z):
+                seen["over_h_max"] += 1
+                assert not ok[i]
+                continue
+            if tail > 2.0 * TAIL_TOL * scale:
+                assert not ok[i]
+            if not ok[i]:
+                seen["subdivided"] += 1
+                continue
+            seen["ok"] += 1
+            y, yp = step(st, d)
+            assert abs(yb[i] - y) <= 1e-13 * abs(y)
+            assert abs(ypb[i] - yp) <= 1e-13 * abs(yp)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_step_batch_broadcasts_scalar_data():
+    # the chain's use: many anchors with normalized data (0, 1)
+    a = 2.3
+    z0 = np.array([-5.0 + 4.0j, -20.0 + 30.0j, -1.0 + 0.5j])
+    h = np.array([0.1 - 0.2j, 0.05j, 0.0])
+    y, yp, ok = step_batch(a, z0, 0j, 1.0 + 0j, h)
+    assert ok.all()
+    assert y[2] == 0 and yp[2] == 1
+    for i in range(2):
+        ys, yps = step(derivatives_at(a, complex(z0[i]), 0j, 1.0 + 0j),
+                       complex(h[i]))
+        assert abs(y[i] - ys) <= 1e-13 * abs(ys)
+        assert abs(yp[i] - yps) <= 1e-13 * abs(yps)
+
+
+def test_step_batch_rejects_steps_over_h_max():
+    # zero data passes any tail test, so only the step size can reject
+    a = -7.0
+    z0 = np.array([-10.0 + 10.0j, 0.5j, -30.0 + 2.0j])
+    hm = np.array([h_max(a, z) for z in z0.tolist()])
+    h = np.concatenate((hm, hm * (1.0 + 1e-12))) * 1j
+    y, yp, ok = step_batch(a, np.tile(z0, 2), 0j, 0j, h)
+    assert ok.tolist() == [True] * 3 + [False] * 3
+
+
+def _bisecting_step(a, z0, y0, y1, h, order):
+    """step_once without reuse of the start-point expansion: every piece
+    of every subdivision expands afresh."""
+    c = _taylor_py.scaled_derivs(a, z0, y0, y1, order + 1)
+    y, yp, tail = _taylor_py.taylor_eval(c, h)
+    if _taylor_py._step_ok(y, yp, h, tail):
+        return y, yp, True
+    for depth in range(1, _taylor_py.MAX_SPLIT_DEPTH + 1):
+        pieces = 2 ** depth
+        hh = h / pieces
+        zc, yc, ypc = z0, y0, y1
+        for _ in range(pieces):
+            c = _taylor_py.scaled_derivs(a, zc, yc, ypc, order + 1)
+            y, yp, tail = _taylor_py.taylor_eval(c, hh)
+            if not _taylor_py._step_ok(y, yp, hh, tail):
+                break
+            zc += hh
+            yc, ypc = y, yp
+        else:
+            return yc, ypc, True
+    return yc, ypc, False
+
+
+def test_step_once_is_plain_bisection():
+    # reusing the first try's expansion must not change a single bit
+    rng = np.random.default_rng(20261019)
+    subdivided = 0
+    for _ in range(10):
+        a, z0, y0, y1, h = _step_corpus(rng, 30)
+        for z, u, up, d in zip(z0, y0, y1, h):
+            # steps of several h_max, too, so that bisection runs deep
+            for hh in (d, 4.0 * d):
+                got = _taylor_py.step_once(a, z, u, up, hh, 30)
+                want = _bisecting_step(a, z, u, up, hh, 30)
+                assert got == want
+                c = _taylor_py.scaled_derivs(a, z, u, up, 31)
+                y, yp, tail = _taylor_py.taylor_eval(c, hh)
+                subdivided += not _taylor_py._step_ok(y, yp, hh, tail)
+    assert subdivided >= 100
 
 
 def test_order_validation():
