@@ -15,7 +15,6 @@ import math
 import warnings
 
 from .errors import ConvergenceError
-from .scaled import ScaledValue  # noqa: F401  (re-export convenience)
 
 R0 = 5.5                      # series/asymptotic switchover radius
 _ANNULUS = 0.5                # cross-check band around R0

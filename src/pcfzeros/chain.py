@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -237,17 +237,14 @@ def run_chain(a: float, L: float, cfg: ChainConfig = DEFAULT_CONFIG,
         entries.append((znew, iters, deltas if collect_deltas else None))
         z_prev = znew
 
-    records = [
-        ZeroRecord(index=0, z=z, inner_iterations=iters, deltas=deltas)
-        for z, iters, deltas in entries
-        if _in_domain(a, L, z)
-    ]
+    entries = [e for e in entries if _in_domain(a, L, e[0])]
     # keep the innermost max_zero_index records; the box near the corner
     # can hold a few zeros beyond the one the index estimate starts at
     cap = max_zero_index(a, L)
-    if len(records) > cap:
-        records = records[len(records) - cap:]
-    return [replace(r, index=i) for i, r in enumerate(records)]
+    if len(entries) > cap:
+        entries = entries[len(entries) - cap:]
+    return [ZeroRecord(i, z, math.nan, iters, deltas)
+            for i, (z, iters, deltas) in enumerate(entries)]
 
 
 def verify_zeros(a: float, zeros: list[ZeroRecord],
@@ -258,7 +255,10 @@ def verify_zeros(a: float, zeros: list[ZeroRecord],
     The quotient is obtained by a fresh Taylor step anchored at a
     neighboring zero (the previous one; the second for the first zero),
     where the values are normalized to (0, 1), which stays well
-    conditioned arbitrarily far from the origin.  All zeros take that
+    conditioned arbitrarily far from the origin.  The estimate thus
+    measures the chain's self-consistency, how well each zero agrees
+    with its neighbor; an error carried along the chain from the first
+    zero moves both alike and does not show in it.  All zeros take that
     step at once, as one batched first try (`taylor.step_batch`).  The
     few it does not accept, a step longer than h_max or one failing the
     tail test, typically near the ends of a chain, fall back to a scalar

@@ -33,7 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, help="domain size L")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--verify", action="store_true",
-                   help="fill est_rel_error by independent evaluation")
+                   help="fill est_rel_error with each zero's self-consistency "
+                        "estimate |U/(z U')| from its neighbouring zero "
+                        "(does not see error carried along the chain)")
     p.add_argument("--delta", type=float, default=1e-4)
     p.add_argument("--eps", type=float, default=1e-14)
     p.add_argument("--taylor-order", type=int, default=30)
@@ -89,41 +91,41 @@ def _json_report(a, L, cfg, zeros) -> str:
 
 
 def table_mode(path: str, cfg: ChainConfig, out_path: str | None) -> int:
+    """One count row per 'a L' line.  A line that fails is reported on
+    stderr with its line number and left out of the CSV; the exit status
+    is the worst over all lines (1 for a malformed line, a Hermite
+    parameter or another ValueError, 2 for a convergence failure)."""
     try:
         with open(path) as fh:
             raw = fh.readlines()
     except OSError as exc:
         print(f"pcfzeros: cannot read table file: {exc}", file=sys.stderr)
         return 1
-    rows = []
+    lines = ["a,L,n_zeros,wall_time_seconds"]
+    status = 0
     for lineno, line in enumerate(raw, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
+        t0 = time.perf_counter()
         try:
             if len(parts) != 2:
                 raise ValueError("expected two fields 'a L'")
             a, L = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            print(f"pcfzeros: {path}:{lineno}: {exc}", file=sys.stderr)
-            return 1
-        rows.append((a, L))
-    lines = ["a,L,n_zeros,wall_time_seconds"]
-    for a, L in rows:
-        t0 = time.perf_counter()
-        try:
             zeros = run_chain(a, L, cfg)
         except (HermiteParameterError, ValueError) as exc:
-            print(f"pcfzeros: {exc}", file=sys.stderr)
-            return 1
+            print(f"pcfzeros: {path}:{lineno}: {exc}", file=sys.stderr)
+            status = max(status, 1)
+            continue
         except (ConvergenceError, PcfZerosError) as exc:
-            print(f"pcfzeros: {exc}", file=sys.stderr)
-            return 2
+            print(f"pcfzeros: {path}:{lineno}: {exc}", file=sys.stderr)
+            status = 2
+            continue
         wall = time.perf_counter() - t0
         lines.append(f"{_fmt(a)},{_fmt(L)},{len(zeros)},{wall:.6f}")
     _emit("\n".join(lines) + "\n", out_path)
-    return 0
+    return status
 
 
 def main(argv=None) -> int:

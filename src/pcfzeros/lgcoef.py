@@ -75,14 +75,6 @@ def poly_integral_from(p: Poly, lower: Fraction) -> Poly:
     return poly_add(F, [-poly_eval_exact(F, lower)])
 
 
-def eval_poly(p: Poly, x: complex) -> complex:
-    """Horner evaluation in double-precision complex arithmetic."""
-    acc = 0j
-    for c in reversed(p):
-        acc = acc * x + float(c)
-    return acc
-
-
 # (b^2 - 1)^2, shared by both recurrences.
 _W = [Fraction(1), _ZERO, Fraction(-2), _ZERO, Fraction(1)]
 
@@ -92,68 +84,44 @@ def _sigma(s: int) -> Fraction:
     return Fraction(1) if s % 2 == 1 else _ZERO
 
 
-def build_E_tables(S: int) -> list[Poly]:
-    """Base-family polynomials for s = 1..S.
+def build_tables(S: int, tilde: bool = False) -> list[Poly]:
+    """Polynomials of one family for s = 1..S.
 
-    Seeds are the printed closed forms for s = 1, 2; higher orders come
-    from the recurrence
-        E_{s+1} = (1/2) (b^2-1)^2 E_s' + (1/2) Int_{sigma(s)}^{b} (p^2-1)^2
-                  sum_{j=1}^{s-1} E_j'(p) E_{s-j}'(p) dp.
+    The base family (function expansions) is seeded with the printed
+    closed forms E_1 = (5 b^3 - 6 b)/24 and E_2 = (1/16) (b^2-1)^2 (5 b^2 - 2),
+    the tilde family (derivative expansions, ``tilde=True``) with
+    Et_1 = (7 b^3 - 6 b)/24 and Et_2 = (1/16) (b^2-1)^2 (2 - 7 b^2).
+    Higher orders come from the recurrence
+        F_{s+1} = +-(1/2) (b^2-1)^2 F_s' +- (1/2) Int_{sigma(s)}^{b} (p^2-1)^2
+                  sum_{j=1}^{s-1} F_j'(p) F_{s-j}'(p) dp,
+    with the upper signs for the base family and the lower ones for the
+    tilde family.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    # E_1 = (5 b^3 - 6 b)/24
-    E: list[Poly] = [[_ZERO, Fraction(-1, 4), _ZERO, Fraction(5, 24)]]
+    if tilde:
+        half, c3 = -_HALF, Fraction(7, 24)
+        inner = [Fraction(2), _ZERO, Fraction(-7)]
+    else:
+        half, c3 = _HALF, Fraction(5, 24)
+        inner = [Fraction(-2), _ZERO, Fraction(5)]
+    F: list[Poly] = [[_ZERO, Fraction(-1, 4), _ZERO, c3]]
     if S >= 2:
-        # E_2 = (1/16) (b^2-1)^2 (5 b^2 - 2)
-        E.append(poly_scale(poly_mul(_W, [Fraction(-2), _ZERO, Fraction(5)]),
-                            Fraction(1, 16)))
-    dE = [poly_diff(p) for p in E]
+        F.append(poly_scale(poly_mul(_W, inner), Fraction(1, 16)))
+    dF = [poly_diff(p) for p in F]
     for s in range(2, S):
-        # builds E_{s+1} (index s in the 0-based list)
-        term = poly_scale(poly_mul(_W, dE[s - 1]), _HALF)
+        # builds F_{s+1} (index s in the 0-based list)
+        term = poly_scale(poly_mul(_W, dF[s - 1]), half)
         conv: Poly = []
         for j in range(1, s):
-            conv = poly_add(conv, poly_mul(dE[j - 1], dE[s - j - 1]))
+            conv = poly_add(conv, poly_mul(dF[j - 1], dF[s - j - 1]))
         if conv:
             integrand = poly_mul(_W, conv)
             term = poly_add(term, poly_scale(
-                poly_integral_from(integrand, _sigma(s)), _HALF))
-        E.append(term)
-        dE.append(poly_diff(term))
-    return E[:S]
-
-
-def build_Etilde_tables(S: int) -> list[Poly]:
-    """Tilde-family polynomials (derivative expansions) for s = 1..S.
-
-    Same structure as the base family with (1-b^2)^2 weights and
-    opposite signs:
-        Et_{s+1} = -(1/2) (1-b^2)^2 Et_s' - (1/2) Int_{sigma(s)}^{b}
-                   (1-p^2)^2 sum Et_j'(p) Et_{s-j}'(p) dp.
-    Note (1-b^2)^2 == (b^2-1)^2.
-    """
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    # Et_1 = (7 b^3 - 6 b)/24
-    Et: list[Poly] = [[_ZERO, Fraction(-1, 4), _ZERO, Fraction(7, 24)]]
-    if S >= 2:
-        # Et_2 = (1/16) (1-b^2)^2 (2 - 7 b^2)
-        Et.append(poly_scale(poly_mul(_W, [Fraction(2), _ZERO, Fraction(-7)]),
-                             Fraction(1, 16)))
-    dEt = [poly_diff(p) for p in Et]
-    for s in range(2, S):
-        term = poly_scale(poly_mul(_W, dEt[s - 1]), -_HALF)
-        conv: Poly = []
-        for j in range(1, s):
-            conv = poly_add(conv, poly_mul(dEt[j - 1], dEt[s - j - 1]))
-        if conv:
-            integrand = poly_mul(_W, conv)
-            term = poly_add(term, poly_scale(
-                poly_integral_from(integrand, _sigma(s)), -_HALF))
-        Et.append(term)
-        dEt.append(poly_diff(term))
-    return Et[:S]
+                poly_integral_from(integrand, _sigma(s)), half))
+        F.append(term)
+        dF.append(poly_diff(term))
+    return F[:S]
 
 
 @dataclass(frozen=True)
@@ -172,24 +140,19 @@ class LGCoeffTables:
     E_at_m1: tuple[float, ...] = ()
     Etilde_at_p1: tuple[float, ...] = ()
 
-    def eval_E(self, s: int, x: complex) -> complex:
-        """E_s(x) in double precision, s = 1..S."""
+    def eval(self, s: int, x: complex, tilde: bool = False) -> complex:
+        """E_s(x), or Et_s(x) with ``tilde``, in double precision, s = 1..S."""
         acc = 0j
-        for c in reversed(self.E_float[s - 1]):
-            acc = acc * x + c
-        return acc
-
-    def eval_Etilde(self, s: int, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.Etilde_float[s - 1]):
+        coeffs = (self.Etilde_float if tilde else self.E_float)[s - 1]
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 
 
 @lru_cache(maxsize=8)
 def make_tables(S: int = 12) -> LGCoeffTables:
-    E = build_E_tables(S)
-    Et = build_Etilde_tables(S)
+    E = build_tables(S)
+    Et = build_tables(S, tilde=True)
     return LGCoeffTables(
         S=S,
         E=tuple(tuple(p) for p in E),

@@ -1,14 +1,21 @@
 """Liouville-Green asymptotic evaluation for large positive parameter.
 
-All routines work in the scaled variable ``zhat`` (the physical argument
-is z = sqrt(2u)*zhat with u = 2a) and return :class:`ScaledValue`
-results, since the prefactors overflow doubles long before the series
-lose accuracy.
+One evaluator per regime, each returning the pair (U, U') as
+:class:`ScaledValue` results, since the prefactors overflow doubles long
+before the series lose accuracy:
 
-Branch conventions: the square root w = sqrt(zhat^2 + 1) is principal,
-which has positive real part everywhere off the cuts zhat = +/- i*y,
-1 <= y < inf; the LG variable uses the principal inverse hyperbolic
-sine, whose cuts coincide with those.
+- :func:`eval_pair`, the oscillatory cosine/sine forms of U(u/2, z) and
+  U'(u/2, z), with the scaling and the large phase carried in
+  double-double precision;
+- :func:`eval_pair_negarg`, the single-exponential forms at the negated
+  argument -sqrt(2u)*zhat, where the solution is recessive.
+
+Both work in the scaled variable ``zhat`` (the physical argument is
+z = sqrt(2u)*zhat with u = 2a).  Branch conventions: the square root
+w = sqrt(zhat^2 + 1) is principal, which has positive real part
+everywhere off the cuts zhat = +/- i*y, 1 <= y < inf; the LG variable
+uses the principal inverse hyperbolic sine, whose cuts coincide with
+those.
 """
 from __future__ import annotations
 
@@ -19,34 +26,17 @@ import warnings
 from . import _dd
 from .errors import CutError, RegionError, TruncationWarning
 from .lgcoef import LGCoeffTables, make_tables
+from .scaled import ScaledValue
 
 U_MIN = 36.0          # smallest parameter the expansions are trusted at
 R_TURNING = 0.35      # excluded disk radius around the turning point zhat = i
 
-_QUARTER_PI = math.pi / 4.0
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi, the tail of the double
 
 
 def _check_cut(zhat: complex) -> None:
     if abs(zhat.real) < 1e-13 and abs(zhat.imag) >= 1.0:
         raise CutError(f"zhat={zhat} lies on a branch cut")
-
-
-def xi_bar(zhat: complex) -> complex:
-    """LG phase variable: (1/2) zhat*sqrt(zhat^2+1) + (1/2) asinh(zhat)."""
-    _check_cut(zhat)
-    w = cmath.sqrt(zhat * zhat + 1.0)
-    return 0.5 * zhat * w + 0.5 * cmath.asinh(zhat)
-
-
-def beta_bar(zhat: complex) -> complex:
-    """zhat / sqrt(zhat^2 + 1) on the same branch as :func:`xi_bar`."""
-    _check_cut(zhat)
-    return zhat / cmath.sqrt(zhat * zhat + 1.0)
-
-
-def rho(zhat: complex) -> complex:
-    """Phase measured from the turning point: i*xi_bar + pi/4."""
-    return 1j * xi_bar(zhat) + _QUARTER_PI
 
 
 def _truncated_sum(coeffs, u: float, start: int, step: int) -> complex:
@@ -83,41 +73,28 @@ def _truncated_sum(coeffs, u: float, start: int, step: int) -> complex:
     return total
 
 
-def _sum_even(tables: LGCoeffTables, u: float, beta: complex) -> complex:
+def _sum_beta(tables: LGCoeffTables, u: float, beta: complex, tilde: bool,
+              start: int) -> complex:
+    """sum F_s(beta) / u^s over every other order from ``start``, with F
+    the base family or, with ``tilde``, the tilde family."""
     return _truncated_sum(
-        lambda s: tables.eval_E(s, beta) if s <= tables.S else None, u, 2, 2)
+        lambda s: tables.eval(s, beta, tilde) if s <= tables.S else None,
+        u, start, 2)
 
 
-def _sum_even_tilde(tables: LGCoeffTables, u: float, beta: complex) -> complex:
+def _sum_anchor(tables: LGCoeffTables, u: float, tilde: bool) -> float:
+    """sum F_s(anchor) / u^s over odd s, at the anchor -1 of the base
+    family or +1 of the tilde family."""
+    anchors = tables.Etilde_at_p1 if tilde else tables.E_at_m1
     return _truncated_sum(
-        lambda s: tables.eval_Etilde(s, beta) if s <= tables.S else None, u, 2, 2)
-
-
-def _sum_odd_beta(tables: LGCoeffTables, u: float, beta: complex) -> complex:
-    return _truncated_sum(
-        lambda s: tables.eval_E(s, beta) if s <= tables.S else None, u, 1, 2)
-
-
-def _sum_odd_beta_tilde(tables: LGCoeffTables, u: float, beta: complex) -> complex:
-    return _truncated_sum(
-        lambda s: tables.eval_Etilde(s, beta) if s <= tables.S else None, u, 1, 2)
-
-
-def _sum_odd_anchor(tables: LGCoeffTables, u: float) -> float:
-    return _truncated_sum(
-        lambda s: tables.E_at_m1[s - 1] if s <= tables.S else None, u, 1, 2).real
-
-
-def _sum_odd_anchor_tilde(tables: LGCoeffTables, u: float) -> float:
-    return _truncated_sum(
-        lambda s: tables.Etilde_at_p1[s - 1] if s <= tables.S else None, u, 1, 2).real
+        lambda s: anchors[s - 1] if s <= tables.S else None, u, 1, 2).real
 
 
 def _sum_full(tables: LGCoeffTables, u: float, beta: complex,
-              tilde: bool, alternating: bool) -> complex:
-    """sum sgn^s (F_s(beta) - F_s(anchor)) / u^s over all s."""
+              tilde: bool) -> complex:
+    """sum sgn^s (F_s(beta) - F_s(anchor)) / u^s over all s, with
+    sgn = -1 for the base family and +1 for the tilde family."""
     anchors = tables.Etilde_at_p1 if tilde else tables.E_at_m1
-    ev = tables.eval_Etilde if tilde else tables.eval_E
 
     def coeff(s):
         if s > tables.S:
@@ -126,34 +103,10 @@ def _sum_full(tables: LGCoeffTables, u: float, beta: complex,
         if tilde:
             # Et_s(-1) = (-1)^s Et_s(1) by parity
             anchor = anchor if s % 2 == 0 else -anchor
-        c = ev(s, beta) - anchor
-        return -c if (alternating and s % 2 == 1) else c
+        c = tables.eval(s, beta, tilde) - anchor
+        return -c if (not tilde and s % 2 == 1) else c
 
     return _truncated_sum(coeff, u, 1, 1)
-
-
-def chi(u: float, zhat: complex, tables: LGCoeffTables | None = None) -> complex:
-    """Phase whose real cosine carries the zeros of the function."""
-    tables = tables or make_tables()
-    beta = beta_bar(zhat)
-    return (1j * u * xi_bar(zhat) + 0.25 * (u + 1.0) * math.pi
-            - 1j * _sum_odd_beta(tables, u, beta))
-
-
-def chi_via_rho(u: float, zhat: complex, tables: LGCoeffTables | None = None) -> complex:
-    """Equivalent phase form anchored at the turning point."""
-    tables = tables or make_tables()
-    beta = beta_bar(zhat)
-    return (u * rho(zhat) + _QUARTER_PI
-            - 1j * _sum_odd_beta(tables, u, beta))
-
-
-def chi_tilde(u: float, zhat: complex, tables: LGCoeffTables | None = None) -> complex:
-    """Phase for the derivative expansion (sine carries the zeros)."""
-    tables = tables or make_tables()
-    beta = beta_bar(zhat)
-    return (1j * u * xi_bar(zhat) + 0.25 * (u + 1.0) * math.pi
-            + 1j * _sum_odd_beta_tilde(tables, u, beta))
 
 
 def check_region(u: float, zhat: complex, r_tp: float = R_TURNING) -> None:
@@ -170,15 +123,15 @@ def check_region(u: float, zhat: complex, r_tp: float = R_TURNING) -> None:
 
 
 def _geometry(u: float, zhat: complex):
+    """(beta, xi, quarter, log2u_quarter) in plain doubles: beta =
+    zhat/w, the LG variable xi = (1/2) zhat w + (1/2) asinh(zhat),
+    quarter = (1 + zhat^2)^(1/4) and log2u_quarter = log(2u)/4."""
     w = cmath.sqrt(zhat * zhat + 1.0)
     beta = zhat / w
     xi = 0.5 * zhat * w + 0.5 * cmath.asinh(zhat)
-    quarter = cmath.sqrt(w)          # (1 + zhat^2)^(1/4)
+    quarter = cmath.sqrt(w)
     log2u_quarter = 0.25 * math.log(2.0 * u)
-    return w, beta, xi, quarter, log2u_quarter
-
-
-_PI_LO = 1.2246467991473532e-16  # pi - math.pi, the tail of the double
+    return beta, xi, quarter, log2u_quarter
 
 
 def _geometry_dd(u: float, z: complex):
@@ -206,22 +159,16 @@ def _geometry_dd(u: float, z: complex):
     return zhat, beta, phi, quarter, log2u_quarter
 
 
-def _scaled_cos_dd(xr, xim):
-    """cos(x) as (mantissa, exponent) with x given as dd (real, imag)."""
+def _scaled_trig_dd(xr, xim, sine: bool):
+    """cos(x), or sin(x) with ``sine``, as (mantissa, exponent) with x
+    given as dd (real, imag); safe for large |Im x|."""
     t, tl = xim
     m = abs(t)
-    cp = cmath.exp(1j * xr[0]) * cmath.exp(complex(-tl, xr[1]))
-    cm = cmath.exp(-1j * xr[0]) * cmath.exp(complex(tl, -xr[1]))
-    mant = 0.5 * (cp * math.exp(-t - m) + cm * math.exp(t - m))
-    return mant, m
-
-
-def _scaled_sin_dd(xr, xim):
-    t, tl = xim
-    m = abs(t)
-    cp = cmath.exp(1j * xr[0]) * cmath.exp(complex(-tl, xr[1]))
-    cm = cmath.exp(-1j * xr[0]) * cmath.exp(complex(tl, -xr[1]))
-    mant = (cp * math.exp(-t - m) - cm * math.exp(t - m)) / 2j
+    cp = (cmath.exp(1j * xr[0]) * cmath.exp(complex(-tl, xr[1]))
+          * math.exp(-t - m))
+    cm = (cmath.exp(-1j * xr[0]) * cmath.exp(complex(tl, -xr[1]))
+          * math.exp(t - m))
+    mant = (cp - cm) / 2j if sine else 0.5 * (cp + cm)
     return mant, m
 
 
@@ -230,182 +177,72 @@ def _log_pref(u: float) -> float:
     return 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
 
 
-def _scaled_cos(x: complex):
-    """cos(x) as (mantissa, exponent) safe for large |Im x|."""
-    t = x.imag
-    m = abs(t)
-    mant = 0.5 * (cmath.exp(1j * x.real) * math.exp(-t - m)
-                  + cmath.exp(-1j * x.real) * math.exp(t - m))
-    return mant, m
-
-
-def _scaled_sin(x: complex):
-    t = x.imag
-    m = abs(t)
-    mant = (cmath.exp(1j * x.real) * math.exp(-t - m)
-            - cmath.exp(-1j * x.real) * math.exp(t - m)) / 2j
-    return mant, m
-
-
-from .scaled import ScaledValue  # noqa: E402  (after helpers, avoids cycle risk)
-
-
-def eval_U(u: float, zhat: complex | None, tables: LGCoeffTables | None = None,
-           enforce_region: bool = True, z: complex | None = None) -> ScaledValue:
-    """U(u/2, sqrt(2u)*zhat) via the cosine-form expansion.
-
-    If the physical argument ``z`` is given (and ``zhat`` may then be
-    None), the scaling and the large phase u*xi are carried in
-    double-double precision, which keeps the relative accuracy near
-    1e-14 even when the phase reaches a few thousand.
-    """
-    tables = tables or make_tables()
-    if z is not None:
-        zhat, beta, phi, quarter, lq = _geometry_dd(u, z)
-        if enforce_region:
-            check_region(u, zhat)
-        s_even = _sum_even(tables, u, beta)
-        s_anchor = _sum_odd_anchor(tables, u)
-        s_odd = _sum_odd_beta(tables, u, beta)
-        qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
-        # x = i*u*xi + (u+1)*pi/4 - i*s_odd, assembled in dd
-        xr = _dd.dd_add(_dd.dd_add((-phi[0].imag, -phi[1].imag), qpi),
-                        (s_odd.imag, 0.0))
-        xim = _dd.dd_add((phi[0].real, phi[1].real), (-s_odd.real, 0.0))
-        cos_m, cos_e = _scaled_cos_dd(xr, xim)
-        mant = 2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1]) / quarter
-        mant *= cmath.exp(1j * s_even.imag) * cos_m
-        e = (_log_pref(u) - lq, 0.0)
-        for term in (s_even.real, s_anchor, cos_e):
-            e = _dd.dd_add(e, (term, 0.0))
-        return ScaledValue.make(mant * math.exp(e[1]), e[0])
-    if enforce_region:
-        check_region(u, zhat)
-    w, beta, xi, quarter, lq = _geometry(u, zhat)
-    s_even = _sum_even(tables, u, beta)
-    s_anchor = _sum_odd_anchor(tables, u)
-    x = (1j * u * xi + 0.25 * (u + 1.0) * math.pi
-         - 1j * _sum_odd_beta(tables, u, beta))
-    cos_m, cos_e = _scaled_cos(x)
-    mant = 2.0 * cmath.exp(-0.25j * (u + 1.0) * math.pi) / quarter
-    mant *= cmath.exp(1j * s_even.imag) * cos_m
-    expo = _log_pref(u) - lq + s_even.real + s_anchor + cos_e
-    return ScaledValue.make(mant, expo)
-
-
-def eval_Uprime(u: float, zhat: complex | None, tables: LGCoeffTables | None = None,
-                enforce_region: bool = True, z: complex | None = None) -> ScaledValue:
-    """U'(u/2, sqrt(2u)*zhat) via the sine-form expansion.
-
-    ``z`` selects the same double-double phase path as in :func:`eval_U`.
-    """
-    tables = tables or make_tables()
-    if z is not None:
-        zhat, beta, phi, quarter, lq = _geometry_dd(u, z)
-        if enforce_region:
-            check_region(u, zhat)
-        s_even = _sum_even_tilde(tables, u, beta)
-        s_anchor = _sum_odd_anchor_tilde(tables, u)
-        s_odd = _sum_odd_beta_tilde(tables, u, beta)
-        qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
-        # x = i*u*xi + (u+1)*pi/4 + i*s_odd, assembled in dd
-        xr = _dd.dd_add(_dd.dd_add((-phi[0].imag, -phi[1].imag), qpi),
-                        (-s_odd.imag, 0.0))
-        xim = _dd.dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
-        sin_m, sin_e = _scaled_sin_dd(xr, xim)
+def _oscillatory(u: float, tables: LGCoeffTables, beta: complex, phi,
+                 quarter: complex, lq: float, tilde: bool) -> ScaledValue:
+    """U from the cosine form or, with ``tilde``, U' from the sine form,
+    given the double-double geometry of :func:`_geometry_dd`."""
+    s_even = _sum_beta(tables, u, beta, tilde, 2)
+    s_anchor = _sum_anchor(tables, u, tilde)
+    s_odd = _sum_beta(tables, u, beta, tilde, 1)
+    if not tilde:
+        s_odd = -s_odd
+    qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
+    # x = i*u*xi + (u+1)*pi/4 + i*s_odd, assembled in dd (s_odd carries
+    # the sign of its family)
+    xr = _dd.dd_add(_dd.dd_add((-phi[0].imag, -phi[1].imag), qpi),
+                    (-s_odd.imag, 0.0))
+    xim = _dd.dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
+    trig_m, trig_e = _scaled_trig_dd(xr, xim, sine=tilde)
+    if tilde:
         qpm = _dd.dd_mul_d((math.pi, _PI_LO), -0.25 * (u - 1.0))
         mant = -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1]) * quarter
-        mant *= cmath.exp(1j * s_even.imag) * sin_m
         e = (_log_pref(u) + lq, 0.0)
-        for term in (s_even.real, s_anchor, sin_e):
-            e = _dd.dd_add(e, (term, 0.0))
-        return ScaledValue.make(mant * math.exp(e[1]), e[0])
-    if enforce_region:
-        check_region(u, zhat)
-    w, beta, xi, quarter, lq = _geometry(u, zhat)
-    s_even = _sum_even_tilde(tables, u, beta)
-    s_anchor = _sum_odd_anchor_tilde(tables, u)
-    x = (1j * u * xi + 0.25 * (u + 1.0) * math.pi
-         + 1j * _sum_odd_beta_tilde(tables, u, beta))
-    sin_m, sin_e = _scaled_sin(x)
-    mant = -cmath.exp(-0.25j * (u - 1.0) * math.pi) * quarter
-    mant *= cmath.exp(1j * s_even.imag) * sin_m
-    expo = _log_pref(u) + lq + s_even.real + s_anchor + sin_e
-    return ScaledValue.make(mant, expo)
+    else:
+        mant = (2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1])
+                / quarter)
+        e = (_log_pref(u) - lq, 0.0)
+    mant *= cmath.exp(1j * s_even.imag) * trig_m
+    for term in (s_even.real, s_anchor, trig_e):
+        e = _dd.dd_add(e, (term, 0.0))
+    return ScaledValue.make(mant * math.exp(e[1]), e[0])
 
 
-def eval_U_negarg(u: float, zhat: complex, tables: LGCoeffTables | None = None,
-                  enforce_region: bool = True) -> ScaledValue:
-    """U(u/2, -sqrt(2u)*zhat), the solution recessive as zhat -> -inf."""
+def eval_pair(u: float, z: complex, tables: LGCoeffTables | None = None
+              ) -> tuple[ScaledValue, ScaledValue]:
+    """U(u/2, z) and U'(u/2, z) via the cosine- and sine-form expansions.
+
+    The scaling z -> zhat = z/sqrt(2u) and the large phase u*xi are
+    carried in double-double precision, which keeps the relative
+    accuracy near 1e-14 even when the phase reaches a few thousand.
+    Raises :class:`RegionError` unless zhat passes :func:`check_region`.
+    """
     tables = tables or make_tables()
-    if enforce_region:
-        if u < U_MIN:
-            raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
-        if abs(zhat - 1j) < R_TURNING:
-            raise RegionError("zhat too close to the turning point i")
-        _check_cut(zhat)
-    w, beta, xi, quarter, lq = _geometry(u, zhat)
-    f = _sum_full(tables, u, beta, tilde=False, alternating=True)
-    mant = cmath.exp(1j * (u * xi.imag + f.imag)) / quarter
-    expo = _log_pref(u) - lq + u * xi.real + f.real
-    return ScaledValue.make(mant, expo)
+    zhat, beta, phi, quarter, lq = _geometry_dd(u, z)
+    check_region(u, zhat)
+    return (_oscillatory(u, tables, beta, phi, quarter, lq, tilde=False),
+            _oscillatory(u, tables, beta, phi, quarter, lq, tilde=True))
 
 
-def eval_U_rot(u: float, zhat: complex, tables: LGCoeffTables | None = None,
-               enforce_region: bool = True) -> ScaledValue:
-    """U(-u/2, -i*sqrt(2u)*zhat), recessive as zhat -> i*inf."""
+def eval_pair_negarg(u: float, zhat: complex,
+                     tables: LGCoeffTables | None = None
+                     ) -> tuple[ScaledValue, ScaledValue]:
+    """U(u/2, -sqrt(2u)*zhat) and U'(u/2, -sqrt(2u)*zhat), the solution
+    recessive as zhat -> -inf."""
     tables = tables or make_tables()
-    if enforce_region:
-        if u < U_MIN:
-            raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
-        if abs(zhat.real) < 1e-13 and 0.0 <= zhat.imag <= 1.0:
-            raise RegionError("zhat on the excluded segment [0, i]")
-        if abs(zhat - 1j) < R_TURNING:
-            raise RegionError("zhat too close to the turning point i")
-        _check_cut(zhat)
-    w, beta, xi, quarter, lq = _geometry(u, zhat)
-    f = _sum_full(tables, u, beta, tilde=False, alternating=False)
-    mant = cmath.exp(0.25j * (u - 1.0) * math.pi) / quarter
-    mant *= cmath.exp(1j * (-u * xi.imag + f.imag))
-    expo = -_log_pref(u) - lq - u * xi.real + f.real
-    return ScaledValue.make(mant, expo)
-
-
-def eval_Uprime_negarg(u: float, zhat: complex, tables: LGCoeffTables | None = None,
-                       enforce_region: bool = True) -> ScaledValue:
-    """U'(u/2, -sqrt(2u)*zhat)."""
-    tables = tables or make_tables()
-    if enforce_region:
-        if u < U_MIN:
-            raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
-        if abs(zhat - 1j) < R_TURNING:
-            raise RegionError("zhat too close to the turning point i")
-        _check_cut(zhat)
-    w, beta, xi, quarter, lq = _geometry(u, zhat)
-    f = _sum_full(tables, u, beta, tilde=True, alternating=False)
-    mant = -0.5 * quarter * cmath.exp(1j * (u * xi.imag + f.imag))
-    expo = _log_pref(u) + lq + u * xi.real + f.real
-    return ScaledValue.make(mant, expo)
-
-
-def eval_Uprime_rot(u: float, zhat: complex, tables: LGCoeffTables | None = None,
-                    enforce_region: bool = True) -> ScaledValue:
-    """U'(-u/2, -i*sqrt(2u)*zhat)."""
-    tables = tables or make_tables()
-    if enforce_region:
-        if u < U_MIN:
-            raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
-        if abs(zhat.real) < 1e-13 and 0.0 <= zhat.imag <= 1.0:
-            raise RegionError("zhat on the excluded segment [0, i]")
-        if abs(zhat - 1j) < R_TURNING:
-            raise RegionError("zhat too close to the turning point i")
-        _check_cut(zhat)
-    w, beta, xi, quarter, lq = _geometry(u, zhat)
-    f = _sum_full(tables, u, beta, tilde=True, alternating=True)
-    mant = -0.5 * quarter * cmath.exp(0.25j * (u + 1.0) * math.pi)
-    mant *= cmath.exp(1j * (-u * xi.imag + f.imag))
-    expo = -_log_pref(u) + lq - u * xi.real + f.real
-    return ScaledValue.make(mant, expo)
+    if u < U_MIN:
+        raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
+    if abs(zhat - 1j) < R_TURNING:
+        raise RegionError("zhat too close to the turning point i")
+    _check_cut(zhat)
+    beta, xi, quarter, lq = _geometry(u, zhat)
+    f = _sum_full(tables, u, beta, tilde=False)
+    U = ScaledValue.make(cmath.exp(1j * (u * xi.imag + f.imag)) / quarter,
+                         _log_pref(u) - lq + u * xi.real + f.real)
+    f = _sum_full(tables, u, beta, tilde=True)
+    Up = ScaledValue.make(
+        -0.5 * quarter * cmath.exp(1j * (u * xi.imag + f.imag)),
+        _log_pref(u) + lq + u * xi.real + f.real)
+    return U, Up
 
 
 def gamma_ratio(u: float, tables: LGCoeffTables | None = None,
@@ -416,10 +253,6 @@ def gamma_ratio(u: float, tables: LGCoeffTables | None = None,
     the tilde-family anchors at +1; both target the same ratio.
     """
     tables = tables or make_tables()
-    if variant == "E":
-        s = _sum_odd_anchor(tables, u)
-    elif variant == "Etilde":
-        s = _sum_odd_anchor_tilde(tables, u)
-    else:
+    if variant not in ("E", "Etilde"):
         raise ValueError(f"unknown variant {variant!r}")
-    return math.exp(2.0 * s)
+    return math.exp(2.0 * _sum_anchor(tables, u, variant == "Etilde"))

@@ -19,7 +19,6 @@ from .errors import PcfZerosError, RegionError
 from .lgcoef import make_tables
 from .scaled import ScaledValue
 
-_RAY_ANGLE = 0.75 * math.pi
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
 
@@ -30,17 +29,6 @@ class PcfValue:
     U: ScaledValue
     Uprime: ScaledValue
     method: str  # "origin-series" | "liouville-green"
-
-
-def origin_values(a: float) -> tuple[float, float]:
-    """Standard initial values (U(a,0), U'(a,0)).
-
-    Plain doubles; overflows for |a| beyond a few hundred, use
-    :func:`origin_values_scaled` in that regime.
-    """
-    (m0, m1), e = origin_values_scaled(a)
-    s = math.exp(e)
-    return m0.real * s, m1.real * s
 
 
 def origin_values_scaled(a: float) -> tuple[tuple[complex, complex], float]:
@@ -140,8 +128,7 @@ def _evaluate_lg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     conj = z.imag < 0.0
     if conj:
         z = z.conjugate()
-    U = lgeval.eval_U(u, None, tables, z=z)
-    Up = lgeval.eval_Uprime(u, None, tables, z=z)
+    U, Up = lgeval.eval_pair(u, z, tables)
     if conj:
         U = U.conjugate()
         Up = Up.conjugate()
@@ -156,6 +143,10 @@ def _neg_lg_usable(a: float, z: complex) -> bool:
     w = z if z.imag >= 0 else z.conjugate()
     zhat = complex(-w.imag / s, -w.real / s)
     if abs(zhat - 1j) < 0.5:
+        return False
+    # near the origin the expansions lose accuracy at moderate u (1e-5
+    # at a=-30.2 for |zhat| < 0.6), while the Taylor path there is short
+    if abs(zhat) < 0.6:
         return False
     # near the imaginary zhat axis below the turning point the cut and
     # the oscillatory real-z segment take over; Taylor handles those
@@ -180,10 +171,9 @@ def _evaluate_lg_neg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     w = z.conjugate() if conj else z
     wm = complex(-w.imag, -w.real)
     zhat = wm / math.sqrt(2.0 * u)
-    T1 = lgeval.eval_U(u, None, tables, z=wm).conjugate()
-    T2 = lgeval.eval_U_negarg(u, zhat, tables).conjugate()
-    D1 = lgeval.eval_Uprime(u, None, tables, z=wm).conjugate()
-    D2 = lgeval.eval_Uprime_negarg(u, zhat, tables).conjugate()
+    T1, D1 = (v.conjugate() for v in lgeval.eval_pair(u, wm, tables))
+    T2, D2 = (v.conjugate()
+              for v in lgeval.eval_pair_negarg(u, zhat, tables))
 
     # 1/gamma = -i e^{(u/4+1/4) pi i} Gamma(u/2+1/2) / sqrt(2 pi), with
     # the Gamma expressed through its scaled asymptotic ratio

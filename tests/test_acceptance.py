@@ -14,7 +14,7 @@ from scipy.special import gammaln
 
 from pcfzeros import taylor
 from pcfzeros.chain import fixed_point_T, run_chain, verify_zeros
-from pcfzeros.lgcoef import build_E_tables, build_Etilde_tables, poly_eval_exact
+from pcfzeros.lgcoef import build_tables, poly_eval_exact
 from pcfzeros.lgeval import gamma_ratio
 from pcfzeros.pcf import evaluate
 
@@ -147,8 +147,8 @@ def _sym_tables(tilde):
 
 
 def test_criterion_05_coefficient_tables():
-    E = build_E_tables(12)
-    Et = build_Etilde_tables(12)
+    E = build_tables(12)
+    Et = build_tables(12, tilde=True)
     sym_ok = ([list(p) for p in E[:6]] == _sym_tables(False)
               and [list(p) for p in Et[:6]] == _sym_tables(True))
     parity_ok = all(

@@ -111,6 +111,17 @@ def test_table_mode_malformed_line(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_table_mode_keeps_going_past_failing_row(tmp_path, capsys):
+    table = tmp_path / "mixed.txt"
+    table.write_text("-1.7 12\n-1.5 10\n2.3 10\n")  # -1.5 is Hermite
+    code, out, err = run(["--table", str(table)], capsys)
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert lines[0] == "a,L,n_zeros,wall_time_seconds"
+    assert [int(ln.split(",")[2]) for ln in lines[1:]] == [23, 16]
+    assert ":2:" in err
+
+
 def test_custom_eps(capsys):
     code, out, err = run(
         ["--a", "-1.7", "--L", "12", "--eps", "1e-13"], capsys)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import sympy as sp
 
-from pcfzeros.lgcoef import (build_E_tables, build_Etilde_tables, dump_tables,
-                             eval_poly, make_tables, poly_eval_exact)
+from pcfzeros.lgcoef import (build_tables, dump_tables, make_tables,
+                             poly_eval_exact)
 
 ORACLE_S = 6
 FULL_S = 12
@@ -40,14 +40,14 @@ def _as_fractions(sympy_coeffs):
 
 
 def test_base_family_matches_symbolic_oracle():
-    ours = build_E_tables(ORACLE_S)
+    ours = build_tables(ORACLE_S)
     theirs = _oracle(tilde=False)
     for s in range(ORACLE_S):
         assert list(ours[s]) == _as_fractions(theirs[s]), f"E_{s+1} differs"
 
 
 def test_tilde_family_matches_symbolic_oracle():
-    ours = build_Etilde_tables(ORACLE_S)
+    ours = build_tables(ORACLE_S, tilde=True)
     theirs = _oracle(tilde=True)
     for s in range(ORACLE_S):
         assert list(ours[s]) == _as_fractions(theirs[s]), f"Et_{s+1} differs"
@@ -55,7 +55,7 @@ def test_tilde_family_matches_symbolic_oracle():
 
 def test_parity():
     # order-s polynomials contain only powers of the parity of s
-    for fam in (build_E_tables(FULL_S), build_Etilde_tables(FULL_S)):
+    for fam in (build_tables(FULL_S), build_tables(FULL_S, tilde=True)):
         for s, poly in enumerate(fam, start=1):
             for k, c in enumerate(poly):
                 if (k - s) % 2 != 0:
@@ -63,8 +63,8 @@ def test_parity():
 
 
 def test_even_orders_vanish_at_unit_points():
-    E = build_E_tables(FULL_S)
-    Et = build_Etilde_tables(FULL_S)
+    E = build_tables(FULL_S)
+    Et = build_tables(FULL_S, tilde=True)
     for s in range(2, FULL_S + 1, 2):
         for x in (Fraction(1), Fraction(-1)):
             assert poly_eval_exact(list(E[s - 1]), x) == 0
@@ -90,12 +90,14 @@ def test_tables_are_cached_and_consistent():
 def test_eval_matches_exact_evaluation():
     t = make_tables(8)
     x = Fraction(3, 7)
-    for s in range(1, 9):
-        exact = float(poly_eval_exact(list(t.E[s - 1]), x))
-        # errors scale with the coefficient magnitudes, not the value
-        scale = sum(abs(float(c)) * float(x) ** k
-                    for k, c in enumerate(t.E[s - 1]))
-        assert abs(t.eval_E(s, float(x)) - exact) < 1e-14 * max(1.0, scale)
+    for tilde, fam in ((False, t.E), (True, t.Etilde)):
+        for s in range(1, 9):
+            exact = float(poly_eval_exact(list(fam[s - 1]), x))
+            # errors scale with the coefficient magnitudes, not the value
+            scale = sum(abs(float(c)) * float(x) ** k
+                        for k, c in enumerate(fam[s - 1]))
+            got = t.eval(s, float(x), tilde)
+            assert abs(got - exact) < 1e-14 * max(1.0, scale)
 
 
 def test_dump_format():
@@ -111,8 +113,3 @@ def test_dump_format():
     coeffs = [Fraction(tok) for tok in first]
     assert coeffs == list(t.E[0])
 
-
-def test_eval_poly_horner():
-    p = [Fraction(1), Fraction(-2), Fraction(3)]
-    z = 0.5 + 0.25j
-    assert abs(eval_poly(p, z) - (1 - 2 * z + 3 * z * z)) < 1e-15

@@ -7,30 +7,33 @@ from scipy.special import gammaln
 
 import pcfzeros.lgeval as lgeval
 from pcfzeros.errors import CutError, RegionError
-from pcfzeros.lgeval import (beta_bar, check_region, eval_U, eval_U_negarg,
-                             eval_Uprime, gamma_ratio, xi_bar)
+from pcfzeros.lgeval import (_geometry, check_region, eval_pair,
+                             eval_pair_negarg, gamma_ratio)
 
 mpmath = pytest.importorskip("mpmath")
 
 
 def test_xi_bar_anchors():
-    assert xi_bar(0.0) == 0.0
-    # closed form at z = 1: (1/2) sqrt(2) + (1/2) ln(1 + sqrt(2))
+    # the LG variable xi = (1/2) zhat sqrt(zhat^2+1) + (1/2) asinh(zhat)
+    assert _geometry(40.0, 0j)[1] == 0.0
+    # closed form at zhat = 1: (1/2) sqrt(2) + (1/2) ln(1 + sqrt(2))
     want = 0.5 * math.sqrt(2.0) + 0.5 * math.log(1.0 + math.sqrt(2.0))
-    assert abs(xi_bar(1.0 + 0j) - want) < 1e-15
+    assert abs(_geometry(40.0, 1.0 + 0j)[1] - want) < 1e-15
     # approaching the turning point from inside the quadrant
     z = 1j * (1.0 - 1e-9)
-    assert abs(xi_bar(z) - 1j * math.pi / 4.0) < 1e-4
+    assert abs(_geometry(40.0, z)[1] - 1j * math.pi / 4.0) < 1e-4
 
 
 def test_beta_bar_values():
-    assert abs(beta_bar(1.0 + 0j) - 1.0 / math.sqrt(2.0)) < 1e-15
-    assert abs(beta_bar(0.0)) == 0.0
+    assert abs(_geometry(40.0, 1.0 + 0j)[0] - 1.0 / math.sqrt(2.0)) < 1e-15
+    assert abs(_geometry(40.0, 0j)[0]) == 0.0
 
 
 def test_cut_detection():
     with pytest.raises(CutError):
-        xi_bar(2.0j)
+        check_region(40.0, 2.0j)
+    with pytest.raises(CutError):
+        eval_pair_negarg(40.0, 2.0j)
 
 
 def test_check_region_rejections():
@@ -60,14 +63,14 @@ def test_gamma_ratio_against_log_gamma():
 
 
 def test_eval_U_matches_mpmath():
-    # eval_U(u, zhat) computes U(u/2, sqrt(2u) zhat) in scaled form
+    # eval_pair(u, z)[0] computes U(u/2, z) in scaled form
     u = 40.0
     a = u / 2.0
     for zhat in (-0.8 + 0.9j, -1.5 + 0.3j, -0.3 + 1.6j):
         z = math.sqrt(2.0 * u) * zhat
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", lgeval.TruncationWarning)
-            got = eval_U(u, zhat).to_complex()
+            got = eval_pair(u, z)[0].to_complex()
         want = complex(mpmath.pcfu(a, complex(z)))
         assert abs(got - want) < 1e-11 * abs(want), f"zhat={zhat}"
 
@@ -79,7 +82,7 @@ def test_eval_Uprime_matches_mpmath_derivative():
     z = math.sqrt(2.0 * u) * zhat
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", lgeval.TruncationWarning)
-        got = eval_Uprime(u, zhat).to_complex()
+        got = eval_pair(u, z)[1].to_complex()
     want = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), complex(z)))
     assert abs(got - want) < 1e-11 * abs(want)
 
@@ -90,20 +93,25 @@ def test_negated_argument_variant():
     a = u / 2.0
     zhat = -1.0 + 1.0j
     z = math.sqrt(2.0 * u) * zhat
-    got = eval_U_negarg(u, zhat).to_complex()
+    U, Up = eval_pair_negarg(u, zhat)
     want = complex(mpmath.pcfu(a, complex(-z)))
-    assert abs(got - want) < 1e-11 * abs(want)
+    assert abs(U.to_complex() - want) < 1e-11 * abs(want)
+    want = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), complex(-z)))
+    assert abs(Up.to_complex() - want) < 1e-11 * abs(want)
 
 
 def test_scaled_output_survives_extreme_parameters():
     # the raw function value overflows doubles here; the scaled form must not
-    sv = eval_U(4000.0, -1.0 + 1.0j)
-    assert math.isfinite(abs(sv.mantissa))
-    assert math.isfinite(sv.exponent)
-    assert not sv.is_zero
+    u = 4000.0
+    for sv in eval_pair(u, math.sqrt(2.0 * u) * (-1.0 + 1.0j)):
+        assert math.isfinite(abs(sv.mantissa))
+        assert math.isfinite(sv.exponent)
+        assert not sv.is_zero
 
 
 def test_truncated_sum_warning():
-    # far outside the validated band the series degrades and must warn
+    # just outside the excluded disk around the turning point the series
+    # degrades and must warn
+    u = 36.0
     with pytest.warns(lgeval.TruncationWarning):
-        eval_U(36.0, -0.05 + 1.02j, enforce_region=False)
+        eval_pair(u, math.sqrt(2.0 * u) * (-0.3 + 1.2j))

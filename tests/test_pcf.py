@@ -7,16 +7,21 @@ import pytest
 from pcfzeros import taylor
 from pcfzeros.config import ChainConfig
 from pcfzeros.errors import RegionError
-from pcfzeros.pcf import (evaluate, origin_values, origin_values_scaled,
+from pcfzeros.pcf import (evaluate, origin_values_scaled,
                           relative_error_estimate)
 
 mpmath = pytest.importorskip("mpmath")
 
 
+def _origin_plain(a):
+    (m0, m1), e = origin_values_scaled(a)
+    return (m0 * math.exp(e)).real, (m1 * math.exp(e)).real
+
+
 def test_origin_values_closed_form():
     # U(a, 0) = sqrt(pi) / (2^(a/2 + 1/4) Gamma(3/4 + a/2))
     a = 2.3
-    u0, up0 = origin_values(a)
+    u0, up0 = _origin_plain(a)
     assert abs(u0 - 0.69833466111617388) < 1e-15
     want_up = -math.sqrt(math.pi) / (
         2.0 ** (a / 2.0 - 0.25) * math.gamma(0.25 + a / 2.0))
@@ -24,20 +29,11 @@ def test_origin_values_closed_form():
 
 
 def test_origin_values_match_mpmath():
-    for a in (-4.2, -0.9, 0.3, 7.7):
-        u0, up0 = origin_values(a)
+    for a in (-4.2, -0.9, 0.3, 7.7, 40.0):
+        u0, up0 = _origin_plain(a)
         assert abs(u0 - float(mpmath.pcfu(a, 0))) < 1e-14 * abs(u0)
         ref = float(mpmath.diff(lambda t: mpmath.pcfu(a, t), 0))
         assert abs(up0 - ref) < 1e-13 * abs(ref)
-
-
-def test_origin_values_scaled_consistent():
-    a = 40.0
-    (m0, m1), e = origin_values_scaled(a)
-    s = math.exp(e)
-    plain_u, plain_up = origin_values(a)
-    assert abs(m0 * s - plain_u) < 1e-14 * abs(plain_u)
-    assert abs(m1 * s - plain_up) < 1e-14 * abs(plain_up)
 
 
 def test_evaluate_against_mpmath_moderate():
@@ -67,6 +63,18 @@ def test_neg_parameter_lg_route_agrees_with_taylor():
     vl = evaluate(a, z, method="lg")
     assert vt.U.rel_diff(vl.U) < 1e-11
     assert vt.Uprime.rel_diff(vl.Uprime) < 1e-11
+
+
+def test_neg_parameter_near_origin_takes_taylor():
+    # the negative-a LG route loses accuracy for |zhat| < 0.6 (1e-5 at
+    # the first point, 1e-4 at the second), so those points go to Taylor
+    for a, z in ((-30.2, -1.354 + 1.104j), (-24.7, -4.0 + 1.0j)):
+        v = evaluate(a, z)
+        assert v.method == "origin-series", (a, z)
+        ru = complex(mpmath.pcfu(a, z))
+        rup = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), z))
+        assert abs(v.U.to_complex() - ru) < 1e-12 * abs(ru), (a, z)
+        assert abs(v.Uprime.to_complex() - rup) < 1e-12 * abs(rup), (a, z)
 
 
 def test_recurrence_residuals():
