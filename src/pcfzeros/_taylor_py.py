@@ -10,6 +10,16 @@ recurrence keeps magnitudes balanced:
 
     c_{k+2} = [ (z0^2/4 + a) c_k + (z0/2) c_{k-1} + c_{k-2}/4 ]
               / ((k+1)(k+2)),   k >= 0,  c_{-1} = c_{-2} = 0.
+
+The loops are written for the interpreter (running locals instead of
+list indexing, cached divisors, fused Horner sums), but the order of
+every floating-point operation is load-bearing: each expression keeps
+the operand order of the plain loops, ``(q c_k + hz c_{k-1} + c_{k-2}/4)
+/ d`` and one Horner accumulator per sum, so that every result is
+identical to the bit to that of the plain loops, which
+``tests/test_taylor.py`` keeps as an oracle: the first zero of some
+chains ends on a rounding-noise floor, so another rounding would move
+it, and every zero after it, by more than 1e-13.
 """
 from __future__ import annotations
 
@@ -27,20 +37,36 @@ def h_max(a: float, z: complex) -> float:
     return 6.0 / max(abs(z) * 0.5, math.sqrt(abs(a)), 1.0)
 
 
+_DIVISORS: dict[int, tuple[float, ...]] = {}
+
+
+def _divisors(n: int):
+    """(k+1)(k+2) as floats for k = 2..n-2, the divisors of the
+    recurrence past its first two terms; cached per n."""
+    d = _DIVISORS.get(n)
+    if d is None:
+        d = _DIVISORS[n] = tuple(float((k + 1) * (k + 2))
+                                 for k in range(2, n - 1))
+    return d
+
+
 def scaled_derivs(a: float, z0: complex, y0: complex, y1: complex, n: int):
     """Scaled derivatives c_0..c_n at z0 (n+1 entries, n >= 3)."""
-    c = [0j] * (n + 1)
-    c[0] = y0
-    c[1] = y1
     q = 0.25 * z0 * z0 + a
     hz = 0.5 * z0
-    for k in range(n - 1):
-        t = q * c[k]
-        if k >= 1:
-            t += hz * c[k - 1]
-        if k >= 2:
-            t += 0.25 * c[k - 2]
-        c[k + 2] = t / ((k + 1) * (k + 2))
+    c2 = q * y0 / 2
+    c3 = (q * y1 + hz * y0) / 6
+    c = [y0, y1, c2, c3]
+    append = c.append
+    # window c[k-2], c[k-1], c[k], c[k+1] of the term c[k+2] to come
+    cm2, cm1, ck, ck1 = y0, y1, c2, c3
+    for d in _divisors(n):
+        t = (q * ck + hz * cm1 + 0.25 * cm2) / d
+        append(t)
+        cm2 = cm1
+        cm1 = ck
+        ck = ck1
+        ck1 = t
     return c
 
 
@@ -51,22 +77,44 @@ def taylor_eval(c, h: complex):
     retained term of the y-sum, the caller's truncation measure.
     """
     n = len(c) - 1
-    y = c[n]
-    for k in range(n - 1, -1, -1):
-        y = y * h + c[k]
-    yp = n * c[n]
+    cn = c[n]
+    y = cn
+    yp = n * cn
     for k in range(n - 1, 0, -1):
-        yp = yp * h + k * c[k]
+        ck = c[k]
+        y = y * h + ck
+        yp = yp * h + k * ck
+    y = y * h + c[0]
     # last two terms: a single term can vanish by parity at symmetric
     # expansion points
     ah = abs(h)
-    tail = max(abs(c[n]) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
+    tail = max(abs(cn) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
     return y, yp, tail
 
 
-def _step_ok(y, yp, h, tail) -> bool:
-    scale = max(abs(y), abs(h) * abs(yp), 1e-300)
-    return tail <= TAIL_TOL * scale
+def _taylor_eval2(c, h: complex, h2: complex):
+    """`taylor_eval` at two displacements in one pass over c:
+    (y, yprime, tail) at h followed by the same at h2."""
+    n = len(c) - 1
+    cn = c[n]
+    y = y2 = cn
+    yp = yp2 = n * cn
+    for k in range(n - 1, 0, -1):
+        ck = c[k]
+        kc = k * ck
+        y = y * h + ck
+        yp = yp * h + kc
+        y2 = y2 * h2 + ck
+        yp2 = yp2 * h2 + kc
+    c0 = c[0]
+    y = y * h + c0
+    y2 = y2 * h2 + c0
+    an = abs(cn)
+    an1 = abs(c[n - 1])
+    ah = abs(h)
+    ah2 = abs(h2)
+    return (y, yp, max(an * ah ** n, an1 * ah ** (n - 1)),
+            y2, yp2, max(an * ah2 ** n, an1 * ah2 ** (n - 1)))
 
 
 def step_once(a: float, z0: complex, y0: complex, y1: complex,
@@ -77,29 +125,32 @@ def step_once(a: float, z0: complex, y0: complex, y1: complex,
     fails at the smallest subdivision.
     """
     c0 = scaled_derivs(a, z0, y0, y1, order + 1)
-    y, yp, tail = taylor_eval(c0, h)
-    if _step_ok(y, yp, h, tail):
+    # a step of h_max rarely passes on its first try, so the first
+    # half-step of the bisection is evaluated in the same pass
+    hh = h / 2
+    y, yp, tail, yh, yph, tailh = _taylor_eval2(c0, h, hh)
+    if tail <= TAIL_TOL * max(abs(y), abs(h) * abs(yp), 1e-300):
         return y, yp, True
-    depth = 0
-    zc, yc, ypc = z0, y0, y1
     pieces = 1
-    while depth < MAX_SPLIT_DEPTH:
-        depth += 1
+    for depth in range(1, MAX_SPLIT_DEPTH + 1):
         pieces *= 2
         hh = h / pieces
+        # every subdivision starts at (z0, y0, y1), expanded above
         zc, yc, ypc = z0, y0, y1
-        ok = True
+        c = c0
         for piece in range(pieces):
-            # every subdivision starts at (z0, y0, y1), expanded above
-            c = c0 if piece == 0 else scaled_derivs(a, zc, yc, ypc,
-                                                    order + 1)
-            y, yp, tail = taylor_eval(c, hh)
-            if not _step_ok(y, yp, hh, tail):
-                ok = False
+            if piece:
+                c = scaled_derivs(a, zc, yc, ypc, order + 1)
+            if depth == 1 and not piece:
+                y, yp, tail = yh, yph, tailh
+            else:
+                y, yp, tail = taylor_eval(c, hh)
+            if not tail <= TAIL_TOL * max(abs(y), abs(hh) * abs(yp),
+                                          1e-300):
                 break
             zc += hh
             yc, ypc = y, yp
-        if ok:
+        else:
             return yc, ypc, True
     return yc, ypc, False
 

@@ -22,6 +22,7 @@ from . import pcf, taylor
 from .config import ChainConfig, DEFAULT_CONFIG
 from .errors import (ConvergenceError, HermiteParameterError,
                      PcfZerosError, StepFailureError, TurningPointError)
+from .pcf import is_hermite
 
 _RAY = cmath.exp(0.75j * math.pi)
 
@@ -62,12 +63,6 @@ def fixed_point_T(a: float, z: complex, Q: complex) -> complex:
     if abs(arg - 1j) < 1e-12 or abs(arg + 1j) < 1e-12:
         raise ConvergenceError(f"arctan singularity at z={z}")
     return z - cmath.atan(arg) / w
-
-
-def is_hermite(a: float, tol: float = 1e-12) -> bool:
-    """True if a is numerically -k + 1/2 for some integer k >= 1."""
-    k = round(0.5 - a)
-    return k >= 1 and abs(a - (0.5 - k)) < tol
 
 
 def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
@@ -127,20 +122,46 @@ def refine_from_previous(a: float, z_prev: complex, seed: complex,
     """Inner fixed-point loop with U/U' Taylor-propagated from the
     previous zero, where (U, U') is normalized to (0, 1).
 
+    One hop of the chain, fused: the expansion at z_prev is built once,
+    and each iteration runs the first try of `taylor.step` and the
+    arctan fixed point of `fixed_point_T` inline, with the same
+    arithmetic and the same guards; a first try that fails the tail
+    test or exceeds h_max goes through `taylor.step` itself.
+
     Returns (z, iterations, deltas).
     """
     state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, cfg.taylor_order)
+    c = state.derivs
+    taylor_eval = taylor.kernel.taylor_eval
+    h_max = taylor.h_max(a, z_prev)
+    tail_tol = taylor.TAIL_TOL
+    eps = cfg.eps
     z = complex(seed)
     deltas: list[float] = []
     for it in range(1, cfg.max_inner_iters + 1):
-        y, yp = taylor.step(state, z - z_prev)
+        h = z - z_prev
+        if h == 0:
+            y, yp = c[0], c[1]
+        else:
+            y, yp, tail = taylor_eval(c, h)
+            ah = abs(h)
+            if not (tail <= tail_tol * max(abs(y), ah * abs(yp), 1e-300)
+                    and ah <= h_max):
+                y, yp = taylor.step(state, h)
         if yp == 0:
             raise ConvergenceError(f"U' vanished near z={z}")
-        znew = fixed_point_T(a, z, y / yp)
+        A = -0.25 * z * z - a
+        if abs(A) < 1e-20:
+            raise TurningPointError(f"A(z) vanishes at z={z}")
+        w = cmath.sqrt(A)
+        arg = w * (y / yp)
+        if abs(arg - 1j) < 1e-12 or abs(arg + 1j) < 1e-12:
+            raise ConvergenceError(f"arctan singularity at z={z}")
+        znew = z - cmath.atan(arg) / w
         delta = abs(znew - z) / abs(z)
         deltas.append(delta)
         z = znew
-        if delta <= cfg.eps:
+        if delta <= eps:
             return z, it, tuple(deltas)
     raise ConvergenceError(
         f"inner iteration did not converge near z={seed} (a={a})")
@@ -212,11 +233,13 @@ def run_chain(a: float, L: float, cfg: ChainConfig = DEFAULT_CONFIG,
     # 2i sqrt(a) with no zeros beyond it, so a failing step whose seed
     # falls next to the turning point also terminates the chain.
     z_turn = 2j * math.sqrt(a) if a > 0 else None
+    stall_tol = 10.0 * cfg.eps
     z_prev = z0
-    while towards_terminal(z_prev) > cfg.delta:
+    t_prev = towards_terminal(z0)
+    while t_prev > cfg.delta:
         if len(entries) >= cfg.max_zeros:
             raise ConvergenceError("zero cap exceeded")
-        near_end = towards_terminal(z_prev) < 0.5
+        near_end = t_prev < 0.5
         try:
             seed = displace(a, z_prev)
             if z_turn is not None and abs(seed - z_turn) < 1.0:
@@ -226,16 +249,17 @@ def run_chain(a: float, L: float, cfg: ChainConfig = DEFAULT_CONFIG,
             if near_end:
                 break
             raise
-        if abs(znew - z_prev) < 10.0 * cfg.eps * abs(z_prev):
+        if abs(znew - z_prev) < stall_tol * abs(z_prev):
             if near_end:
                 break
             raise ConvergenceError(f"chain stalled at z={z_prev} (a={a})")
-        if towards_terminal(znew) >= towards_terminal(z_prev):
+        t_new = towards_terminal(znew)
+        if t_new >= t_prev:
             if near_end:
                 break
             raise ConvergenceError(f"chain reversed at z={z_prev} (a={a})")
         entries.append((znew, iters, deltas if collect_deltas else None))
-        z_prev = znew
+        z_prev, t_prev = znew, t_new
 
     entries = [e for e in entries if _in_domain(a, L, e[0])]
     # keep the innermost max_zero_index records; the box near the corner

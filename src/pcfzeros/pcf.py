@@ -3,7 +3,10 @@
 Two routes: origin-anchored Taylor-ODE integration along a path that
 follows the level lines of Re z^2 (where forward integration stays well
 conditioned, see _path_waypoints), and the Liouville-Green expansions
-for large positive parameter away from the axes.
+for large |a| away from the axes.  At the Hermite parameters
+a = -n - 1/2 both fail (U is recessive along the integration path and
+the negative-parameter expansions degenerate), and the closed form
+U = e^{-z^2/4} He_n(z) is used instead.
 """
 from __future__ import annotations
 
@@ -21,6 +24,8 @@ from .scaled import ScaledValue
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
+# He_n is rescaled past this modulus, into the log scale of its value
+_HERMITE_RESCALE = 1e100
 
 
 @dataclass(frozen=True)
@@ -28,7 +33,13 @@ class PcfValue:
     """Function and derivative values with evaluation-route provenance."""
     U: ScaledValue
     Uprime: ScaledValue
-    method: str  # "origin-series" | "liouville-green"
+    method: str  # "origin-series" | "liouville-green" | "hermite"
+
+
+def is_hermite(a: float, tol: float = 1e-12) -> bool:
+    """True if a is numerically -k + 1/2 for some integer k >= 1."""
+    k = round(0.5 - a)
+    return k >= 1 and abs(a - (0.5 - k)) < tol
 
 
 def origin_values_scaled(a: float) -> tuple[tuple[complex, complex], float]:
@@ -94,8 +105,10 @@ def evaluate(a: float, z: complex, cfg: ChainConfig = DEFAULT_CONFIG,
              method: str = "auto") -> PcfValue:
     """U(a,z) and U'(a,z) at a point of the closed left half-plane.
 
-    method: "auto" dispatches to the LG expansions for a >= cfg.a_lg at
-    points with |Re z| and |Im z| beyond cfg.lg_gate, otherwise to the
+    method: "auto" takes the closed form at Hermite parameters
+    (`is_hermite`), dispatches to the LG expansions for a >= cfg.a_lg at
+    points with |Re z| and |Im z| beyond cfg.lg_gate (and for
+    a <= -cfg.a_lg where `_neg_lg_usable`), otherwise to the
     origin-anchored Taylor route; "taylor" / "lg" force a route.
     """
     z = complex(z)
@@ -106,6 +119,8 @@ def evaluate(a: float, z: complex, cfg: ChainConfig = DEFAULT_CONFIG,
 
     use_lg = method == "lg"
     if method == "auto":
+        if is_hermite(a):
+            return _evaluate_hermite(a, z)
         if a >= cfg.a_lg and abs(z.real) > cfg.lg_gate \
                 and abs(z.imag) > cfg.lg_gate:
             use_lg = True
@@ -189,6 +204,31 @@ def _evaluate_lg_neg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
         U = U.conjugate()
         Up = Up.conjugate()
     return PcfValue(U=U, Uprime=Up, method="liouville-green")
+
+
+def _evaluate_hermite(a: float, z: complex) -> PcfValue:
+    """U(a,z) and U'(a,z) at a = -n - 1/2 from the closed form (DLMF
+    12.7.2) U = e^{-z^2/4} He_n(z), U' = e^{-z^2/4} (n He_{n-1}(z)
+    - (z/2) He_n(z)).  He_n comes from its three-term recurrence
+    He_{k+1} = z He_k - k He_{k-1}, rescaled into a log scale before it
+    can overflow."""
+    n = round(-0.5 - a)
+    prev, cur = 0j, 1.0 + 0j      # He_{-1} (any value: it is weighted 0), He_0
+    logscale = 0.0
+    for k in range(n):
+        prev, cur = cur, z * cur - k * prev
+        m = abs(cur)
+        if m > _HERMITE_RESCALE:
+            logscale += math.log(m)
+            prev /= m
+            cur /= m
+    g = -0.25 * z * z
+    phase = cmath.exp(complex(0.0, g.imag))
+    e = logscale + g.real
+    return PcfValue(U=ScaledValue.make(cur * phase, e),
+                    Uprime=ScaledValue.make((n * prev - 0.5 * z * cur)
+                                            * phase, e),
+                    method="hermite")
 
 
 def _evaluate_taylor(a: float, z: complex, cfg: ChainConfig) -> PcfValue:

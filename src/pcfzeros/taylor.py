@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +29,13 @@ DEFAULT_ORDER = 30
 TAIL_TOL = 1e-15
 
 
-@dataclass(frozen=True)
-class TaylorState:
+class TaylorState(NamedTuple):
     """Expansion of a solution at z0: derivs[k] = y^(k)(z0)/k!.
 
     derivs has N+2 entries (orders 0..N+1) so that both the value and
-    the derivative sums carry N+1 terms.
+    the derivative sums carry N+1 terms.  Immutable; a named tuple
+    rather than a frozen dataclass because the zero chain builds one per
+    zero and the dataclass constructor costs microseconds.
     """
     a: float
     z0: complex
@@ -48,7 +49,7 @@ def derivatives_at(a: float, z0: complex, y0: complex, y1: complex,
     if N < 4:
         raise ValueError("N must be >= 4")
     c = kernel.scaled_derivs(a, z0, y0, y1, N + 1)
-    return TaylorState(a=a, z0=z0, derivs=tuple(c), N=N)
+    return TaylorState(a, z0, tuple(c), N)
 
 
 def step(state: TaylorState, h: complex) -> tuple[complex, complex]:

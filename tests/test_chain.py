@@ -10,7 +10,8 @@ from pcfzeros.chain import (ZeroRecord, coefficient_A, displace,
                             max_zero_index, refine_from_previous, run_chain,
                             sqrt_A, verify_zeros)
 from pcfzeros.config import ChainConfig
-from pcfzeros.errors import HermiteParameterError, StepFailureError
+from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
+                             PcfZerosError, StepFailureError)
 
 
 def test_sqrt_A_branch():
@@ -193,6 +194,73 @@ def test_refine_from_previous_is_fast():
     assert deltas[-1] <= cfg.eps
     # it converged to the neighboring zero, one half-period inward
     assert abs(z - zeros[2].z) < 1e-10 or abs(z - zeros[0].z) < 1e-10
+
+
+def _hop_oracle(a, z_prev, seed, cfg):
+    """refine_from_previous as first written, on the public pieces: one
+    `taylor.step` and one `fixed_point_T` per iteration."""
+    state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, cfg.taylor_order)
+    z = complex(seed)
+    deltas = []
+    for it in range(1, cfg.max_inner_iters + 1):
+        y, yp = taylor.step(state, z - z_prev)
+        if yp == 0:
+            raise ConvergenceError(f"U' vanished near z={z}")
+        znew = fixed_point_T(a, z, y / yp)
+        delta = abs(znew - z) / abs(z)
+        deltas.append(delta)
+        z = znew
+        if delta <= cfg.eps:
+            return z, it, tuple(deltas)
+    raise ConvergenceError(
+        f"inner iteration did not converge near z={seed} (a={a})")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PcfZerosError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("a, L", [(-30.2, 60.0), (20.5, 50.0), (-1.7, 60.0)])
+def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
+    # the fused hop inlines the first try of taylor.step and the fixed
+    # point: z, iterations and deltas must be identical, and it must
+    # hand to taylor.step exactly the first tries that taylor.step
+    # rejects, i.e. pass on to the kernel's step_once
+    cfg = ChainConfig()
+    zeros = [r.z for r in run_chain(a, L)]
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+    rejected = 0
+    for i, z_prev in enumerate(zeros):
+        seed = displace(a, z_prev)
+        # every fifth hop also from a seed beyond h_max, which the first
+        # try rejects: it goes through taylor.step
+        far = z_prev + 1.5 * taylor.h_max(a, z_prev) * (
+            (seed - z_prev) / abs(seed - z_prev))
+        for s in ((seed, far) if i % 5 == 0 else (seed,)):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(taylor.kernel, "step_once",
+                          counted(taylor.kernel.step_once))
+                want = _outcome(_hop_oracle, a, z_prev, s, cfg)
+            n = len(calls)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(taylor, "step", counted(taylor.step))
+                got = _outcome(refine_from_previous, a, z_prev, s, cfg)
+            assert got == want, (z_prev, s)
+            assert len(calls) == n, (z_prev, s)
+            assert n or s is not far
+            rejected += n
+    assert rejected >= len(zeros) // 5
 
 
 def test_deltas_shrink_quartically_fast():

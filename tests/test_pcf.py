@@ -137,3 +137,19 @@ def test_relative_error_estimate_scale():
     assert 1e-3 < est < 10.0
     with pytest.raises(ValueError):
         relative_error_estimate(2.3, 0.0)
+
+
+def test_hermite_parameters_take_the_closed_form():
+    # at a = -n - 1/2 the Taylor route integrates a recessive solution
+    # and the negative-parameter LG route degenerates (4e13 and 4e15
+    # relative error at the first point); U = e^{-z^2/4} He_n(z)
+    for a, z in ((-18.5, -16.6 + 1.9j), (-30.5, -20.0 + 10.0j),
+                 (-2.5, -1.0 + 1.0j)):
+        v = evaluate(a, z)
+        assert v.method == "hermite"
+        with mpmath.workdps(30):
+            ru = mpmath.pcfu(a, z)
+            rup = mpmath.diff(lambda t: mpmath.pcfu(a, t), z)
+            for got, ref in ((v.U, ru), (v.Uprime, rup)):
+                val = mpmath.mpc(got.mantissa) * mpmath.exp(got.exponent)
+                assert abs(val - ref) < 1e-13 * abs(ref), (a, z)

@@ -1,6 +1,7 @@
 """Taylor-series ODE stepping for y'' = (z^2/4 + a) y."""
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -237,45 +238,111 @@ def test_step_batch_rejects_steps_over_h_max():
     assert ok.tolist() == [True] * 3 + [False] * 3
 
 
+# The kernel's loops as first written, kept as the oracle of the
+# pure-Python kernel: its rewrite changed how the loops run, not the
+# arithmetic, so its results must be identical to the last bit.
+
+def _loop_scaled_derivs(a, z0, y0, y1, n):
+    c = [0j] * (n + 1)
+    c[0] = y0
+    c[1] = y1
+    q = 0.25 * z0 * z0 + a
+    hz = 0.5 * z0
+    for k in range(n - 1):
+        t = q * c[k]
+        if k >= 1:
+            t += hz * c[k - 1]
+        if k >= 2:
+            t += 0.25 * c[k - 2]
+        c[k + 2] = t / ((k + 1) * (k + 2))
+    return c
+
+
+def _loop_taylor_eval(c, h):
+    n = len(c) - 1
+    y = c[n]
+    for k in range(n - 1, -1, -1):
+        y = y * h + c[k]
+    yp = n * c[n]
+    for k in range(n - 1, 0, -1):
+        yp = yp * h + k * c[k]
+    ah = abs(h)
+    tail = max(abs(c[n]) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
+    return y, yp, tail
+
+
+def _loop_step_ok(y, yp, h, tail):
+    scale = max(abs(y), abs(h) * abs(yp), 1e-300)
+    return tail <= _taylor_py.TAIL_TOL * scale
+
+
 def _bisecting_step(a, z0, y0, y1, h, order):
-    """step_once without reuse of the start-point expansion: every piece
-    of every subdivision expands afresh."""
-    c = _taylor_py.scaled_derivs(a, z0, y0, y1, order + 1)
-    y, yp, tail = _taylor_py.taylor_eval(c, h)
-    if _taylor_py._step_ok(y, yp, h, tail):
-        return y, yp, True
+    """step_once as a plain bisection on the oracle loops: every piece of
+    every subdivision expands afresh.  Returns (y, yprime, ok, depth),
+    depth the number of halvings of the accepted or last attempt."""
+    c = _loop_scaled_derivs(a, z0, y0, y1, order + 1)
+    y, yp, tail = _loop_taylor_eval(c, h)
+    if _loop_step_ok(y, yp, h, tail):
+        return y, yp, True, 0
     for depth in range(1, _taylor_py.MAX_SPLIT_DEPTH + 1):
         pieces = 2 ** depth
         hh = h / pieces
         zc, yc, ypc = z0, y0, y1
         for _ in range(pieces):
-            c = _taylor_py.scaled_derivs(a, zc, yc, ypc, order + 1)
-            y, yp, tail = _taylor_py.taylor_eval(c, hh)
-            if not _taylor_py._step_ok(y, yp, hh, tail):
+            c = _loop_scaled_derivs(a, zc, yc, ypc, order + 1)
+            y, yp, tail = _loop_taylor_eval(c, hh)
+            if not _loop_step_ok(y, yp, hh, tail):
                 break
             zc += hh
             yc, ypc = y, yp
         else:
-            return yc, ypc, True
-    return yc, ypc, False
+            return yc, ypc, True, depth
+    return yc, ypc, False, _taylor_py.MAX_SPLIT_DEPTH
+
+
+def _kernel_corpus(seed, m):
+    """m random (a, z0, y0, y1, h) over the ranges of the round-trip
+    corpus; every fourth case starts from the chain's normalized data
+    (0, 1), and |h| spans 0 to 2^9 h_max(a, z0) on a log scale, so that
+    every subdivision depth is reached and some steps fail at the last."""
+    rng = np.random.default_rng(seed)
+    for i in range(m):
+        a = rng.uniform(-40.0, 40.0)
+        z0 = complex(rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0))
+        if i % 4 == 0:
+            y0, y1 = 0j, 1.0 + 0j
+        else:
+            y0 = complex(rng.normal(), rng.normal())
+            y1 = complex(rng.normal(), rng.normal())
+        h = (h_max(a, z0) * 2.0 ** rng.uniform(-3.0, 9.0)
+             * cmath.exp(2j * math.pi * rng.random()))
+        yield a, z0, y0, y1, h
+
+
+def test_scaled_derivs_and_taylor_eval_match_loop_oracle():
+    # repr compares bits: signed zeros, and nan where a step overflows
+    for a, z0, y0, y1, h in _kernel_corpus(20261020, 400):
+        for n in (3, 4, 5, 17, 31, 41):
+            c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
+            assert repr(c) == repr(_loop_scaled_derivs(a, z0, y0, y1, n))
+            for d in (h, h / 2, 0j):
+                got = _taylor_py.taylor_eval(c, d)
+                assert repr(got) == repr(_loop_taylor_eval(c, d))
 
 
 def test_step_once_is_plain_bisection():
-    # reusing the first try's expansion must not change a single bit
-    rng = np.random.default_rng(20261019)
-    subdivided = 0
-    for _ in range(10):
-        a, z0, y0, y1, h = _step_corpus(rng, 30)
-        for z, u, up, d in zip(z0, y0, y1, h):
-            # steps of several h_max, too, so that bisection runs deep
-            for hh in (d, 4.0 * d):
-                got = _taylor_py.step_once(a, z, u, up, hh, 30)
-                want = _bisecting_step(a, z, u, up, hh, 30)
-                assert got == want
-                c = _taylor_py.scaled_derivs(a, z, u, up, 31)
-                y, yp, tail = _taylor_py.taylor_eval(c, hh)
-                subdivided += not _taylor_py._step_ok(y, yp, hh, tail)
-    assert subdivided >= 100
+    # the fast paths (shared first expansion, first two evaluations in
+    # one pass) must not change a single bit
+    depths = Counter()
+    for a, z0, y0, y1, h in _kernel_corpus(20261019, 600):
+        *want, depth = _bisecting_step(a, z0, y0, y1, h, 30)
+        got = _taylor_py.step_once(a, z0, y0, y1, h, 30)
+        assert repr(got) == repr(tuple(want))
+        depths[depth, want[2]] += 1
+    # every depth 0..6 accepts somewhere, and some steps fail at depth 6
+    for depth in range(_taylor_py.MAX_SPLIT_DEPTH + 1):
+        assert depths[depth, True] >= 5, depths
+    assert depths[_taylor_py.MAX_SPLIT_DEPTH, False] >= 5, depths
 
 
 def test_order_validation():
