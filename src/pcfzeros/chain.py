@@ -25,6 +25,8 @@ from .errors import (ConvergenceError, HermiteParameterError,
 from .pcf import is_hermite
 
 _RAY = cmath.exp(0.75j * math.pi)
+MAX_INNER_ITERS = 20        # iteration budget of one chain hop
+MAX_ZEROS = 10_000_000      # cap on the zeros of one chain
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class ZeroRecord:
     z: complex
     est_rel_error: float = math.nan
     inner_iterations: int = 0
-    deltas: tuple[float, ...] | None = None
 
 
 def coefficient_A(a: float, z: complex) -> complex:
@@ -84,17 +85,16 @@ def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
     return m, _RAY * cmath.sqrt(2.0 * tau_m)
 
 
-def refine_first_zero(a: float, z0: complex, cfg: ChainConfig = DEFAULT_CONFIG,
-                      collect_deltas: bool = False):
+def refine_first_zero(a: float, z0: complex,
+                      cfg: ChainConfig = DEFAULT_CONFIG):
     """Fixed-point refinement of the first-zero estimate against absolute
-    function values.  Returns (z, iterations) or (z, iterations, deltas)."""
+    function values.  Returns (z, iterations, deltas)."""
     z = complex(z0)
     deltas: list[float] = []
     # a first-term seed can land mid-gap, in which case the iteration
     # walks zero by zero along the string before it locks on; allow for
     # that with a larger iteration budget than the inner loops need
-    budget = max(80, cfg.max_inner_iters)
-    for it in range(1, budget + 1):
+    for it in range(1, 80 + 1):
         v = pcf.evaluate(a, z, cfg)
         Q = (v.U / v.Uprime).to_complex()
         znew = fixed_point_T(a, z, Q)
@@ -110,9 +110,7 @@ def refine_first_zero(a: float, z0: complex, cfg: ChainConfig = DEFAULT_CONFIG,
         stalled = (it >= 2 and delta < 3e-8
                    and delta > 0.25 * deltas[-2])
         if delta <= cfg.eps or stalled:
-            if collect_deltas:
-                return z, it, tuple(deltas)
-            return z, it
+            return z, it, tuple(deltas)
     raise ConvergenceError(
         f"first-zero refinement did not converge from {z0} (a={a})")
 
@@ -138,7 +136,7 @@ def refine_from_previous(a: float, z_prev: complex, seed: complex,
     eps = cfg.eps
     z = complex(seed)
     deltas: list[float] = []
-    for it in range(1, cfg.max_inner_iters + 1):
+    for it in range(1, MAX_INNER_ITERS + 1):
         h = z - z_prev
         if h == 0:
             y, yp = c[0], c[1]
@@ -185,8 +183,8 @@ def max_zero_index(a: float, L: float) -> int:
     return max(0, math.floor((L * L / math.pi - 0.5 + abs(a)) / 2.0))
 
 
-def run_chain(a: float, L: float, cfg: ChainConfig = DEFAULT_CONFIG,
-              collect_deltas: bool = False) -> list[ZeroRecord]:
+def run_chain(a: float, L: float,
+              cfg: ChainConfig = DEFAULT_CONFIG) -> list[ZeroRecord]:
     """All zeros of U(a,z) in the domain (Im z in [0,L], Re z < 0 for
     a < 0; Re z in [-L,0], Im z > 0 for a > 0), ordered along the chain."""
     if is_hermite(a):
@@ -197,36 +195,34 @@ def run_chain(a: float, L: float, cfg: ChainConfig = DEFAULT_CONFIG,
     neg = a < 0
 
     _, z_est = first_zero_estimate(a, L)
-    out = refine_first_zero(a, z_est, cfg, collect_deltas=collect_deltas)
-    z0, first_iters = out[0], out[1]
-    first_deltas = out[2] if collect_deltas else None
+    z0, first_iters, _ = refine_first_zero(a, z_est, cfg)
 
     def towards_terminal(z: complex) -> float:
         # signed coordinate that decreases along the inward chain
         return z.imag if neg else -z.real
 
-    entries: list[tuple[complex, int, tuple[float, ...] | None]] = []
+    entries: list[tuple[complex, int]] = []
 
     # Walk outward (against the chain direction) in case the refined
     # first zero is not the outermost one inside the domain.
     z_prev = z0
-    outward: list[tuple[complex, int, tuple[float, ...] | None]] = []
-    while _in_domain(a, L, z_prev) and len(outward) < cfg.max_zeros:
+    outward: list[tuple[complex, int]] = []
+    while _in_domain(a, L, z_prev) and len(outward) < MAX_ZEROS:
         try:
             seed = z_prev - math.pi / sqrt_A(a, z_prev)
-            znew, iters, deltas = refine_from_previous(a, z_prev, seed, cfg)
+            znew, iters, _ = refine_from_previous(a, z_prev, seed, cfg)
         except (ConvergenceError, StepFailureError, TurningPointError):
             break
         if towards_terminal(znew) <= towards_terminal(z_prev):
             break  # not making outward progress
         if abs(znew - z_prev) < 10.0 * cfg.eps * abs(z_prev):
             break
-        outward.append((znew, iters, deltas if collect_deltas else None))
+        outward.append((znew, iters))
         z_prev = znew
         if not _in_domain(a, L, znew):
             break
     entries.extend(reversed(outward))
-    entries.append((z0, first_iters, first_deltas))
+    entries.append((z0, first_iters))
 
     # Main inward chain, terminating past the delta strip.  For a > 0
     # the string ends at a zero of O(1) distance from the turning point
@@ -237,14 +233,14 @@ def run_chain(a: float, L: float, cfg: ChainConfig = DEFAULT_CONFIG,
     z_prev = z0
     t_prev = towards_terminal(z0)
     while t_prev > cfg.delta:
-        if len(entries) >= cfg.max_zeros:
+        if len(entries) >= MAX_ZEROS:
             raise ConvergenceError("zero cap exceeded")
         near_end = t_prev < 0.5
         try:
             seed = displace(a, z_prev)
             if z_turn is not None and abs(seed - z_turn) < 1.0:
                 near_end = True
-            znew, iters, deltas = refine_from_previous(a, z_prev, seed, cfg)
+            znew, iters, _ = refine_from_previous(a, z_prev, seed, cfg)
         except (ConvergenceError, StepFailureError, TurningPointError):
             if near_end:
                 break
@@ -258,7 +254,7 @@ def run_chain(a: float, L: float, cfg: ChainConfig = DEFAULT_CONFIG,
             if near_end:
                 break
             raise ConvergenceError(f"chain reversed at z={z_prev} (a={a})")
-        entries.append((znew, iters, deltas if collect_deltas else None))
+        entries.append((znew, iters))
         z_prev, t_prev = znew, t_new
 
     entries = [e for e in entries if _in_domain(a, L, e[0])]
@@ -267,8 +263,8 @@ def run_chain(a: float, L: float, cfg: ChainConfig = DEFAULT_CONFIG,
     cap = max_zero_index(a, L)
     if len(entries) > cap:
         entries = entries[len(entries) - cap:]
-    return [ZeroRecord(i, z, math.nan, iters, deltas)
-            for i, (z, iters, deltas) in enumerate(entries)]
+    return [ZeroRecord(i, z, math.nan, iters)
+            for i, (z, iters) in enumerate(entries)]
 
 
 def verify_zeros(a: float, zeros: list[ZeroRecord],
@@ -303,8 +299,7 @@ def verify_zeros(a: float, zeros: list[ZeroRecord],
             ests = (np.abs(y / yp) / np.abs(z)).tolist()
         for i in np.flatnonzero(~ok).tolist():
             ests[i] = _estimate(a, zeros[i].z, complex(anchor[i]), cfg)
-    return [ZeroRecord(rec.index, rec.z, est, rec.inner_iterations,
-                       rec.deltas)
+    return [ZeroRecord(rec.index, rec.z, est, rec.inner_iterations)
             for rec, est in zip(zeros, ests)]
 
 

@@ -6,15 +6,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Tolerances, truncation orders and region thresholds for a run."""
+    """Tolerances and truncation orders for a run."""
     eps: float = 1e-14          # fixed-point relative tolerance
     delta: float = 1e-4         # termination distance from the terminal axis
     taylor_order: int = 30
-    a_lg: float = 18.0          # parameter threshold for the LG evaluator
     lg_order: int = 12          # truncation order of the LG coefficient tables
-    lg_gate: float = 15.0       # |Re z|, |Im z| gate for the LG evaluator
-    max_inner_iters: int = 20
-    max_zeros: int = 10_000_000
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1e-8:
@@ -23,6 +19,8 @@ class ChainConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.taylor_order < 4:
             raise ValueError("taylor_order must be >= 4")
+        if self.lg_order < 1:
+            raise ValueError("lg_order must be >= 1")
 
 
 DEFAULT_CONFIG = ChainConfig()

@@ -109,14 +109,15 @@ def _sum_full(tables: LGCoeffTables, u: float, beta: complex,
     return _truncated_sum(coeff, u, 1, 1)
 
 
-def check_region(u: float, zhat: complex, r_tp: float = R_TURNING) -> None:
+def check_region(u: float, zhat: complex) -> None:
     """Validity gate for the oscillatory-form expansions."""
     if u < U_MIN:
         raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
     if zhat.real > 1e-12 or zhat.imag < -1e-12:
         raise RegionError(f"zhat={zhat} not in the closed second quadrant")
-    if abs(zhat - 1j) < r_tp:
-        raise RegionError(f"zhat={zhat} within {r_tp} of the turning point i")
+    if abs(zhat - 1j) < R_TURNING:
+        raise RegionError(
+            f"zhat={zhat} within {R_TURNING} of the turning point i")
     if abs(zhat.real) < 1e-13 and 0.0 <= zhat.imag <= 1.0:
         raise RegionError(f"zhat={zhat} on the excluded segment [0, i]")
     _check_cut(zhat)

@@ -26,6 +26,8 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
 # He_n is rescaled past this modulus, into the log scale of its value
 _HERMITE_RESCALE = 1e100
+A_LG = 18.0       # |a| from which "auto" considers the LG expansions
+LG_GATE = 15.0    # |Re z|, |Im z| gate for the positive-parameter LG route
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,10 @@ class PcfValue:
     method: str  # "origin-series" | "liouville-green" | "hermite"
 
 
-def is_hermite(a: float, tol: float = 1e-12) -> bool:
-    """True if a is numerically -k + 1/2 for some integer k >= 1."""
+def is_hermite(a: float) -> bool:
+    """True if a is -k + 1/2, to within 1e-12, for some integer k >= 1."""
     k = round(0.5 - a)
-    return k >= 1 and abs(a - (0.5 - k)) < tol
+    return k >= 1 and abs(a - (0.5 - k)) < 1e-12
 
 
 def origin_values_scaled(a: float) -> tuple[tuple[complex, complex], float]:
@@ -106,10 +108,10 @@ def evaluate(a: float, z: complex, cfg: ChainConfig = DEFAULT_CONFIG,
     """U(a,z) and U'(a,z) at a point of the closed left half-plane.
 
     method: "auto" takes the closed form at Hermite parameters
-    (`is_hermite`), dispatches to the LG expansions for a >= cfg.a_lg at
-    points with |Re z| and |Im z| beyond cfg.lg_gate (and for
-    a <= -cfg.a_lg where `_neg_lg_usable`), otherwise to the
-    origin-anchored Taylor route; "taylor" / "lg" force a route.
+    (`is_hermite`), dispatches to the LG expansions for a >= A_LG at
+    points with |Re z| and |Im z| beyond LG_GATE (and for a <= -A_LG
+    where `_neg_lg_usable`), otherwise to the origin-anchored Taylor
+    route; "taylor" / "lg" force a route.
     """
     z = complex(z)
     if z.real > 1e-9 and abs(z) > 30.0:
@@ -121,10 +123,9 @@ def evaluate(a: float, z: complex, cfg: ChainConfig = DEFAULT_CONFIG,
     if method == "auto":
         if is_hermite(a):
             return _evaluate_hermite(a, z)
-        if a >= cfg.a_lg and abs(z.real) > cfg.lg_gate \
-                and abs(z.imag) > cfg.lg_gate:
+        if a >= A_LG and abs(z.real) > LG_GATE and abs(z.imag) > LG_GATE:
             use_lg = True
-        elif a <= -cfg.a_lg and _neg_lg_usable(a, z):
+        elif a <= -A_LG and _neg_lg_usable(a, z):
             use_lg = True
     if use_lg:
         try:

@@ -1,26 +1,22 @@
 """Taylor-series propagation of solutions of y'' = (z^2/4 + a) y.
 
-Thin, typed API over the stepping kernel.  The compiled kernel is used
-when available; set the environment variable ``PCFZEROS_PURE=1`` before
-import to force the pure-Python twin.
+Thin, typed API over the stepping kernel: the compiled `_taylor_c` when
+it has been built (see setup.py), otherwise its pure-Python twin
+`_taylor_py`.
 """
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StepFailureError
 
-if os.environ.get("PCFZEROS_PURE") == "1":
+try:
+    from . import _taylor_c as kernel  # type: ignore[attr-defined]
+except ImportError:
     from . import _taylor_py as kernel
-else:
-    try:
-        from . import _taylor_c as kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _taylor_py as kernel
 
 KERNEL = kernel.KERNEL
 h_max = kernel.h_max

@@ -5,10 +5,10 @@ import math
 import pytest
 
 from pcfzeros import taylor
-from pcfzeros.chain import (ZeroRecord, coefficient_A, displace,
-                            first_zero_estimate, fixed_point_T, is_hermite,
-                            max_zero_index, refine_from_previous, run_chain,
-                            sqrt_A, verify_zeros)
+from pcfzeros.chain import (MAX_INNER_ITERS, ZeroRecord, coefficient_A,
+                            displace, first_zero_estimate, fixed_point_T,
+                            is_hermite, max_zero_index, refine_from_previous,
+                            run_chain, sqrt_A, verify_zeros)
 from pcfzeros.config import ChainConfig
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
                              PcfZerosError, StepFailureError)
@@ -202,7 +202,7 @@ def _hop_oracle(a, z_prev, seed, cfg):
     state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, cfg.taylor_order)
     z = complex(seed)
     deltas = []
-    for it in range(1, cfg.max_inner_iters + 1):
+    for it in range(1, MAX_INNER_ITERS + 1):
         y, yp = taylor.step(state, z - z_prev)
         if yp == 0:
             raise ConvergenceError(f"U' vanished near z={z}")
@@ -264,12 +264,15 @@ def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
 
 
 def test_deltas_shrink_quartically_fast():
-    zeros = run_chain(-3.2, 15.0, ChainConfig(), collect_deltas=True)
+    # the hops of the chain: from each zero to the next one inward
+    cfg = ChainConfig()
+    zeros = [r.z for r in run_chain(-3.2, 15.0, cfg)]
     seen = 0
-    for r in zeros:
-        if r.deltas is None or len(r.deltas) < 2:
-            continue
-        d = [x for x in r.deltas if x > 0]
+    for z_prev, z_next in zip(zeros, zeros[1:]):
+        z, _, deltas = refine_from_previous(-3.2, z_prev,
+                                            displace(-3.2, z_prev), cfg)
+        assert z == z_next
+        d = [x for x in deltas if x > 0]
         if len(d) >= 2 and d[0] > 1e-10:
             seen += 1
             assert d[1] < d[0]

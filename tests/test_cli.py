@@ -1,11 +1,16 @@
 """Command line interface: formats, exit codes, batch mode."""
+import ast
 import csv
+import dataclasses
+import inspect
 import io
 import json
 
 import pytest
 
+from pcfzeros import cli
 from pcfzeros.cli import main
+from pcfzeros.config import ChainConfig
 
 
 def run(argv, capsys):
@@ -71,6 +76,32 @@ def test_half_is_not_hermite(capsys):
 def test_bad_flag_exits_1(capsys):
     code, out, err = run(["--a", "1.0"], capsys)  # missing --L
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a", "-1.7", "--L", "12", "--taylor-order", "3"],
+    ["--a", "-1.7", "--L", "12", "--lg-order", "0"],
+    ["--a", "20.5", "--L", "50", "--lg-order", "0"],
+])
+def test_bad_order_is_invalid_configuration(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert "invalid configuration" in err
+    assert out == ""
+
+
+def test_config_fields_are_exactly_the_cli_settings(capsys):
+    # every run setting is a CLI flag: ChainConfig holds no field the CLI
+    # does not set, and the JSON report echoes all of them
+    fields = {f.name for f in dataclasses.fields(ChainConfig)}
+    tree = ast.parse(inspect.getsource(cli._make_config))
+    (call,) = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+               and getattr(n.func, "id", None) == "ChainConfig"]
+    assert {kw.arg for kw in call.keywords} == fields
+    code, out, err = run(["--a", "2.3", "--L", "10", "--format", "json"],
+                         capsys)
+    assert code == 0
+    assert set(json.loads(out)["config"]) == fields
 
 
 def test_out_file(tmp_path, capsys):

@@ -5,9 +5,8 @@ import math
 import pytest
 
 from pcfzeros import taylor
-from pcfzeros.config import ChainConfig
 from pcfzeros.errors import RegionError
-from pcfzeros.pcf import (evaluate, origin_values_scaled,
+from pcfzeros.pcf import (LG_GATE, evaluate, origin_values_scaled,
                           relative_error_estimate)
 
 mpmath = pytest.importorskip("mpmath")
@@ -113,13 +112,12 @@ def test_path_independence():
 
 def test_dispatch_continuity_near_gate():
     # crossing the automatic Taylor/LG boundary must not jump the value
-    cfg = ChainConfig()
     a = 25.0
     # Im chosen so neither sample point sits near a zero of U
-    z_in = complex(-cfg.lg_gate - 0.2, cfg.lg_gate + 4.0)
-    z_out = complex(-cfg.lg_gate + 0.2, cfg.lg_gate + 4.0)
+    z_in = complex(-LG_GATE - 0.2, LG_GATE + 4.0)
+    z_out = complex(-LG_GATE + 0.2, LG_GATE + 4.0)
     for z in (z_in, z_out):
-        u = evaluate(a, z, cfg).U.to_complex()
+        u = evaluate(a, z).U.to_complex()
         ref = complex(mpmath.pcfu(a, complex(z)))
         assert abs(u - ref) < 1e-10 * abs(ref), z
 
