@@ -1,23 +1,16 @@
-"""Build script: compiles the optional stepping kernel extension.
+"""Build script: compiles the optional stepping kernel `_taylor_c.c`.
 
-With Cython installed the kernel is cythonized from `_taylor_c.pyx`;
-without it the checked-in generated `_taylor_c.c` is compiled directly,
-so only a C compiler is needed.  The extension is optional: if it does
-not compile, the build warns and goes on without it, and the package
-selects its pure-Python kernel at import time.
+The extension is optional: if it does not compile, the build warns and
+goes on without it, and the package selects its pure-Python kernel at
+import time.  The kernel's results are identical to the bit to the
+pure-Python kernel's only if no multiply and add are fused into one
+rounding: -ffp-contract=off forbids that, and -fno-tree-vectorize keeps
+gcc 12's vectorizer from fusing anyway (vfmaddsub) where the target has
+FMA, as with -march=native.
 """
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = [Extension("pcfzeros._taylor_c",
-                             ["src/pcfzeros/_taylor_c.c"], optional=True)]
-else:
-    ext_modules = cythonize(
-        [Extension("pcfzeros._taylor_c", ["src/pcfzeros/_taylor_c.pyx"],
-                   optional=True)],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension(
+    "pcfzeros._taylor_c", ["src/pcfzeros/_taylor_c.c"],
+    extra_compile_args=["-ffp-contract=off", "-fno-tree-vectorize"],
+    optional=True)])

@@ -1,8 +1,10 @@
 """Pure-Python Taylor stepping kernel.
 
-Reference implementation of the hot loops; `pcfzeros._taylor_c` is the
-compiled twin with identical semantics.  Selection happens in
-`pcfzeros.taylor` at import time.
+Reference implementation of the hot loops; `pcfzeros._taylor_c`, built
+from the hand-written `_taylor_c.c`, is the compiled twin, with the same
+operations in the same order and so the same results to the bit
+(`tests/test_kernels_equiv.py`); a change to the arithmetic here must be
+made there too.  Selection happens in `pcfzeros.taylor` at import time.
 
 The ODE is y'' = (z^2/4 + a) y.  Derivatives are stored scaled,
 c_k = y^(k)(z0)/k!, so a step is a plain polynomial in h and the

@@ -1,8 +1,8 @@
 """Taylor-series propagation of solutions of y'' = (z^2/4 + a) y.
 
-Thin, typed API over the stepping kernel: the compiled `_taylor_c` when
-it has been built (see setup.py), otherwise its pure-Python twin
-`_taylor_py`.
+Thin, typed API over the stepping kernel: the compiled `_taylor_c` (C,
+built by setup.py) when it has been built, otherwise its pure-Python
+twin `_taylor_py`; both give the same results to the bit.
 """
 from __future__ import annotations
 

@@ -1,20 +1,29 @@
-"""Compiled and pure-Python stepping kernels must agree.
+"""Compiled and pure-Python stepping kernels must agree, bit for bit.
 
-The compiled kernel is built from the checked-in sources into a
+The compiled kernel is built from the checked-in source into a
 temporary directory and swapped into `taylor` for the length of a test,
 so the run never leaves a built extension in the source tree (where
-`taylor` would select it at import).
+`taylor` would select it at import).  Where a C compiler exists, a
+kernel that does not build, or builds with a warning, fails the tests
+instead of skipping them.
 """
 import importlib.machinery
 import importlib.util
+import math
+import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
 
 from pcfzeros import _taylor_py, taylor
 from pcfzeros.chain import run_chain, verify_zeros
+from pcfzeros.config import ChainConfig
+from test_taylor import _kernel_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "pcfzeros"
@@ -25,19 +34,27 @@ def _extensions(directory):
             for p in directory.glob("_taylor_c*" + suffix)}
 
 
+def _have_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC")
+    return bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
+
+
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
+    if not _have_compiler():
+        pytest.skip("no C compiler to build the compiled kernel")
     out = tmp_path_factory.mktemp("taylor_c")
     before = _extensions(PKG)
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
-        cwd=ROOT, capture_output=True, text=True)
+        cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "CFLAGS": "-Wall -Werror"})
     assert _extensions(PKG) == before, "the build wrote into src/pcfzeros"
     built = sorted(_extensions(out / "lib" / "pcfzeros"))
     if proc.returncode != 0 or not built:
-        pytest.skip("compiled kernel did not build:\n"
-                    + proc.stdout[-2000:] + proc.stderr[-2000:])
+        pytest.fail("compiled kernel did not build:\n"
+                    + proc.stdout[-4000:] + proc.stderr[-4000:])
     spec = importlib.util.spec_from_file_location("pcfzeros._taylor_c",
                                                   built[0])
     module = importlib.util.module_from_spec(spec)
@@ -62,9 +79,9 @@ def _step(kernel, use_kernel):
     return taylor.step(st, 0.4 - 0.3j)
 
 
-def _records(a, L):
+def _records(a, L, cfg):
     return [(r.index, r.z, r.inner_iterations, r.est_rel_error)
-            for r in verify_zeros(a, run_chain(a, L))]
+            for r in verify_zeros(a, run_chain(a, L, cfg), cfg)]
 
 
 def test_pure_kernel_importable(use_kernel):
@@ -75,17 +92,53 @@ def test_pure_kernel_importable(use_kernel):
 
 
 def test_step_agreement(compiled, use_kernel):
-    assert compiled.KERNEL == "cython"
-    py, pyp = _step(_taylor_py, use_kernel)
-    y, yp = _step(compiled, use_kernel)
-    assert abs(y - py) < 1e-13 * abs(py)
-    assert abs(yp - pyp) < 1e-13 * abs(pyp)
+    assert compiled.KERNEL == "c"
+    assert _step(compiled, use_kernel) == _step(_taylor_py, use_kernel)
 
 
-@pytest.mark.parametrize("a, L", [(-3.2, 15.0), (-30.2, 12.0), (20.5, 50.0)])
-def test_chain_agreement(compiled, use_kernel, a, L):
+def test_entry_points_bit_for_bit(compiled):
+    def same(name, *args):
+        # repr compares bits: signed zeros, and nan where a step overflows
+        got = getattr(compiled, name)(*args)
+        assert repr(got) == repr(getattr(_taylor_py, name)(*args)), \
+            (name, args)
+        return got
+
+    # the corpus of test_taylor's bisection test: every subdivision
+    # depth 0..6 is reached, and some steps fail at depth 6
+    for i, (a, z0, y0, y1, h) in enumerate(_kernel_corpus(20261019, 600)):
+        same("h_max", a, z0)
+        c = same("scaled_derivs", a, z0, y0, y1, 31)
+        for d in (h, h / 2, 0j):
+            same("taylor_eval", c, d)
+            same("taylor_eval", tuple(c[:4]), d)
+        same("step_once", a, z0, y0, y1, h, 30)
+        if i % 20 == 0:
+            same("propagate_polyline", a, z0, y0, y1,
+                 [z0 + h / 4, z0 + h / 3], 30)
+            # orders past 254: the coefficient buffers are sized per call
+            same("propagate_polyline", a, z0, y0, y1, [z0 + h / 4], 300)
+            same("scaled_derivs", a, z0, y0, y1, 300)
+    # a single term can be nan; max() keeps the first argument then
+    nan = complex(math.nan, 0.0)
+    for c in ([1j, nan], [nan, 1j], [0j, -0.0j, nan, 2.0]):
+        same("taylor_eval", c, 0.5 - 0.5j)
+    # values grow like exp(z^2/4) along the real axis, past RESCALE_LIMIT
+    y, yp, logscale, ok = same("propagate_polyline", 0.3, 0j, 1.0 + 0j,
+                               0j, [40.0 + 0j, 41.0 + 2.0j], 30)
+    assert ok and logscale > math.log(_taylor_py.RESCALE_LIMIT)
+
+
+@pytest.mark.parametrize(
+    "a, L, order",
+    [(-3.2, 15.0, 30), (-30.2, 12.0, 30), (20.5, 50.0, 30),
+     # both kernels take any order
+     (-3.2, 15.0, 255)],
+    ids=["-3.2-15.0", "-30.2-12.0", "20.5-50.0", "-3.2-15.0-order255"])
+def test_chain_agreement(compiled, use_kernel, a, L, order):
     # index, zero, iterations and estimate, bit for bit
+    cfg = ChainConfig(taylor_order=order)
     use_kernel(_taylor_py)
-    want = _records(a, L)
+    want = _records(a, L, cfg)
     use_kernel(compiled)
-    assert _records(a, L) == want
+    assert _records(a, L, cfg) == want
