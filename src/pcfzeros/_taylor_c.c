@@ -6,9 +6,10 @@
    as in Python 3.10 to 3.13; products and Smith's quotient are those of
    Objects/complexobject.c; |z| is hypot; max() keeps its first argument
    unless a later one is larger.  setup.py's flags keep the compiler
-   from fusing a multiply and an add into one rounding.  Where the twin
-   raises OverflowError (|z| or |h|**n past the largest double), this
-   kernel carries inf, which the tail test rejects. */
+   from fusing a multiply and an add into one rounding.  A modulus or a
+   power past the largest double is inf here, as hypot and pow give, and
+   the twin catches Python's OverflowError to the same effect; a try
+   whose scale is not finite fails the tail test in both. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
@@ -97,9 +98,10 @@ eval(const cplx *c, Py_ssize_t n, cplx h, cplx *y, cplx *yp, double *tail)
 static int
 tail_ok(cplx y, cplx yp, cplx h, double tail)
 {
-    double m = cabs_(y), s = cabs_(h) * cabs_(yp);
+    double m = cabs_(y), s = cabs_(h) * cabs_(yp), bound;
     m = s > m ? s : m;
-    return tail <= TAIL_TOL * (1e-300 > m ? 1e-300 : m);
+    bound = TAIL_TOL * (1e-300 > m ? 1e-300 : m);
+    return tail <= bound && bound < HUGE_VAL;
 }
 
 /* One re-expanding step of size h, bisecting up to h/64 on demand; c0

@@ -89,9 +89,39 @@ def taylor_eval(c, h: complex):
     y = y * h + c[0]
     # last two terms: a single term can vanish by parity at symmetric
     # expansion points
-    ah = abs(h)
-    tail = max(abs(cn) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
+    try:
+        ah = abs(h)
+        tail = max(abs(cn) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
+    except OverflowError:
+        tail = _overflowed_tail(cn, c[n - 1], h, n)
     return y, yp, tail
+
+
+def _overflowed_tail(cn, cn1, h, n):
+    """The tail of `taylor_eval` when |h|, |c_n|, |c_{n-1}| or a power
+    of |h| passes the largest double, computed as the compiled kernel
+    does: that factor is inf, as C's hypot and pow give where Python
+    raises OverflowError, and the tail inf or nan, which fails every
+    tail test."""
+    def big(f, *args):
+        try:
+            return f(*args)
+        except OverflowError:
+            return math.inf
+    ah = big(abs, h)
+    return max(big(abs, cn) * big(pow, ah, n),
+               big(abs, cn1) * big(pow, ah, n - 1))
+
+
+def _tail_ok(y, yp, h, tail):
+    """The tail criterion tail <= TAIL_TOL max(|y|, |h| |y'|, 1e-300); a
+    try whose scale is not finite fails it, as does one where |y|, |h|
+    or |y'| passes the largest double."""
+    try:
+        bound = TAIL_TOL * max(abs(y), abs(h) * abs(yp), 1e-300)
+    except OverflowError:
+        return False
+    return tail <= bound < math.inf
 
 
 def _taylor_eval2(c, h: complex, h2: complex):
@@ -111,12 +141,17 @@ def _taylor_eval2(c, h: complex, h2: complex):
     c0 = c[0]
     y = y * h + c0
     y2 = y2 * h2 + c0
-    an = abs(cn)
-    an1 = abs(c[n - 1])
-    ah = abs(h)
-    ah2 = abs(h2)
-    return (y, yp, max(an * ah ** n, an1 * ah ** (n - 1)),
-            y2, yp2, max(an * ah2 ** n, an1 * ah2 ** (n - 1)))
+    try:
+        an = abs(cn)
+        an1 = abs(c[n - 1])
+        ah = abs(h)
+        ah2 = abs(h2)
+        tail = max(an * ah ** n, an1 * ah ** (n - 1))
+        tail2 = max(an * ah2 ** n, an1 * ah2 ** (n - 1))
+    except OverflowError:
+        tail = _overflowed_tail(cn, c[n - 1], h, n)
+        tail2 = _overflowed_tail(cn, c[n - 1], h2, n)
+    return y, yp, tail, y2, yp2, tail2
 
 
 def step_once(a: float, z0: complex, y0: complex, y1: complex,
@@ -131,7 +166,7 @@ def step_once(a: float, z0: complex, y0: complex, y1: complex,
     # half-step of the bisection is evaluated in the same pass
     hh = h / 2
     y, yp, tail, yh, yph, tailh = _taylor_eval2(c0, h, hh)
-    if tail <= TAIL_TOL * max(abs(y), abs(h) * abs(yp), 1e-300):
+    if _tail_ok(y, yp, h, tail):
         return y, yp, True
     pieces = 1
     for depth in range(1, MAX_SPLIT_DEPTH + 1):
@@ -147,8 +182,7 @@ def step_once(a: float, z0: complex, y0: complex, y1: complex,
                 y, yp, tail = yh, yph, tailh
             else:
                 y, yp, tail = taylor_eval(c, hh)
-            if not tail <= TAIL_TOL * max(abs(y), abs(hh) * abs(yp),
-                                          1e-300):
+            if not _tail_ok(y, yp, hh, tail):
                 break
             zc += hh
             yc, ypc = y, yp

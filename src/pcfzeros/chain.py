@@ -38,14 +38,11 @@ class ZeroRecord:
     inner_iterations: int = 0
 
 
-def coefficient_A(a: float, z: complex) -> complex:
-    """A(z) in the normal form y'' + A(z) y = 0 of the defining ODE."""
-    return -0.25 * z * z - a
-
-
 def sqrt_A(a: float, z: complex) -> complex:
-    """Principal square root of A(z); errors out at turning points."""
-    A = coefficient_A(a, z)
+    """Principal square root of A(z) = -z^2/4 - a, the coefficient of the
+    normal form y'' + A(z) y = 0 of the defining ODE; errors out at
+    turning points."""
+    A = -0.25 * z * z - a
     if abs(A) < 1e-20:
         raise TurningPointError(f"A(z) vanishes at z={z}")
     return cmath.sqrt(A)
@@ -121,10 +118,11 @@ def refine_from_previous(a: float, z_prev: complex, seed: complex,
     previous zero, where (U, U') is normalized to (0, 1).
 
     One hop of the chain, fused: the expansion at z_prev is built once,
-    and each iteration runs the first try of `taylor.step` and the
-    arctan fixed point of `fixed_point_T` inline, with the same
-    arithmetic and the same guards; a first try that fails the tail
-    test or exceeds h_max goes through `taylor.step` itself.
+    and each iteration runs the first try of the kernel's `step_once`,
+    limited to |h| <= h_max, and the arctan fixed point of
+    `fixed_point_T` inline, with the same arithmetic and the same
+    guards; a first try that fails the tail test or exceeds h_max goes
+    through `taylor.step`, which subdivides.
 
     Returns (z, iterations, deltas).
     """
@@ -143,8 +141,9 @@ def refine_from_previous(a: float, z_prev: complex, seed: complex,
         else:
             y, yp, tail = taylor_eval(c, h)
             ah = abs(h)
-            if not (tail <= tail_tol * max(abs(y), ah * abs(yp), 1e-300)
-                    and ah <= h_max):
+            # a scale that is not finite fails, as in the kernel
+            bound = tail_tol * max(abs(y), ah * abs(yp), 1e-300)
+            if not (tail <= bound < math.inf and ah <= h_max):
                 y, yp = taylor.step(state, h)
         if yp == 0:
             raise ConvergenceError(f"U' vanished near z={z}")

@@ -7,8 +7,8 @@ import sys
 import time
 
 from .chain import run_chain, verify_zeros
-from .config import ChainConfig
-from .errors import ConvergenceError, HermiteParameterError, PcfZerosError
+from .config import DEFAULT_CONFIG, ChainConfig
+from .errors import HermiteParameterError, PcfZerosError
 
 CSV_HEADER = "index,re,im,est_rel_error,iterations"
 
@@ -36,10 +36,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fill est_rel_error with each zero's self-consistency "
                         "estimate |U/(z U')| from its neighbouring zero "
                         "(does not see error carried along the chain)")
-    p.add_argument("--delta", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=1e-14)
-    p.add_argument("--taylor-order", type=int, default=30)
-    p.add_argument("--lg-order", type=int, default=12)
+    p.add_argument("--delta", type=float, default=DEFAULT_CONFIG.delta)
+    p.add_argument("--eps", type=float, default=DEFAULT_CONFIG.eps)
+    p.add_argument("--taylor-order", type=int,
+                   default=DEFAULT_CONFIG.taylor_order)
+    p.add_argument("--lg-order", type=int, default=DEFAULT_CONFIG.lg_order)
     p.add_argument("--out", type=str, default=None,
                    help="output path (default: stdout)")
     p.add_argument("--table", type=str, default=None,
@@ -90,11 +91,20 @@ def _json_report(a, L, cfg, zeros) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _exit_status(exc: Exception) -> int:
+    """Exit status for a failed run: 1 for a Hermite parameter or another
+    ValueError, 2 for any other error of this package."""
+    if isinstance(exc, (HermiteParameterError, ValueError)):
+        return 1
+    return 2
+
+
 def table_mode(path: str, cfg: ChainConfig, out_path: str | None) -> int:
     """One count row per 'a L' line.  A line that fails is reported on
     stderr with its line number and left out of the CSV; the exit status
     is the worst over all lines (1 for a malformed line, a Hermite
-    parameter or another ValueError, 2 for a convergence failure)."""
+    parameter or another ValueError, 2 for any other error of this
+    package)."""
     try:
         with open(path) as fh:
             raw = fh.readlines()
@@ -114,13 +124,9 @@ def table_mode(path: str, cfg: ChainConfig, out_path: str | None) -> int:
                 raise ValueError("expected two fields 'a L'")
             a, L = float(parts[0]), float(parts[1])
             zeros = run_chain(a, L, cfg)
-        except (HermiteParameterError, ValueError) as exc:
+        except (PcfZerosError, ValueError) as exc:
             print(f"pcfzeros: {path}:{lineno}: {exc}", file=sys.stderr)
-            status = max(status, 1)
-            continue
-        except (ConvergenceError, PcfZerosError) as exc:
-            print(f"pcfzeros: {path}:{lineno}: {exc}", file=sys.stderr)
-            status = 2
+            status = max(status, _exit_status(exc))
             continue
         wall = time.perf_counter() - t0
         lines.append(f"{_fmt(a)},{_fmt(L)},{len(zeros)},{wall:.6f}")
@@ -152,12 +158,9 @@ def main(argv=None) -> int:
         zeros = run_chain(args.a, args.L, cfg)
         if args.verify:
             zeros = verify_zeros(args.a, zeros, cfg)
-    except (HermiteParameterError, ValueError) as exc:
+    except (PcfZerosError, ValueError) as exc:
         print(f"pcfzeros: {exc}", file=sys.stderr)
-        return 1
-    except (ConvergenceError, PcfZerosError) as exc:
-        print(f"pcfzeros: {exc}", file=sys.stderr)
-        return 2
+        return _exit_status(exc)
 
     if args.format == "csv":
         _emit(_csv_report(zeros), args.out)

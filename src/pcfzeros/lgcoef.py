@@ -11,7 +11,7 @@ A polynomial is stored as a list of Fractions in ascending powers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -126,21 +126,20 @@ def build_tables(S: int, tilde: bool = False) -> list[Poly]:
 
 @dataclass(frozen=True)
 class LGCoeffTables:
-    """Immutable coefficient tables up to truncation order S.
+    """Immutable coefficient tables up to truncation order S, in floats.
 
-    `E[s-1]` / `Etilde[s-1]` hold the order-s polynomials.  Float copies
-    of the coefficients and the constant anchors E_s(-1), Et_s(1) are
-    precomputed so evaluation never touches Fractions.
+    `E_float[s-1]` / `Etilde_float[s-1]` hold the coefficients of the
+    order-s polynomials of the base and tilde families, and `E_at_m1`,
+    `Etilde_at_p1` the constant anchors E_s(-1), Et_s(1), so evaluation
+    never touches Fractions.
     """
     S: int
-    E: tuple[tuple[Fraction, ...], ...]
-    Etilde: tuple[tuple[Fraction, ...], ...]
-    E_float: tuple[tuple[float, ...], ...] = field(repr=False, default=())
-    Etilde_float: tuple[tuple[float, ...], ...] = field(repr=False, default=())
-    E_at_m1: tuple[float, ...] = ()
-    Etilde_at_p1: tuple[float, ...] = ()
+    E_float: tuple[tuple[float, ...], ...]
+    Etilde_float: tuple[tuple[float, ...], ...]
+    E_at_m1: tuple[float, ...]
+    Etilde_at_p1: tuple[float, ...]
 
-    def eval(self, s: int, x: complex, tilde: bool = False) -> complex:
+    def eval(self, s: int, x: complex, tilde: bool) -> complex:
         """E_s(x), or Et_s(x) with ``tilde``, in double precision, s = 1..S."""
         acc = 0j
         coeffs = (self.Etilde_float if tilde else self.E_float)[s - 1]
@@ -150,29 +149,13 @@ class LGCoeffTables:
 
 
 @lru_cache(maxsize=8)
-def make_tables(S: int = 12) -> LGCoeffTables:
+def make_tables(S: int) -> LGCoeffTables:
     E = build_tables(S)
     Et = build_tables(S, tilde=True)
     return LGCoeffTables(
         S=S,
-        E=tuple(tuple(p) for p in E),
-        Etilde=tuple(tuple(p) for p in Et),
         E_float=tuple(tuple(float(c) for c in p) for p in E),
         Etilde_float=tuple(tuple(float(c) for c in p) for p in Et),
-        E_at_m1=tuple(float(poly_eval_exact(list(p), Fraction(-1))) for p in E),
-        Etilde_at_p1=tuple(float(poly_eval_exact(list(p), Fraction(1))) for p in Et),
+        E_at_m1=tuple(float(poly_eval_exact(p, Fraction(-1))) for p in E),
+        Etilde_at_p1=tuple(float(poly_eval_exact(p, Fraction(1))) for p in Et),
     )
-
-
-def dump_tables(tables: LGCoeffTables) -> str:
-    """Exact fraction dump, one polynomial per line, ascending powers.
-
-    Format: ``E s : c0/d0 c1/d1 ...`` (and ``Et s : ...``), intended for
-    diffing against an external symbolic computation.
-    """
-    lines = []
-    for name, fam in (("E", tables.E), ("Et", tables.Etilde)):
-        for s, p in enumerate(fam, start=1):
-            coeffs = " ".join(f"{c.numerator}/{c.denominator}" for c in p)
-            lines.append(f"{name} {s} : {coeffs}")
-    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ import warnings
 
 from . import _dd
 from .errors import CutError, RegionError, TruncationWarning
-from .lgcoef import LGCoeffTables, make_tables
+from .lgcoef import LGCoeffTables
 from .scaled import ScaledValue
 
 U_MIN = 36.0          # smallest parameter the expansions are trusted at
@@ -208,7 +208,7 @@ def _oscillatory(u: float, tables: LGCoeffTables, beta: complex, phi,
     return ScaledValue.make(mant * math.exp(e[1]), e[0])
 
 
-def eval_pair(u: float, z: complex, tables: LGCoeffTables | None = None
+def eval_pair(u: float, z: complex, tables: LGCoeffTables
               ) -> tuple[ScaledValue, ScaledValue]:
     """U(u/2, z) and U'(u/2, z) via the cosine- and sine-form expansions.
 
@@ -217,19 +217,16 @@ def eval_pair(u: float, z: complex, tables: LGCoeffTables | None = None
     accuracy near 1e-14 even when the phase reaches a few thousand.
     Raises :class:`RegionError` unless zhat passes :func:`check_region`.
     """
-    tables = tables or make_tables()
     zhat, beta, phi, quarter, lq = _geometry_dd(u, z)
     check_region(u, zhat)
     return (_oscillatory(u, tables, beta, phi, quarter, lq, tilde=False),
             _oscillatory(u, tables, beta, phi, quarter, lq, tilde=True))
 
 
-def eval_pair_negarg(u: float, zhat: complex,
-                     tables: LGCoeffTables | None = None
+def eval_pair_negarg(u: float, zhat: complex, tables: LGCoeffTables
                      ) -> tuple[ScaledValue, ScaledValue]:
     """U(u/2, -sqrt(2u)*zhat) and U'(u/2, -sqrt(2u)*zhat), the solution
     recessive as zhat -> -inf."""
-    tables = tables or make_tables()
     if u < U_MIN:
         raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
     if abs(zhat - 1j) < R_TURNING:
@@ -246,14 +243,13 @@ def eval_pair_negarg(u: float, zhat: complex,
     return U, Up
 
 
-def gamma_ratio(u: float, tables: LGCoeffTables | None = None,
+def gamma_ratio(u: float, tables: LGCoeffTables,
                 variant: str = "E") -> float:
     """Series approximation of sqrt(2 pi)/Gamma(u/2 + 1/2) * (u/2e)^(u/2).
 
     variant "E" uses the base-family odd anchors at -1, variant "Etilde"
     the tilde-family anchors at +1; both target the same ratio.
     """
-    tables = tables or make_tables()
     if variant not in ("E", "Etilde"):
         raise ValueError(f"unknown variant {variant!r}")
     return math.exp(2.0 * _sum_anchor(tables, u, variant == "Etilde"))

@@ -26,7 +26,7 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
 # He_n is rescaled past this modulus, into the log scale of its value
 _HERMITE_RESCALE = 1e100
-A_LG = 18.0       # |a| from which "auto" considers the LG expansions
+A_LG = 18.0       # |a| from which `evaluate` considers the LG expansions
 LG_GATE = 15.0    # |Re z|, |Im z| gate for the positive-parameter LG route
 
 
@@ -103,38 +103,28 @@ def _path_waypoints(a: float, z: complex) -> list[complex]:
     return pts
 
 
-def evaluate(a: float, z: complex, cfg: ChainConfig = DEFAULT_CONFIG,
-             method: str = "auto") -> PcfValue:
+def evaluate(a: float, z: complex,
+             cfg: ChainConfig = DEFAULT_CONFIG) -> PcfValue:
     """U(a,z) and U'(a,z) at a point of the closed left half-plane.
 
-    method: "auto" takes the closed form at Hermite parameters
-    (`is_hermite`), dispatches to the LG expansions for a >= A_LG at
-    points with |Re z| and |Im z| beyond LG_GATE (and for a <= -A_LG
-    where `_neg_lg_usable`), otherwise to the origin-anchored Taylor
-    route; "taylor" / "lg" force a route.
+    The route follows from (a, z): the closed form at Hermite parameters
+    (`is_hermite`), the LG expansions for a >= A_LG at points with
+    |Re z| and |Im z| beyond LG_GATE and for a <= -A_LG where
+    `_neg_lg_usable`, and otherwise, or where an LG evaluator raises a
+    PcfZerosError, the origin-anchored Taylor route.
     """
     z = complex(z)
     if z.real > 1e-9 and abs(z) > 30.0:
         raise RegionError(f"z={z} outside the supported evaluation region")
-    if method not in ("auto", "taylor", "lg"):
-        raise ValueError(f"unknown method {method!r}")
-
-    use_lg = method == "lg"
-    if method == "auto":
-        if is_hermite(a):
-            return _evaluate_hermite(a, z)
+    if is_hermite(a):
+        return _evaluate_hermite(a, z)
+    try:
         if a >= A_LG and abs(z.real) > LG_GATE and abs(z.imag) > LG_GATE:
-            use_lg = True
-        elif a <= -A_LG and _neg_lg_usable(a, z):
-            use_lg = True
-    if use_lg:
-        try:
-            if a < 0:
-                return _evaluate_lg_neg(a, z, cfg)
             return _evaluate_lg(a, z, cfg)
-        except PcfZerosError:
-            if method == "lg":
-                raise
+        if a <= -A_LG and _neg_lg_usable(a, z):
+            return _evaluate_lg_neg(a, z, cfg)
+    except PcfZerosError:
+        pass  # LG -> Taylor fallback, to be replaced by ROADMAP item 4
     return _evaluate_taylor(a, z, cfg)
 
 
@@ -148,7 +138,7 @@ def _evaluate_lg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     if conj:
         U = U.conjugate()
         Up = Up.conjugate()
-    return PcfValue(U=U, Uprime=Up, method="liouville-green")
+    return PcfValue(U, Up, "liouville-green")
 
 
 def _neg_lg_usable(a: float, z: complex) -> bool:
@@ -204,7 +194,7 @@ def _evaluate_lg_neg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     if conj:
         U = U.conjugate()
         Up = Up.conjugate()
-    return PcfValue(U=U, Uprime=Up, method="liouville-green")
+    return PcfValue(U, Up, "liouville-green")
 
 
 def _evaluate_hermite(a: float, z: complex) -> PcfValue:
@@ -226,24 +216,21 @@ def _evaluate_hermite(a: float, z: complex) -> PcfValue:
     g = -0.25 * z * z
     phase = cmath.exp(complex(0.0, g.imag))
     e = logscale + g.real
-    return PcfValue(U=ScaledValue.make(cur * phase, e),
-                    Uprime=ScaledValue.make((n * prev - 0.5 * z * cur)
-                                            * phase, e),
-                    method="hermite")
+    return PcfValue(ScaledValue.make(cur * phase, e),
+                    ScaledValue.make((n * prev - 0.5 * z * cur) * phase, e),
+                    "hermite")
 
 
 def _evaluate_taylor(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     (m0, m1), e = origin_values_scaled(a)
     if abs(z) < 1e-300:
-        return PcfValue(U=ScaledValue.make(m0, e),
-                        Uprime=ScaledValue.make(m1, e),
-                        method="origin-series")
+        return PcfValue(ScaledValue.make(m0, e), ScaledValue.make(m1, e),
+                        "origin-series")
     y, yp, logscale = taylor.propagate(a, 0j, m0, m1,
                                        _path_waypoints(a, z),
                                        cfg.taylor_order)
-    return PcfValue(U=ScaledValue.make(y, e + logscale),
-                    Uprime=ScaledValue.make(yp, e + logscale),
-                    method="origin-series")
+    return PcfValue(ScaledValue.make(y, e + logscale),
+                    ScaledValue.make(yp, e + logscale), "origin-series")
 
 
 def relative_error_estimate(a: float, z: complex,

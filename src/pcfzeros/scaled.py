@@ -82,17 +82,3 @@ class ScaledValue:
 
     def __sub__(self, other: "ScaledValue") -> "ScaledValue":
         return self + (-other)
-
-    def ratio_to(self, other: "ScaledValue") -> complex:
-        """self/other as a plain complex (assumed representable)."""
-        q = self / other
-        return q.to_complex()
-
-    def rel_diff(self, other: "ScaledValue") -> float:
-        """| self - other | / |other|, computed in scaled arithmetic."""
-        if other.is_zero:
-            return math.inf if not self.is_zero else 0.0
-        d = self - other
-        if d.is_zero:
-            return 0.0
-        return math.exp(d.exponent - other.exponent)

@@ -21,7 +21,6 @@ except ImportError:
 KERNEL = kernel.KERNEL
 h_max = kernel.h_max
 
-DEFAULT_ORDER = 30
 TAIL_TOL = 1e-15
 
 
@@ -40,7 +39,7 @@ class TaylorState(NamedTuple):
 
 
 def derivatives_at(a: float, z0: complex, y0: complex, y1: complex,
-                   N: int = DEFAULT_ORDER) -> TaylorState:
+                   N: int) -> TaylorState:
     """Generate scaled derivatives from (y, y') data at z0."""
     if N < 4:
         raise ValueError("N must be >= 4")
@@ -50,18 +49,12 @@ def derivatives_at(a: float, z0: complex, y0: complex, y1: complex,
 
 def step(state: TaylorState, h: complex) -> tuple[complex, complex]:
     """Advance (y, y') by h, re-expanding and subdividing as needed."""
-    if h == 0:
-        return state.derivs[0], state.derivs[1]
-    y, yp, tail = kernel.taylor_eval(state.derivs, h)
-    scale = max(abs(y), abs(h) * abs(yp), 1e-300)
-    if tail <= TAIL_TOL * scale and abs(h) <= kernel.h_max(state.a, state.z0):
-        return y, yp
     y, yp, ok = kernel.step_once(state.a, state.z0, state.derivs[0],
                                  state.derivs[1], h, state.N)
     if not ok:
         raise StepFailureError(
-            f"step of size {abs(h):.3g} at z0={state.z0} failed the tail "
-            "criterion after maximal subdivision")
+            f"step h={h:.3g} at z0={state.z0} failed the tail criterion "
+            "after maximal subdivision")
     return y, yp
 
 
@@ -71,16 +64,17 @@ def _cabs(x):
     return np.hypot(x.real, x.imag)
 
 
-def step_batch(a: float, z0, y0, y1, h, order: int = DEFAULT_ORDER):
+def step_batch(a: float, z0, y0, y1, h, order: int):
     """First try of many independent steps at once, vectorised over numpy
     arrays: expand (y0, y1) at each point of z0 and evaluate at z0 + h.
 
     z0 and h are arrays of one shape; y0 and y1 are scalars or arrays of
     that shape.  Returns complex arrays (y, yprime) and a boolean array ok.  The
     arithmetic and the acceptance test are those of the kernel's first
-    try in `step_once`: ok is true where the tail criterion holds and
-    |h| <= h_max(a, z0).  Where ok is false `step` would subdivide or
-    `propagate` take several steps, and (y, yprime) are not to be used.
+    try in `step_once`: ok is true where the tail criterion holds on a
+    finite scale and |h| <= h_max(a, z0).  Where ok is false `step` would
+    subdivide or `propagate` take several steps, and (y, yprime) are not
+    to be used.
     """
     z0 = np.asarray(z0, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -107,15 +101,16 @@ def step_batch(a: float, z0, y0, y1, h, order: int = DEFAULT_ORDER):
         ah = _cabs(h)
         tail = np.maximum(_cabs(c[n]) * ah ** n,
                           _cabs(c[n - 1]) * ah ** (n - 1))
-        scale = np.maximum(np.maximum(_cabs(y), ah * _cabs(yp)), 1e-300)
+        bound = TAIL_TOL * np.maximum(np.maximum(_cabs(y), ah * _cabs(yp)),
+                                      1e-300)
         # kernel.h_max, vectorised over z0
         hm = 6.0 / np.maximum(_cabs(z0) * 0.5, max(math.sqrt(abs(a)), 1.0))
-        ok = (tail <= TAIL_TOL * scale) & (ah <= hm)
+        ok = (tail <= bound) & (bound < np.inf) & (ah <= hm)
     return y, yp, ok
 
 
 def propagate(a: float, z0: complex, y0: complex, y1: complex,
-              waypoints, order: int = DEFAULT_ORDER):
+              waypoints, order: int):
     """Propagate (y, y') along a polyline; returns (y, yprime, logscale)."""
     y, yp, logscale, ok = kernel.propagate_polyline(
         a, z0, y0, y1, list(waypoints), order)

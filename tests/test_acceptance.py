@@ -14,9 +14,12 @@ from scipy.special import gammaln
 
 from pcfzeros import taylor
 from pcfzeros.chain import fixed_point_T, run_chain, verify_zeros
-from pcfzeros.lgcoef import build_tables, poly_eval_exact
+from pcfzeros.config import DEFAULT_CONFIG
+from pcfzeros.lgcoef import build_tables, make_tables, poly_eval_exact
 from pcfzeros.lgeval import gamma_ratio
 from pcfzeros.pcf import evaluate
+
+N = DEFAULT_CONFIG.taylor_order
 
 TABLE = [
     (-1.7, 12.0, 23), (-1.7, 60.0, 573), (-1.7, 180.0, 5157),
@@ -73,9 +76,11 @@ def test_criterion_03_recurrence_residual_map():
     n_pts = 1000
     for _ in range(n_pts):
         z = complex(rng.uniform(-70.0, -15.0), rng.uniform(15.0, 70.0))
-        um = evaluate(a - 1.0, z, method="lg").U
-        v = evaluate(a, z, method="lg")
-        up = evaluate(a + 1.0, z, method="lg").U
+        # every point passes the automatic LG gate (a >= 18, |Re z| and
+        # |Im z| > 15), so all three values take the LG route
+        vm, v, vp = (evaluate(b, z) for b in (a - 1.0, a, a + 1.0))
+        assert {vm.method, v.method, vp.method} == {"liouville-green"}
+        um, up = vm.U, vp.U
         # three-term parameter recurrence for U; the values overflow
         # doubles so residuals are compared in log magnitude
         r1 = v.U * z - um + up * (a + 0.5)
@@ -167,12 +172,13 @@ def test_criterion_05_coefficient_tables():
 def test_criterion_06_gamma_ratio():
     worst_o = 0.0
     worst_v = 0.0
+    tables = make_tables(DEFAULT_CONFIG.lg_order)
     for u in (36.0, 40.0, 80.0, 200.0):
         want = math.exp(0.5 * math.log(2.0 * math.pi)
                         - gammaln(u / 2.0 + 0.5)
                         + (u / 2.0) * (math.log(u / 2.0) - 1.0))
-        g1 = gamma_ratio(u, variant="E")
-        g2 = gamma_ratio(u, variant="Etilde")
+        g1 = gamma_ratio(u, tables, variant="E")
+        g2 = gamma_ratio(u, tables, variant="Etilde")
         worst_o = max(worst_o, abs(g1 - want) / want, abs(g2 - want) / want)
         worst_v = max(worst_v, abs(g1 - g2) / want)
     ok = worst_o < 1e-12 and worst_v < 1e-12
@@ -198,17 +204,18 @@ def test_criterion_07_taylor_properties():
         if abs(y0) < 0.1 or abs(y1) < 0.1:
             continue
         n += 1
-        st = taylor.derivatives_at(a, z0, y0, y1)
+        st = taylor.derivatives_at(a, z0, y0, y1, N)
         hm = taylor.h_max(a, z0)
         growth = max(abs(d) * hm ** k for k, d in enumerate(st.derivs))
         assert growth < 1e6 * abs(st.derivs[0])
         ya, ypa = taylor.step(st, h)
-        yb, ypb = taylor.step(taylor.derivatives_at(a, z0 + h, ya, ypa), -h)
+        yb, ypb = taylor.step(taylor.derivatives_at(a, z0 + h, ya, ypa, N),
+                              -h)
         d = max(abs(y0), abs(y1))
         worst_rt = max(worst_rt, abs(yb - y0) / d, abs(ypb - y1) / d)
         # Wronskian of the fundamental pair over the same step
-        u1, up1 = taylor.step(taylor.derivatives_at(a, z0, 1.0, 0.0), h)
-        u2, up2 = taylor.step(taylor.derivatives_at(a, z0, 0.0, 1.0), h)
+        u1, up1 = taylor.step(taylor.derivatives_at(a, z0, 1.0, 0.0, N), h)
+        u2, up2 = taylor.step(taylor.derivatives_at(a, z0, 0.0, 1.0, N), h)
         w = u1 * up2 - u2 * up1
         scale = abs(u1 * up2) + abs(u2 * up1)
         worst_w = max(worst_w, abs(w - 1.0) / scale)
@@ -229,7 +236,7 @@ def test_criterion_08_convergence_order():
         for i in idxs:
             zp = zeros[i - 1].z
             zs = zeros[i].z
-            st = taylor.derivatives_at(a, zp, 0j, 1.0 + 0j)
+            st = taylor.derivatives_at(a, zp, 0j, 1.0 + 0j, N)
             dirn = (zs - zp) / abs(zs - zp) * (0.6 + 0.8j)
             errs = []
             for d in (1e-1, 5e-2):

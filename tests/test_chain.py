@@ -5,13 +5,14 @@ import math
 import pytest
 
 from pcfzeros import taylor
-from pcfzeros.chain import (MAX_INNER_ITERS, ZeroRecord, coefficient_A,
-                            displace, first_zero_estimate, fixed_point_T,
-                            is_hermite, max_zero_index, refine_from_previous,
-                            run_chain, sqrt_A, verify_zeros)
-from pcfzeros.config import ChainConfig
+from pcfzeros.chain import (MAX_INNER_ITERS, ZeroRecord, displace,
+                            first_zero_estimate, fixed_point_T, is_hermite,
+                            max_zero_index, refine_from_previous, run_chain,
+                            sqrt_A, verify_zeros)
+from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
                              PcfZerosError, StepFailureError)
+from test_taylor import _loop_step_ok, _loop_taylor_eval
 
 
 def test_sqrt_A_branch():
@@ -22,7 +23,6 @@ def test_sqrt_A_branch():
     # beyond the turning point of a = -1 the coefficient is negative
     s2 = sqrt_A(-1.0, -4.0 + 0.0j)
     assert abs(s2 - 1j * math.sqrt(3.0)) < 1e-14
-    assert abs(coefficient_A(-1.0, -4.0) - (-3.0)) < 1e-14
     # between the turning points of a = -5 it is positive: real root
     s3 = sqrt_A(-5.0, -1.0 + 0.0j)
     assert abs(s3 - math.sqrt(4.75)) < 1e-14
@@ -47,7 +47,7 @@ def test_fixed_point_newton_limit():
     a, z = 2.0, -5.0 + 5.0j
     q = 1e-3 + 0.5e-3j
     t = fixed_point_T(a, z, q)
-    A = coefficient_A(a, z)
+    A = -0.25 * z * z - a
     resid = (t - z) + q - A * q ** 3 / 3.0 + A * A * q ** 5 / 5.0
     assert abs(resid) < 1e-12 * abs(q)
 
@@ -138,12 +138,13 @@ def test_verify_zeros_matches_per_zero_propagation(a, L, monkeypatch):
     want = []
     for i, rec in enumerate(zeros):
         anchor = zeros[i - 1 if i else 1].z
-        y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [rec.z])
+        y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [rec.z],
+                                    DEFAULT_CONFIG.taylor_order)
         want.append(abs(y / yp) / abs(rec.z))
     fallbacks = []
     propagate = taylor.propagate
 
-    def spy(a, z0, y0, y1, waypoints, order=taylor.DEFAULT_ORDER):
+    def spy(a, z0, y0, y1, waypoints, order):
         fallbacks.append(waypoints[0])
         return propagate(a, z0, y0, y1, waypoints, order)
     monkeypatch.setattr(taylor, "propagate", spy)
@@ -196,14 +197,22 @@ def test_refine_from_previous_is_fast():
     assert abs(z - zeros[2].z) < 1e-10 or abs(z - zeros[0].z) < 1e-10
 
 
-def _hop_oracle(a, z_prev, seed, cfg):
+def _hop_oracle(a, z_prev, seed, cfg, handed_off):
     """refine_from_previous as first written, on the public pieces: one
-    `taylor.step` and one `fixed_point_T` per iteration."""
+    `taylor.step` and one `fixed_point_T` per iteration.  Appends to
+    handed_off the step of each iteration whose first try the fused hop
+    must reject: one over h_max, or one failing the tail test of the
+    plain-loop kernel oracle."""
     state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, cfg.taylor_order)
+    h_max = taylor.h_max(a, z_prev)
     z = complex(seed)
     deltas = []
     for it in range(1, MAX_INNER_ITERS + 1):
-        y, yp = taylor.step(state, z - z_prev)
+        h = z - z_prev
+        y, yp, tail = _loop_taylor_eval(state.derivs, h)
+        if not (abs(h) <= h_max and _loop_step_ok(y, yp, h, tail)):
+            handed_off.append(h)
+        y, yp = taylor.step(state, h)
         if yp == 0:
             raise ConvergenceError(f"U' vanished near z={z}")
         znew = fixed_point_T(a, z, y / yp)
@@ -225,10 +234,10 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("a, L", [(-30.2, 60.0), (20.5, 50.0), (-1.7, 60.0)])
 def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
-    # the fused hop inlines the first try of taylor.step and the fixed
-    # point: z, iterations and deltas must be identical, and it must
-    # hand to taylor.step exactly the first tries that taylor.step
-    # rejects, i.e. pass on to the kernel's step_once
+    # the fused hop inlines the first try of the kernel's step_once,
+    # limited to h_max, and the fixed point: z, iterations and deltas
+    # must be identical, and it must hand to taylor.step exactly the
+    # steps whose first try the oracle rejects
     cfg = ChainConfig()
     zeros = [r.z for r in run_chain(a, L)]
     calls = []
@@ -246,20 +255,16 @@ def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
         far = z_prev + 1.5 * taylor.h_max(a, z_prev) * (
             (seed - z_prev) / abs(seed - z_prev))
         for s in ((seed, far) if i % 5 == 0 else (seed,)):
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(taylor.kernel, "step_once",
-                          counted(taylor.kernel.step_once))
-                want = _outcome(_hop_oracle, a, z_prev, s, cfg)
-            n = len(calls)
+            handed_off = []
+            want = _outcome(_hop_oracle, a, z_prev, s, cfg, handed_off)
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(taylor, "step", counted(taylor.step))
                 got = _outcome(refine_from_previous, a, z_prev, s, cfg)
             assert got == want, (z_prev, s)
-            assert len(calls) == n, (z_prev, s)
-            assert n or s is not far
-            rejected += n
+            assert [h for _, h in calls] == handed_off, (z_prev, s)
+            assert handed_off or s is not far
+            rejected += len(handed_off)
     assert rejected >= len(zeros) // 5
 
 

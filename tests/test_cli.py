@@ -10,7 +10,9 @@ import pytest
 
 from pcfzeros import cli
 from pcfzeros.cli import main
-from pcfzeros.config import ChainConfig
+from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
+from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
+                             StepFailureError)
 
 
 def run(argv, capsys):
@@ -104,6 +106,15 @@ def test_config_fields_are_exactly_the_cli_settings(capsys):
     assert set(json.loads(out)["config"]) == fields
 
 
+def test_parser_defaults_are_the_config_defaults():
+    # ChainConfig is the one home of the defaults; the flags take theirs
+    # from DEFAULT_CONFIG
+    args = cli.build_parser().parse_args([])
+    assert cli._make_config(args) == DEFAULT_CONFIG
+    for f in dataclasses.fields(ChainConfig):
+        assert getattr(args, f.name) == getattr(DEFAULT_CONFIG, f.name)
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "zeros.csv"
     code, out, err = run(
@@ -151,6 +162,22 @@ def test_table_mode_keeps_going_past_failing_row(tmp_path, capsys):
     assert lines[0] == "a,L,n_zeros,wall_time_seconds"
     assert [int(ln.split(",")[2]) for ln in lines[1:]] == [23, 16]
     assert ":2:" in err
+
+
+@pytest.mark.parametrize("exc, status", [
+    (HermiteParameterError, 1), (ValueError, 1),
+    (ConvergenceError, 2), (StepFailureError, 2)])
+def test_single_run_and_table_share_exit_status(exc, status, tmp_path,
+                                                monkeypatch, capsys):
+    def failing(*args):
+        raise exc("forced")
+    monkeypatch.setattr(cli, "run_chain", failing)
+    table = tmp_path / "cases.txt"
+    table.write_text("-1.7 12\n")
+    for argv in (["--a", "-1.7", "--L", "12"], ["--table", str(table)]):
+        code, out, err = run(argv, capsys)
+        assert code == status, argv
+        assert "forced" in err
 
 
 def test_custom_eps(capsys):

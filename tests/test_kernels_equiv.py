@@ -22,7 +22,8 @@ import pytest
 
 from pcfzeros import _taylor_py, taylor
 from pcfzeros.chain import run_chain, verify_zeros
-from pcfzeros.config import ChainConfig
+from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
+from pcfzeros.errors import StepFailureError
 from test_taylor import _kernel_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,7 +76,8 @@ def use_kernel(monkeypatch):
 
 def _step(kernel, use_kernel):
     use_kernel(kernel)
-    st = taylor.derivatives_at(-3.3, -4.0 + 2.0j, 1.0 + 0.0j, 0.2 - 0.5j)
+    st = taylor.derivatives_at(-3.3, -4.0 + 2.0j, 1.0 + 0.0j, 0.2 - 0.5j,
+                               DEFAULT_CONFIG.taylor_order)
     return taylor.step(st, 0.4 - 0.3j)
 
 
@@ -127,6 +129,34 @@ def test_entry_points_bit_for_bit(compiled):
     y, yp, logscale, ok = same("propagate_polyline", 0.3, 0j, 1.0 + 0j,
                                0j, [40.0 + 0j, 41.0 + 2.0j], 30)
     assert ok and logscale > math.log(_taylor_py.RESCALE_LIMIT)
+    # |h|**n past the largest double: the first try fails its tail test
+    # and a half-step passes
+    y, yp, ok = same("step_once", 1.0, 0j, 1.0 + 0j, 0j, 20.0 + 0j, 300)
+    assert ok and math.isfinite(abs(y))
+    c = same("scaled_derivs", 1.0, 0j, 1.0 + 0j, 0j, 301)
+    same("taylor_eval", c, 20.0 + 0j)
+    same("taylor_eval", [1e300 + 1e308j, 1e308 - 1e308j], 2.0 + 0j)
+    same("taylor_eval", [1j, 1.0 + 0j], complex(1e308, 1e308))
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_step_is_step_once(request, use_kernel, kernel):
+    use_kernel(request.getfixturevalue("compiled") if kernel == "c"
+               else _taylor_py)
+    order = DEFAULT_CONFIG.taylor_order
+    for a, z0, y0, y1, h in _kernel_corpus(20261021, 300):
+        y, yp, ok = taylor.kernel.step_once(a, z0, y0, y1, h, order)
+        st = taylor.derivatives_at(a, z0, y0, y1, order)
+        if ok:
+            assert repr(taylor.step(st, h)) == repr((y, yp))
+        else:
+            with pytest.raises(StepFailureError):
+                taylor.step(st, h)
+    # a step whose every subdivision overflows fails, on either kernel
+    st = taylor.derivatives_at(-3.2, -4.0 + 2.0j, 0j, 1.0 + 0j, order)
+    for h in (1e12, complex(1.5e308, 1.5e308)):
+        with pytest.raises(StepFailureError):
+            taylor.step(st, h)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,9 @@
 """Coefficient tables: independent symbolic oracle, parity, anchors."""
-import re
 from fractions import Fraction
 
 import sympy as sp
 
-from pcfzeros.lgcoef import (build_tables, dump_tables, make_tables,
-                             poly_eval_exact)
+from pcfzeros.lgcoef import build_tables, make_tables, poly_eval_exact
 
 ORACLE_S = 6
 FULL_S = 12
@@ -76,21 +74,25 @@ def test_tables_are_cached_and_consistent():
     t2 = make_tables(12)
     assert t1 is t2
     assert t1.S == 12
+    E = build_tables(12)
+    Et = build_tables(12, tilde=True)
     # float copies agree with the exact coefficients
-    for p_exact, p_float in zip(t1.E, t1.E_float):
-        assert all(float(c) == f for c, f in zip(p_exact, p_float))
+    for fam, fam_float in ((E, t1.E_float), (Et, t1.Etilde_float)):
+        for p_exact, p_float in zip(fam, fam_float, strict=True):
+            assert [float(c) for c in p_exact] == list(p_float)
     # anchors were evaluated at the right points
     for s in range(1, 13):
         assert t1.E_at_m1[s - 1] == float(
-            poly_eval_exact(list(t1.E[s - 1]), Fraction(-1)))
+            poly_eval_exact(E[s - 1], Fraction(-1)))
         assert t1.Etilde_at_p1[s - 1] == float(
-            poly_eval_exact(list(t1.Etilde[s - 1]), Fraction(1)))
+            poly_eval_exact(Et[s - 1], Fraction(1)))
 
 
 def test_eval_matches_exact_evaluation():
     t = make_tables(8)
     x = Fraction(3, 7)
-    for tilde, fam in ((False, t.E), (True, t.Etilde)):
+    for tilde in (False, True):
+        fam = build_tables(8, tilde)
         for s in range(1, 9):
             exact = float(poly_eval_exact(list(fam[s - 1]), x))
             # errors scale with the coefficient magnitudes, not the value
@@ -98,18 +100,4 @@ def test_eval_matches_exact_evaluation():
                         for k, c in enumerate(fam[s - 1]))
             got = t.eval(s, float(x), tilde)
             assert abs(got - exact) < 1e-14 * max(1.0, scale)
-
-
-def test_dump_format():
-    t = make_tables(4)
-    text = dump_tables(t)
-    lines = text.strip().split("\n")
-    assert len(lines) == 8
-    pat = re.compile(r"^(E|Et) (\d+) :( -?\d+/\d+)+$")
-    for line in lines:
-        assert pat.match(line), line
-    # round trip the first polynomial
-    first = lines[0].split(" : ")[1].split()
-    coeffs = [Fraction(tok) for tok in first]
-    assert coeffs == list(t.E[0])
 

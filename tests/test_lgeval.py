@@ -6,11 +6,15 @@ import pytest
 from scipy.special import gammaln
 
 import pcfzeros.lgeval as lgeval
+from pcfzeros.config import DEFAULT_CONFIG
 from pcfzeros.errors import CutError, RegionError
+from pcfzeros.lgcoef import make_tables
 from pcfzeros.lgeval import (_geometry, check_region, eval_pair,
                              eval_pair_negarg, gamma_ratio)
 
 mpmath = pytest.importorskip("mpmath")
+
+TABLES = make_tables(DEFAULT_CONFIG.lg_order)
 
 
 def test_xi_bar_anchors():
@@ -33,7 +37,7 @@ def test_cut_detection():
     with pytest.raises(CutError):
         check_region(40.0, 2.0j)
     with pytest.raises(CutError):
-        eval_pair_negarg(40.0, 2.0j)
+        eval_pair_negarg(40.0, 2.0j, TABLES)
 
 
 def test_check_region_rejections():
@@ -55,10 +59,10 @@ def test_gamma_ratio_against_log_gamma():
         want = math.exp(0.5 * math.log(2.0 * math.pi)
                         - gammaln(u / 2.0 + 0.5)
                         + (u / 2.0) * (math.log(u / 2.0) - 1.0))
-        got = gamma_ratio(u)
+        got = gamma_ratio(u, TABLES)
         assert abs(got - want) < 1e-12 * want, f"u={u}"
         # both table variants agree
-        got_t = gamma_ratio(u, variant="Etilde")
+        got_t = gamma_ratio(u, TABLES, variant="Etilde")
         assert abs(got - got_t) < 1e-12 * want, f"u={u} variants"
 
 
@@ -70,7 +74,7 @@ def test_eval_U_matches_mpmath():
         z = math.sqrt(2.0 * u) * zhat
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", lgeval.TruncationWarning)
-            got = eval_pair(u, z)[0].to_complex()
+            got = eval_pair(u, z, TABLES)[0].to_complex()
         want = complex(mpmath.pcfu(a, complex(z)))
         assert abs(got - want) < 1e-11 * abs(want), f"zhat={zhat}"
 
@@ -82,7 +86,7 @@ def test_eval_Uprime_matches_mpmath_derivative():
     z = math.sqrt(2.0 * u) * zhat
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", lgeval.TruncationWarning)
-        got = eval_pair(u, z)[1].to_complex()
+        got = eval_pair(u, z, TABLES)[1].to_complex()
     want = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), complex(z)))
     assert abs(got - want) < 1e-11 * abs(want)
 
@@ -93,7 +97,7 @@ def test_negated_argument_variant():
     a = u / 2.0
     zhat = -1.0 + 1.0j
     z = math.sqrt(2.0 * u) * zhat
-    U, Up = eval_pair_negarg(u, zhat)
+    U, Up = eval_pair_negarg(u, zhat, TABLES)
     want = complex(mpmath.pcfu(a, complex(-z)))
     assert abs(U.to_complex() - want) < 1e-11 * abs(want)
     want = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), complex(-z)))
@@ -103,7 +107,7 @@ def test_negated_argument_variant():
 def test_scaled_output_survives_extreme_parameters():
     # the raw function value overflows doubles here; the scaled form must not
     u = 4000.0
-    for sv in eval_pair(u, math.sqrt(2.0 * u) * (-1.0 + 1.0j)):
+    for sv in eval_pair(u, math.sqrt(2.0 * u) * (-1.0 + 1.0j), TABLES):
         assert math.isfinite(abs(sv.mantissa))
         assert math.isfinite(sv.exponent)
         assert not sv.is_zero
@@ -114,4 +118,4 @@ def test_truncated_sum_warning():
     # degrades and must warn
     u = 36.0
     with pytest.warns(lgeval.TruncationWarning):
-        eval_pair(u, math.sqrt(2.0 * u) * (-0.3 + 1.2j))
+        eval_pair(u, math.sqrt(2.0 * u) * (-0.3 + 1.2j), TABLES)

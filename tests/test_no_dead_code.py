@@ -1,60 +1,100 @@
-"""Every module-level function in the package has a caller in the package.
+"""Every function and method in the package has a caller.
 
-A function counts as used when its name appears somewhere in
-``src/pcfzeros`` outside its own body: as a name, an attribute, or a
-name imported by another module (so the exports of ``__init__`` count).
-Tests do not count; a function that only tests call is dead code that
-happens to be tested.
+A function, or a method of a class, counts as used when its name
+appears somewhere in ``src/pcfzeros`` outside its own body, or anywhere
+in ``perfbench`` (the benchmark imports and patches package names): as
+a name, an attribute, or a name imported by another module (so the
+exports of ``__init__`` count).  Tests do not count; a function that
+only tests call is dead code that happens to be tested.  Dunder methods
+are called by the interpreter, and a method that overrides one of a
+base class by that base class, so both count as used.
 """
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pcfzeros"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pcfzeros"
+CALLERS = ROOT / "perfbench"
 
 # modules whose functions are exempt as a whole
 ALLOWED_MODULES = {
-    # Airy seeding of negative-parameter zero strings is undecided
-    # (ROADMAP item 4); acceptance criterion 10 exercises the module
+    # Airy seeding of the terminal end of a zero string is undecided
+    # (ROADMAP item 1, phase 2); acceptance criterion 10 exercises the
+    # module
     "airy",
 }
-# single exempt functions, as (module, function)
-ALLOWED_FUNCTIONS = {
-    # exact dump for diffing the tables against an outside symbolic
-    # computation; test_lgcoef.test_dump_format covers its format
-    ("lgcoef", "dump_tables"),
-}
 
 
-def _names(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name
+def _refs(node, owners, owner=None):
+    """(name, owner) for every name, attribute and imported name under
+    node; owner is the entry of `owners` for the innermost enclosing
+    node that has one, or None."""
+    owner = owners.get(id(node), owner)
+    name = (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None)
+    if name is not None:
+        yield name, owner
+    for child in ast.iter_child_nodes(node):
+        yield from _refs(child, owners, owner)
 
 
-def unused_functions(src=SRC):
-    """(module, function) pairs that nothing in ``src`` refers to, other
-    than functions that are themselves unused."""
-    defined = []  # (module, function)
-    refs = []     # (name, owner), owner the enclosing top-level function
+def _module(path):
+    """The module of a source file, imported as part of the package when
+    the file is in it."""
+    if path.parent == SRC:
+        return importlib.import_module(f"pcfzeros.{path.stem}")
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _overrides(path, cls, name):
+    """True if class `cls` of the module at `path` inherits `name` from a
+    base class."""
+    bases = getattr(_module(path), cls).__mro__[1:]
+    return any(name in vars(base) for base in bases)
+
+
+def _definitions(path, module, tree):
+    """(owner, node) for each top-level function and each method that is
+    neither a dunder nor a base-class override; owner is (module, name)
+    with name "Class.method" for a method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield (module, node.name), node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (sub.name.startswith("__")
+                                 and sub.name.endswith("__"))
+                        and not _overrides(path, node.name, sub.name)):
+                    yield (module, f"{node.name}.{sub.name}"), sub
+
+
+def unused_functions(src=SRC, callers=(CALLERS,)):
+    """(module, function) pairs, "Class.method" for a method, that
+    nothing in ``src`` or in the directories ``callers`` refers to,
+    other than functions that are themselves unused."""
+    defined = []  # (module, name)
+    refs = []     # (name, owner), owner the enclosing function or None
     for path in sorted(src.glob("*.py")):
-        module = path.stem
-        for node in ast.parse(path.read_text()).body:
-            owner = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = (module, node.name)
-                defined.append(owner)
-            refs.extend((name, owner) for name in _names(node))
-    candidates = [f for f in defined if f[0] not in ALLOWED_MODULES
-                  and f not in ALLOWED_FUNCTIONS]
+        tree = ast.parse(path.read_text())
+        owners = {id(node): owner
+                  for owner, node in _definitions(path, path.stem, tree)}
+        defined += owners.values()
+        refs += _refs(tree, owners)
+    for path in sorted(p for d in callers for p in d.glob("*.py")):
+        refs += _refs(ast.parse(path.read_text()), {})
+    candidates = [f for f in defined if f[0] not in ALLOWED_MODULES]
     dead: list = []
     while True:
         newly = [f for f in candidates if f not in dead and not any(
-            ref == f[1] and owner != f and owner not in dead
-            for ref, owner in refs)]
+            ref == f[1].rpartition(".")[2] and owner != f
+            and owner not in dead for ref, owner in refs)]
         if not newly:
             return dead
         dead += newly
@@ -70,5 +110,27 @@ def test_guard_sees_an_unused_function(tmp_path):
         "def recursive(n):\n    return recursive(n - 1) if n else only()\n"
         "\n\ndef only():\n    return 2\n\n\nVALUE = used()\n")
     # `only` is called from `recursive` alone, which nothing calls
-    assert unused_functions(tmp_path) == [("mod", "recursive"),
-                                          ("mod", "only")]
+    assert unused_functions(tmp_path, ()) == [("mod", "recursive"),
+                                              ("mod", "only")]
+
+
+def test_guard_sees_an_unused_method(tmp_path):
+    (tmp_path / "klass.py").write_text(
+        "import json\n\n\n"
+        "class Box:\n"
+        "    def __add__(self, other):\n        return self\n\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.helper()\n\n"
+        "    def timed(self):\n        return 2\n\n\n"
+        "class Encoder(json.JSONEncoder):\n"
+        "    def default(self, o):\n        return str(o)\n\n\n"
+        "VALUE = Box().used()\n")
+    # dunders and overrides of a base class's methods are exempt
+    assert unused_functions(tmp_path, ()) == [("klass", "Box.unused"),
+                                              ("klass", "Box.timed")]
+    # a caller outside the package, such as the benchmark, counts
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text("from klass import Box\nBox().timed()\n")
+    assert unused_functions(tmp_path, (bench,)) == [("klass", "Box.unused")]

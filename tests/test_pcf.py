@@ -4,12 +4,20 @@ import math
 
 import pytest
 
-from pcfzeros import taylor
+from pcfzeros import pcf, taylor
+from pcfzeros.config import DEFAULT_CONFIG
 from pcfzeros.errors import RegionError
 from pcfzeros.pcf import (LG_GATE, evaluate, origin_values_scaled,
                           relative_error_estimate)
 
 mpmath = pytest.importorskip("mpmath")
+
+CFG = DEFAULT_CONFIG
+
+
+def _rel_diff(x, y):
+    """|x - y| / |y| for ScaledValues, in scaled arithmetic."""
+    return math.exp((x - y).log_abs() - y.log_abs())
 
 
 def _origin_plain(a):
@@ -49,19 +57,20 @@ def test_evaluate_against_mpmath_moderate():
 
 def test_taylor_and_lg_routes_agree():
     a, z = 20.0, -20.0 + 20.0j
-    vt = evaluate(a, z, method="taylor")
-    vl = evaluate(a, z, method="lg")
+    vt = pcf._evaluate_taylor(a, z, CFG)
+    vl = pcf._evaluate_lg(a, z, CFG)
     assert vt.method != vl.method
-    assert vt.U.rel_diff(vl.U) < 1e-11
-    assert vt.Uprime.rel_diff(vl.Uprime) < 1e-11
+    assert _rel_diff(vt.U, vl.U) < 1e-11
+    assert _rel_diff(vt.Uprime, vl.Uprime) < 1e-11
 
 
 def test_neg_parameter_lg_route_agrees_with_taylor():
     a, z = -20.0, -12.0 + 10.0j
-    vt = evaluate(a, z, method="taylor")
-    vl = evaluate(a, z, method="lg")
-    assert vt.U.rel_diff(vl.U) < 1e-11
-    assert vt.Uprime.rel_diff(vl.Uprime) < 1e-11
+    vt = pcf._evaluate_taylor(a, z, CFG)
+    vl = pcf._evaluate_lg_neg(a, z, CFG)
+    assert vt.method != vl.method
+    assert _rel_diff(vt.U, vl.U) < 1e-11
+    assert _rel_diff(vt.Uprime, vl.Uprime) < 1e-11
 
 
 def test_neg_parameter_near_origin_takes_taylor():
@@ -79,9 +88,9 @@ def test_neg_parameter_near_origin_takes_taylor():
 def test_recurrence_residuals():
     # z U(a,z) - U(a-1,z) + (a + 1/2) U(a+1,z) = 0
     a, z = 20.0, -25.0 + 25.0j
-    u_m = evaluate(a - 1.0, z, method="lg").U
-    v0 = evaluate(a, z, method="lg")
-    u_p = evaluate(a + 1.0, z, method="lg").U
+    u_m = pcf._evaluate_lg(a - 1.0, z, CFG).U
+    v0 = pcf._evaluate_lg(a, z, CFG)
+    u_p = pcf._evaluate_lg(a + 1.0, z, CFG).U
     res = v0.U * z - u_m + u_p * (a + 0.5)
     scale = max(abs(z) * math.exp(v0.U.log_abs()), math.exp(u_m.log_abs()))
     assert math.exp(res.log_abs()) < 5e-13 * scale
@@ -103,8 +112,9 @@ def test_path_independence():
     # straight path vs a dog-leg through a different waypoint
     a = 2.0
     z = -3.0 + 4.0j
-    y1, yp1, ls1 = taylor.propagate(a, 0.0, 1.0, 0.0, [z])
-    y2, yp2, ls2 = taylor.propagate(a, 0.0, 1.0, 0.0, [-3.0 + 0.0j, z])
+    n = CFG.taylor_order
+    y1, yp1, ls1 = taylor.propagate(a, 0.0, 1.0, 0.0, [z], n)
+    y2, yp2, ls2 = taylor.propagate(a, 0.0, 1.0, 0.0, [-3.0 + 0.0j, z], n)
     v1 = y1 * cmath.exp(ls1)
     v2 = y2 * cmath.exp(ls2)
     assert abs(v1 - v2) < 1e-10 * abs(v1)
@@ -125,8 +135,6 @@ def test_dispatch_continuity_near_gate():
 def test_region_rejection():
     with pytest.raises(RegionError):
         evaluate(1.0, 40.0 + 5.0j)
-    with pytest.raises(ValueError):
-        evaluate(1.0, -1.0 + 1.0j, method="bogus")
 
 
 def test_relative_error_estimate_scale():

@@ -68,15 +68,6 @@ def test_addition_rebases_to_larger_exponent():
     assert abs(s.log_abs() - 100.0) < 1e-13
 
 
-def test_ratio_and_rel_diff():
-    a = ScaledValue.make(2.0 + 1.0j, 5.0)
-    b = ScaledValue.make(2.0 + 1.0j, 5.0)
-    assert abs(a.ratio_to(b) - 1.0) < 1e-15
-    assert a.rel_diff(b) < 1e-15
-    c = ScaledValue.make((2.0 + 1.0j) * (1 + 1e-6), 5.0)
-    assert abs(a.rel_diff(c) - 1e-6) < 1e-9
-
-
 def test_divide_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ScaledValue.from_complex(1.0) / ScaledValue.from_complex(0.0)
