@@ -9,7 +9,10 @@
    from fusing a multiply and an add into one rounding.  A modulus or a
    power past the largest double is inf here, as hypot and pow give, and
    the twin catches Python's OverflowError to the same effect; a try
-   whose scale is not finite fails the tail test in both. */
+   whose scale is not finite fails the tail test in both.  The tail test
+   lives in eval alone: taylor_eval returns its verdict with the values,
+   and step and the chain hop (pcfzeros.chain.refine_from_previous) take
+   that verdict as it comes. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
@@ -77,9 +80,11 @@ derivs(double a, cplx z0, cplx y0, cplx y1, Py_ssize_t n, cplx *c)
                         (double)((k + 1) * (k + 2)));
 }
 
-/* (y, y', tail) of the expansion c_0..c_n at displacement h, n >= 1 */
-static void
-eval(const cplx *c, Py_ssize_t n, cplx h, cplx *y, cplx *yp, double *tail)
+/* (y, y') of the expansion c_0..c_n at displacement h, n >= 1, and the
+   verdict of the tail criterion of _taylor_py._tail_ok: 1 if the try is
+   accepted as it stands */
+static int
+eval(const cplx *c, Py_ssize_t n, cplx h, cplx *y, cplx *yp)
 {
     cplx s = c[n], sp = rmul((double)n, c[n]);
     for (Py_ssize_t k = n - 1; k > 0; k--) {
@@ -91,15 +96,10 @@ eval(const cplx *c, Py_ssize_t n, cplx h, cplx *y, cplx *yp, double *tail)
     /* last two terms: a single term can vanish by parity at symmetric
        expansion points */
     double ah = cabs_(h), t1 = cabs_(c[n]) * pow(ah, (double)n),
-           t2 = cabs_(c[n - 1]) * pow(ah, (double)(n - 1));
-    *tail = t2 > t1 ? t2 : t1;
-}
-
-static int
-tail_ok(cplx y, cplx yp, cplx h, double tail)
-{
-    double m = cabs_(y), s = cabs_(h) * cabs_(yp), bound;
-    m = s > m ? s : m;
+           t2 = cabs_(c[n - 1]) * pow(ah, (double)(n - 1)),
+           tail = t2 > t1 ? t2 : t1, m = cabs_(*y), ms = ah * cabs_(sp),
+           bound;
+    m = ms > m ? ms : m;
     bound = TAIL_TOL * (1e-300 > m ? 1e-300 : m);
     return tail <= bound && bound < HUGE_VAL;
 }
@@ -113,7 +113,6 @@ step(double a, cplx z0, cplx y0, cplx y1, cplx h, Py_ssize_t n,
      cplx *c0, cplx *c, cplx *yout, cplx *ypout)
 {
     cplx y, yp, zc, yc, ypc, hh;
-    double tail;
     int pieces = 1, i = 0;
 
     derivs(a, z0, y0, y1, n, c0);
@@ -125,8 +124,7 @@ step(double a, cplx z0, cplx y0, cplx y1, cplx h, Py_ssize_t n,
         for (i = 0; i < pieces; i++) {
             if (i)
                 derivs(a, zc, yc, ypc, n, c);
-            eval(i ? c : c0, n, hh, &y, &yp, &tail);
-            if (!tail_ok(y, yp, hh, tail))
+            if (!eval(i ? c : c0, n, hh, &y, &yp))
                 break;
             zc = add(zc, hh);
             yc = y;
@@ -218,7 +216,6 @@ py_taylor_eval(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *seq, *res = NULL;
     cplx h, y, yp, *c = NULL;
-    double tail;
     if (!unpack(args, nargs, "taylor_eval", "OD", &seq, &h)
         || !(seq = PySequence_Fast(seq, "coefficients must be a sequence")))
         return NULL;
@@ -233,8 +230,8 @@ py_taylor_eval(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             break;
     }
     if (!PyErr_Occurred()) {
-        eval(c, n, h, &y, &yp, &tail);
-        res = Py_BuildValue("(DDd)", &y, &yp, tail);
+        int ok = eval(c, n, h, &y, &yp);
+        res = Py_BuildValue("(DDO)", &y, &yp, ok ? Py_True : Py_False);
     }
     PyMem_Free(c);
     Py_DECREF(seq);
@@ -313,7 +310,7 @@ static PyMethodDef methods[] = {
     {"scaled_derivs", (PyCFunction)py_scaled_derivs, METH_FASTCALL,
      "Scaled derivatives c_0..c_n at z0 (n+1 entries, n >= 3)."},
     {"taylor_eval", (PyCFunction)py_taylor_eval, METH_FASTCALL,
-     "Evaluate (y, yprime, tail) of the expansion at displacement h."},
+     "Evaluate (y, yprime, ok) of the expansion at displacement h."},
     {"step_once", (PyCFunction)py_step_once, METH_FASTCALL,
      "One re-expanding step of size h; returns (y, yprime, ok)."},
     {"propagate_polyline", (PyCFunction)py_propagate_polyline, METH_FASTCALL,

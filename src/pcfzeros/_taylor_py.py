@@ -5,6 +5,10 @@ from the hand-written `_taylor_c.c`, is the compiled twin, with the same
 operations in the same order and so the same results to the bit
 (`tests/test_kernels_equiv.py`); a change to the arithmetic here must be
 made there too.  Selection happens in `pcfzeros.taylor` at import time.
+The tail criterion `_tail_ok` is the one home of the step rule:
+`step_once` applies it to each try, and `taylor_eval` returns its
+verdict with the values, which the chain hop
+(`pcfzeros.chain.refine_from_previous`) takes as it comes.
 
 The ODE is y'' = (z^2/4 + a) y.  Derivatives are stored scaled,
 c_k = y^(k)(z0)/k!, so a step is a plain polynomial in h and the
@@ -75,8 +79,8 @@ def scaled_derivs(a: float, z0: complex, y0: complex, y1: complex, n: int):
 def taylor_eval(c, h: complex):
     """Evaluate (y, y') of the expansion at displacement h.
 
-    Returns (y, yprime, tail) where tail is the magnitude of the last
-    retained term of the y-sum, the caller's truncation measure.
+    Returns (y, yprime, ok), ok the verdict of the tail criterion
+    `_tail_ok`: the try is accepted as it stands.
     """
     n = len(c) - 1
     cn = c[n]
@@ -87,46 +91,40 @@ def taylor_eval(c, h: complex):
         y = y * h + ck
         yp = yp * h + k * ck
     y = y * h + c[0]
-    # last two terms: a single term can vanish by parity at symmetric
-    # expansion points
+    return y, yp, _tail_ok(c, h, y, yp)
+
+
+def _tail_ok(c, h, y, yp):
+    """The tail criterion of a try (y, y') of the expansion c_0..c_n at
+    displacement h: tail <= TAIL_TOL max(|y|, |h| |y'|, 1e-300) on a
+    finite scale, tail the larger of the last two terms of the y-sum (a
+    single term can vanish by parity at symmetric expansion points).
+
+    A modulus or a power of |h| past the largest double counts as inf,
+    as C's hypot and pow give where Python raises OverflowError, so the
+    verdict is the compiled kernel's.
+    """
+    n = len(c) - 1
     try:
         ah = abs(h)
-        tail = max(abs(cn) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
+        tail = max(abs(c[n]) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
+        bound = TAIL_TOL * max(abs(y), ah * abs(yp), 1e-300)
     except OverflowError:
-        tail = _overflowed_tail(cn, c[n - 1], h, n)
-    return y, yp, tail
-
-
-def _overflowed_tail(cn, cn1, h, n):
-    """The tail of `taylor_eval` when |h|, |c_n|, |c_{n-1}| or a power
-    of |h| passes the largest double, computed as the compiled kernel
-    does: that factor is inf, as C's hypot and pow give where Python
-    raises OverflowError, and the tail inf or nan, which fails every
-    tail test."""
-    def big(f, *args):
-        try:
-            return f(*args)
-        except OverflowError:
-            return math.inf
-    ah = big(abs, h)
-    return max(big(abs, cn) * big(pow, ah, n),
-               big(abs, cn1) * big(pow, ah, n - 1))
-
-
-def _tail_ok(y, yp, h, tail):
-    """The tail criterion tail <= TAIL_TOL max(|y|, |h| |y'|, 1e-300); a
-    try whose scale is not finite fails it, as does one where |y|, |h|
-    or |y'| passes the largest double."""
-    try:
-        bound = TAIL_TOL * max(abs(y), abs(h) * abs(yp), 1e-300)
-    except OverflowError:
-        return False
+        def big(f, *args):
+            try:
+                return f(*args)
+            except OverflowError:
+                return math.inf
+        ah = big(abs, h)
+        tail = max(big(abs, c[n]) * big(pow, ah, n),
+                   big(abs, c[n - 1]) * big(pow, ah, n - 1))
+        bound = TAIL_TOL * max(big(abs, y), ah * big(abs, yp), 1e-300)
     return tail <= bound < math.inf
 
 
 def _taylor_eval2(c, h: complex, h2: complex):
-    """`taylor_eval` at two displacements in one pass over c:
-    (y, yprime, tail) at h followed by the same at h2."""
+    """The values of `taylor_eval` at two displacements in one pass over
+    c: (y, yprime) at h followed by the same at h2."""
     n = len(c) - 1
     cn = c[n]
     y = y2 = cn
@@ -141,17 +139,7 @@ def _taylor_eval2(c, h: complex, h2: complex):
     c0 = c[0]
     y = y * h + c0
     y2 = y2 * h2 + c0
-    try:
-        an = abs(cn)
-        an1 = abs(c[n - 1])
-        ah = abs(h)
-        ah2 = abs(h2)
-        tail = max(an * ah ** n, an1 * ah ** (n - 1))
-        tail2 = max(an * ah2 ** n, an1 * ah2 ** (n - 1))
-    except OverflowError:
-        tail = _overflowed_tail(cn, c[n - 1], h, n)
-        tail2 = _overflowed_tail(cn, c[n - 1], h2, n)
-    return y, yp, tail, y2, yp2, tail2
+    return y, yp, y2, yp2
 
 
 def step_once(a: float, z0: complex, y0: complex, y1: complex,
@@ -164,9 +152,8 @@ def step_once(a: float, z0: complex, y0: complex, y1: complex,
     c0 = scaled_derivs(a, z0, y0, y1, order + 1)
     # a step of h_max rarely passes on its first try, so the first
     # half-step of the bisection is evaluated in the same pass
-    hh = h / 2
-    y, yp, tail, yh, yph, tailh = _taylor_eval2(c0, h, hh)
-    if _tail_ok(y, yp, h, tail):
+    y, yp, yh, yph = _taylor_eval2(c0, h, h / 2)
+    if _tail_ok(c0, h, y, yp):
         return y, yp, True
     pieces = 1
     for depth in range(1, MAX_SPLIT_DEPTH + 1):
@@ -179,10 +166,10 @@ def step_once(a: float, z0: complex, y0: complex, y1: complex,
             if piece:
                 c = scaled_derivs(a, zc, yc, ypc, order + 1)
             if depth == 1 and not piece:
-                y, yp, tail = yh, yph, tailh
+                y, yp, ok = yh, yph, _tail_ok(c0, hh, yh, yph)
             else:
-                y, yp, tail = taylor_eval(c, hh)
-            if not _tail_ok(y, yp, hh, tail):
+                y, yp, ok = taylor_eval(c, hh)
+            if not ok:
                 break
             zc += hh
             yc, ypc = y, yp

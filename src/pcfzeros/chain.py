@@ -117,48 +117,30 @@ def refine_from_previous(a: float, z_prev: complex, seed: complex,
     """Inner fixed-point loop with U/U' Taylor-propagated from the
     previous zero, where (U, U') is normalized to (0, 1).
 
-    One hop of the chain, fused: the expansion at z_prev is built once,
-    and each iteration runs the first try of the kernel's `step_once`,
-    limited to |h| <= h_max, and the arctan fixed point of
-    `fixed_point_T` inline, with the same arithmetic and the same
-    guards; a first try that fails the tail test or exceeds h_max goes
-    through `taylor.step`, which subdivides.
+    One hop of the chain: the expansion at z_prev is built once, and
+    each iteration evaluates it at the current point and applies
+    `fixed_point_T`; a try the kernel's tail test rejects goes through
+    `taylor.step`, which subdivides.
 
     Returns (z, iterations, deltas).
     """
     state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, cfg.taylor_order)
     c = state.derivs
     taylor_eval = taylor.kernel.taylor_eval
-    h_max = taylor.h_max(a, z_prev)
-    tail_tol = taylor.TAIL_TOL
-    eps = cfg.eps
     z = complex(seed)
     deltas: list[float] = []
     for it in range(1, MAX_INNER_ITERS + 1):
         h = z - z_prev
-        if h == 0:
-            y, yp = c[0], c[1]
-        else:
-            y, yp, tail = taylor_eval(c, h)
-            ah = abs(h)
-            # a scale that is not finite fails, as in the kernel
-            bound = tail_tol * max(abs(y), ah * abs(yp), 1e-300)
-            if not (tail <= bound < math.inf and ah <= h_max):
-                y, yp = taylor.step(state, h)
+        y, yp, ok = taylor_eval(c, h)
+        if not ok:
+            y, yp = taylor.step(state, h)
         if yp == 0:
             raise ConvergenceError(f"U' vanished near z={z}")
-        A = -0.25 * z * z - a
-        if abs(A) < 1e-20:
-            raise TurningPointError(f"A(z) vanishes at z={z}")
-        w = cmath.sqrt(A)
-        arg = w * (y / yp)
-        if abs(arg - 1j) < 1e-12 or abs(arg + 1j) < 1e-12:
-            raise ConvergenceError(f"arctan singularity at z={z}")
-        znew = z - cmath.atan(arg) / w
+        znew = fixed_point_T(a, z, y / yp)
         delta = abs(znew - z) / abs(z)
         deltas.append(delta)
         z = znew
-        if delta <= eps:
+        if delta <= cfg.eps:
             return z, it, tuple(deltas)
     raise ConvergenceError(
         f"inner iteration did not converge near z={seed} (a={a})")
@@ -185,7 +167,10 @@ def max_zero_index(a: float, L: float) -> int:
 def run_chain(a: float, L: float,
               cfg: ChainConfig = DEFAULT_CONFIG) -> list[ZeroRecord]:
     """All zeros of U(a,z) in the domain (Im z in [0,L], Re z < 0 for
-    a < 0; Re z in [-L,0], Im z > 0 for a > 0), ordered along the chain."""
+    a < 0; Re z in [-L,0], Im z > 0 for a > 0), ordered along the chain.
+    A non-finite a or L raises ValueError."""
+    if not (math.isfinite(a) and math.isfinite(L)):
+        raise ValueError(f"a={a} and L={L} must be finite")
     if is_hermite(a):
         raise HermiteParameterError(
             f"a={a} is a Hermite case -k+1/2; the zero strings degenerate")

@@ -111,9 +111,12 @@ def evaluate(a: float, z: complex,
     (`is_hermite`), the LG expansions for a >= A_LG at points with
     |Re z| and |Im z| beyond LG_GATE and for a <= -A_LG where
     `_neg_lg_usable`, and otherwise, or where an LG evaluator raises a
-    PcfZerosError, the origin-anchored Taylor route.
+    PcfZerosError, the origin-anchored Taylor route.  A non-finite a or
+    z raises ValueError.
     """
     z = complex(z)
+    if not (math.isfinite(a) and cmath.isfinite(z)):
+        raise ValueError(f"a={a} and z={z} must be finite")
     if z.real > 1e-9 and abs(z) > 30.0:
         raise RegionError(f"z={z} outside the supported evaluation region")
     if is_hermite(a):

@@ -11,17 +11,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _taylor_py
 from .errors import StepFailureError
 
 try:
     from . import _taylor_c as kernel  # type: ignore[attr-defined]
 except ImportError:
-    from . import _taylor_py as kernel
+    kernel = _taylor_py
 
 KERNEL = kernel.KERNEL
 h_max = kernel.h_max
-
-TAIL_TOL = 1e-15
 
 
 class TaylorState(NamedTuple):
@@ -101,8 +100,8 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
         ah = _cabs(h)
         tail = np.maximum(_cabs(c[n]) * ah ** n,
                           _cabs(c[n - 1]) * ah ** (n - 1))
-        bound = TAIL_TOL * np.maximum(np.maximum(_cabs(y), ah * _cabs(yp)),
-                                      1e-300)
+        bound = _taylor_py.TAIL_TOL * np.maximum(
+            np.maximum(_cabs(y), ah * _cabs(yp)), 1e-300)
         # kernel.h_max, vectorised over z0
         hm = 6.0 / np.maximum(_cabs(z0) * 0.5, max(math.sqrt(abs(a)), 1.0))
         ok = (tail <= bound) & (bound < np.inf) & (ah <= hm)

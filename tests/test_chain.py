@@ -12,7 +12,7 @@ from pcfzeros.chain import (MAX_INNER_ITERS, ZeroRecord, displace,
 from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
                              PcfZerosError, StepFailureError)
-from test_taylor import _loop_step_ok, _loop_taylor_eval
+from test_taylor import _loop_verdict
 
 
 def test_sqrt_A_branch():
@@ -117,6 +117,14 @@ def test_run_chain_rejects_bad_l():
         run_chain(1.0, 0.0)
 
 
+@pytest.mark.parametrize("a, L", [(math.inf, 10.0), (-math.inf, 10.0),
+                                  (math.nan, 10.0), (2.3, math.inf),
+                                  (2.3, math.nan)])
+def test_run_chain_rejects_non_finite_input(a, L):
+    with pytest.raises(ValueError, match="finite"):
+        run_chain(a, L)
+
+
 def test_count_stable_under_config():
     base = len(run_chain(-1.7, 12.0))
     tight = len(run_chain(-1.7, 12.0,
@@ -200,17 +208,15 @@ def test_refine_from_previous_is_fast():
 def _hop_oracle(a, z_prev, seed, cfg, handed_off):
     """refine_from_previous as first written, on the public pieces: one
     `taylor.step` and one `fixed_point_T` per iteration.  Appends to
-    handed_off the step of each iteration whose first try the fused hop
-    must reject: one over h_max, or one failing the tail test of the
-    plain-loop kernel oracle."""
+    handed_off the step of each iteration whose first try the hop must
+    hand to `taylor.step`: one failing the tail test of the plain-loop
+    kernel oracle."""
     state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, cfg.taylor_order)
-    h_max = taylor.h_max(a, z_prev)
     z = complex(seed)
     deltas = []
     for it in range(1, MAX_INNER_ITERS + 1):
         h = z - z_prev
-        y, yp, tail = _loop_taylor_eval(state.derivs, h)
-        if not (abs(h) <= h_max and _loop_step_ok(y, yp, h, tail)):
+        if not _loop_verdict(state.derivs, h)[2]:
             handed_off.append(h)
         y, yp = taylor.step(state, h)
         if yp == 0:
@@ -234,10 +240,9 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("a, L", [(-30.2, 60.0), (20.5, 50.0), (-1.7, 60.0)])
 def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
-    # the fused hop inlines the first try of the kernel's step_once,
-    # limited to h_max, and the fixed point: z, iterations and deltas
-    # must be identical, and it must hand to taylor.step exactly the
-    # steps whose first try the oracle rejects
+    # the hop takes the kernel's first try when its tail test passes:
+    # z, iterations and deltas must be identical, and it must hand to
+    # taylor.step exactly the steps whose first try the oracle rejects
     cfg = ChainConfig()
     zeros = [r.z for r in run_chain(a, L)]
     calls = []
@@ -250,8 +255,8 @@ def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
     rejected = 0
     for i, z_prev in enumerate(zeros):
         seed = displace(a, z_prev)
-        # every fifth hop also from a seed beyond h_max, which the first
-        # try rejects: it goes through taylor.step
+        # every fifth hop also from a seed beyond h_max, whose first try
+        # fails the tail test: it goes through taylor.step
         far = z_prev + 1.5 * taylor.h_max(a, z_prev) * (
             (seed - z_prev) / abs(seed - z_prev))
         for s in ((seed, far) if i % 5 == 0 else (seed,)):

@@ -155,13 +155,26 @@ def test_table_mode_malformed_line(tmp_path, capsys):
 
 def test_table_mode_keeps_going_past_failing_row(tmp_path, capsys):
     table = tmp_path / "mixed.txt"
-    table.write_text("-1.7 12\n-1.5 10\n2.3 10\n")  # -1.5 is Hermite
+    # -1.5 is Hermite; inf would reach round() in the Hermite test
+    table.write_text("-1.7 12\n-1.5 10\ninf 10\n2.3 10\n")
     code, out, err = run(["--table", str(table)], capsys)
     assert code == 1
     lines = out.strip().split("\n")
     assert lines[0] == "a,L,n_zeros,wall_time_seconds"
     assert [int(ln.split(",")[2]) for ln in lines[1:]] == [23, 16]
     assert ":2:" in err
+    assert ":3: a=inf and L=10.0 must be finite" in err
+
+
+@pytest.mark.parametrize("a, L", [("inf", "10"), ("-inf", "10"),
+                                  ("nan", "10"), ("2.3", "inf"),
+                                  ("2.3", "nan")])
+def test_non_finite_input_exits_1(a, L, capsys):
+    # main returns rather than raising: no traceback reaches the user
+    code, out, err = run([f"--a={a}", f"--L={L}"], capsys)
+    assert code == 1
+    assert "finite" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("exc, status", [

@@ -24,7 +24,7 @@ from pcfzeros import _taylor_py, taylor
 from pcfzeros.chain import run_chain, verify_zeros
 from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
 from pcfzeros.errors import StepFailureError
-from test_taylor import _kernel_corpus
+from test_taylor import _kernel_corpus, _loop_verdict
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "pcfzeros"
@@ -50,7 +50,9 @@ def compiled(tmp_path_factory):
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
         cwd=ROOT, capture_output=True, text=True,
-        env={**os.environ, "CFLAGS": "-Wall -Werror"})
+        # -march=native lets the compiler fuse a multiply and an add
+        # where the target has FMA, which setup.py's flags must forbid
+        env={**os.environ, "CFLAGS": "-Wall -Werror -march=native"})
     assert _extensions(PKG) == before, "the build wrote into src/pcfzeros"
     built = sorted(_extensions(out / "lib" / "pcfzeros"))
     if proc.returncode != 0 or not built:
@@ -112,7 +114,9 @@ def test_entry_points_bit_for_bit(compiled):
         same("h_max", a, z0)
         c = same("scaled_derivs", a, z0, y0, y1, 31)
         for d in (h, h / 2, 0j):
-            same("taylor_eval", c, d)
+            # values and the verdict of the tail test, as on the oracle
+            got = same("taylor_eval", c, d)
+            assert repr(got) == repr(_loop_verdict(c, d)), (c, d)
             same("taylor_eval", tuple(c[:4]), d)
         same("step_once", a, z0, y0, y1, h, 30)
         if i % 20 == 0:
@@ -137,6 +141,11 @@ def test_entry_points_bit_for_bit(compiled):
     same("taylor_eval", c, 20.0 + 0j)
     same("taylor_eval", [1e300 + 1e308j, 1e308 - 1e308j], 2.0 + 0j)
     same("taylor_eval", [1j, 1.0 + 0j], complex(1e308, 1e308))
+    # a zero step whose |y'| passes the largest double: |h| |y'| is nan
+    # and max() keeps |y|, so the tail test passes
+    big = complex(1.5e308, 1.5e308)
+    assert same("taylor_eval", [1j, big, 0j, 0j], 0j)[2]
+    assert same("step_once", 1.0, 0j, 1j, big, 0j, 30)[2]
 
 
 @pytest.mark.parametrize("kernel", ["python", "c"])
@@ -144,7 +153,15 @@ def test_step_is_step_once(request, use_kernel, kernel):
     use_kernel(request.getfixturevalue("compiled") if kernel == "c"
                else _taylor_py)
     order = DEFAULT_CONFIG.taylor_order
-    for a, z0, y0, y1, h in _kernel_corpus(20261021, 300):
+    over_h_max = 0
+    # no corpus try past h_max passes the tail test; these do, as the
+    # last two terms vanish: zero data, and a = 0 expanded at the origin
+    # from (1, 0), where only c_{4k} are nonzero
+    vanishing_tail = [(-7.0, -10.0 + 10.0j, 0j, 0j, 3j),
+                      (0.0, 0j, 1.0 + 0j, 0j, 10.0 + 0j),
+                      (0.0, 0j, 1.0 + 0j, 0j, -8j)]
+    for a, z0, y0, y1, h in [*_kernel_corpus(20261021, 300),
+                             *vanishing_tail]:
         y, yp, ok = taylor.kernel.step_once(a, z0, y0, y1, h, order)
         st = taylor.derivatives_at(a, z0, y0, y1, order)
         if ok:
@@ -152,6 +169,13 @@ def test_step_is_step_once(request, use_kernel, kernel):
         else:
             with pytest.raises(StepFailureError):
                 taylor.step(st, h)
+        # a try of the state's own expansion that passes the tail test is
+        # what step returns, at any |h|: the chain hop relies on it
+        y, yp, ok = taylor.kernel.taylor_eval(st.derivs, h)
+        if ok:
+            assert repr(taylor.step(st, h)) == repr((y, yp))
+            over_h_max += abs(h) > taylor.h_max(a, z0)
+    assert over_h_max >= len(vanishing_tail)
     # a step whose every subdivision overflows fails, on either kernel
     st = taylor.derivatives_at(-3.2, -4.0 + 2.0j, 0j, 1.0 + 0j, order)
     for h in (1e12, complex(1.5e308, 1.5e308)):

@@ -135,6 +135,13 @@ def test_dispatch_continuity_near_gate():
 def test_region_rejection():
     with pytest.raises(RegionError):
         evaluate(1.0, 40.0 + 5.0j)
+    # non-finite input, before the Hermite test rounds a and before a
+    # Taylor step fails on it
+    for a, z in [(math.inf, -1.0 + 1.0j), (-math.inf, -1.0 + 1.0j),
+                 (math.nan, -1.0 + 1.0j), (1.0, complex(math.nan, 1.0)),
+                 (1.0, complex(-1.0, math.inf))]:
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(a, z)
 
 
 def test_relative_error_estimate_scale():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from pcfzeros import _taylor_py, taylor
+from pcfzeros._taylor_py import TAIL_TOL
 from pcfzeros.config import DEFAULT_CONFIG
 from pcfzeros.errors import StepFailureError
-from pcfzeros.taylor import (TAIL_TOL, derivatives_at, h_max, propagate,
-                             step, step_batch)
+from pcfzeros.taylor import (derivatives_at, h_max, propagate, step,
+                             step_batch)
 
 N = DEFAULT_CONFIG.taylor_order
 
@@ -197,8 +198,8 @@ def test_step_batch_matches_step():
                                  np.array(y1), np.array(h), N)
         for i, (z, u, up, d) in enumerate(zip(z0, y0, y1, h)):
             st = derivatives_at(a, z, u, up, N)
-            # the first try of step_once, through the scalar kernel
-            y, yp, tail = taylor.kernel.taylor_eval(st.derivs, d)
+            # the first try of step_once, on the plain-loop oracle
+            y, yp, tail = _loop_taylor_eval(st.derivs, d)
             scale = max(abs(y), abs(d) * abs(yp), 1e-300)
             if abs(d) > h_max(a, z):
                 seen["over_h_max"] += 1
@@ -277,7 +278,14 @@ def _loop_taylor_eval(c, h):
 def _loop_step_ok(y, yp, h, tail):
     # a scale that is not finite fails the test
     scale = max(abs(y), abs(h) * abs(yp), 1e-300)
-    return tail <= _taylor_py.TAIL_TOL * scale < math.inf
+    return tail <= TAIL_TOL * scale < math.inf
+
+
+def _loop_verdict(c, h):
+    """(y, yprime, ok) of the kernel's `taylor_eval` on the oracle loops:
+    the values at h and the verdict of the tail test on them."""
+    y, yp, tail = _loop_taylor_eval(c, h)
+    return y, yp, _loop_step_ok(y, yp, h, tail)
 
 
 def _bisecting_step(a, z0, y0, y1, h, order):
@@ -285,8 +293,8 @@ def _bisecting_step(a, z0, y0, y1, h, order):
     every subdivision expands afresh.  Returns (y, yprime, ok, depth),
     depth the number of halvings of the accepted or last attempt."""
     c = _loop_scaled_derivs(a, z0, y0, y1, order + 1)
-    y, yp, tail = _loop_taylor_eval(c, h)
-    if _loop_step_ok(y, yp, h, tail):
+    y, yp, ok = _loop_verdict(c, h)
+    if ok:
         return y, yp, True, 0
     for depth in range(1, _taylor_py.MAX_SPLIT_DEPTH + 1):
         pieces = 2 ** depth
@@ -294,8 +302,8 @@ def _bisecting_step(a, z0, y0, y1, h, order):
         zc, yc, ypc = z0, y0, y1
         for _ in range(pieces):
             c = _loop_scaled_derivs(a, zc, yc, ypc, order + 1)
-            y, yp, tail = _loop_taylor_eval(c, hh)
-            if not _loop_step_ok(y, yp, hh, tail):
+            y, yp, ok = _loop_verdict(c, hh)
+            if not ok:
                 break
             zc += hh
             yc, ypc = y, yp
@@ -331,7 +339,7 @@ def test_scaled_derivs_and_taylor_eval_match_loop_oracle():
             assert repr(c) == repr(_loop_scaled_derivs(a, z0, y0, y1, n))
             for d in (h, h / 2, 0j):
                 got = _taylor_py.taylor_eval(c, d)
-                assert repr(got) == repr(_loop_taylor_eval(c, d))
+                assert repr(got) == repr(_loop_verdict(c, d))
 
 
 def test_step_once_is_plain_bisection():
