@@ -168,7 +168,8 @@ def run_chain(a: float, L: float,
               cfg: ChainConfig = DEFAULT_CONFIG) -> list[ZeroRecord]:
     """All zeros of U(a,z) in the domain (Im z in [0,L], Re z < 0 for
     a < 0; Re z in [-L,0], Im z > 0 for a > 0), ordered along the chain.
-    A non-finite a or L raises ValueError."""
+    A non-finite a or L, or a domain whose `max_zero_index` exceeds
+    MAX_ZEROS, raises ValueError before any zero is computed."""
     if not (math.isfinite(a) and math.isfinite(L)):
         raise ValueError(f"a={a} and L={L} must be finite")
     if is_hermite(a):
@@ -176,6 +177,8 @@ def run_chain(a: float, L: float,
             f"a={a} is a Hermite case -k+1/2; the zero strings degenerate")
     if L <= 0:
         raise ValueError("L must be positive")
+    if max_zero_index(a, L) > MAX_ZEROS:
+        raise ValueError(f"a={a}, L={L} holds more than {MAX_ZEROS} zeros")
     neg = a < 0
 
     _, z_est = first_zero_estimate(a, L)
@@ -264,12 +267,11 @@ def verify_zeros(a: float, zeros: list[ZeroRecord],
     with its neighbor; an error carried along the chain from the first
     zero moves both alike and does not show in it.  All zeros take that
     step at once, as one batched first try (`taylor.step_batch`).  The
-    few it does not accept, a step longer than h_max or one failing the
-    tail test, typically near the ends of a chain, fall back to a scalar
-    `taylor.propagate` with subdivision, as does a list of one zero,
-    which has no neighbor and is checked by absolute evaluation.  An
-    estimate that fails with a `PcfZerosError` is NaN; any other error
-    propagates.
+    few whose try fails the tail test, typically near the ends of a
+    chain, fall back to a scalar `taylor.propagate` with subdivision, as
+    does a list of one zero, which has no neighbor and is checked by
+    absolute evaluation.  An estimate that fails with a `PcfZerosError`
+    is NaN; any other error propagates.
     """
     if len(zeros) < 2:
         ests = [_estimate(a, rec.z, None, cfg) for rec in zeros]

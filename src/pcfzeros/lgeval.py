@@ -1,14 +1,18 @@
 """Liouville-Green asymptotic evaluation for large positive parameter.
 
-One evaluator per regime, each returning the pair (U, U') as
-:class:`ScaledValue` results, since the prefactors overflow doubles long
-before the series lose accuracy:
+One step per point and one evaluator per solution, each evaluator
+returning the pair (U, U') as :class:`ScaledValue` results, since the
+prefactors overflow doubles long before the series lose accuracy:
 
+- :func:`point` maps z to zhat, checks the region once, and computes
+  the geometry in double-double precision and, for each coefficient
+  family, the three truncated sums the expansions are built from;
 - :func:`eval_pair`, the oscillatory cosine/sine forms of U(u/2, z) and
   U'(u/2, z), with the scaling and the large phase carried in
   double-double precision;
 - :func:`eval_pair_negarg`, the single-exponential forms at the negated
-  argument -sqrt(2u)*zhat, where the solution is recessive.
+  argument -z, where the solution is recessive, from the same sums and
+  the same double-double phase.
 
 Both work in the scaled variable ``zhat`` (the physical argument is
 z = sqrt(2u)*zhat with u = 2a).  Branch conventions: the square root
@@ -22,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from typing import NamedTuple
 
 from . import _dd
 from .errors import CutError, RegionError, TruncationWarning
@@ -32,11 +37,6 @@ U_MIN = 36.0          # smallest parameter the expansions are trusted at
 R_TURNING = 0.35      # excluded disk radius around the turning point zhat = i
 
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, the tail of the double
-
-
-def _check_cut(zhat: complex) -> None:
-    if abs(zhat.real) < 1e-13 and abs(zhat.imag) >= 1.0:
-        raise CutError(f"zhat={zhat} lies on a branch cut")
 
 
 def _truncated_sum(coeffs, u: float, start: int, step: int) -> complex:
@@ -90,25 +90,6 @@ def _sum_anchor(tables: LGCoeffTables, u: float, tilde: bool) -> float:
         lambda s: anchors[s - 1] if s <= tables.S else None, u, 1, 2).real
 
 
-def _sum_full(tables: LGCoeffTables, u: float, beta: complex,
-              tilde: bool) -> complex:
-    """sum sgn^s (F_s(beta) - F_s(anchor)) / u^s over all s, with
-    sgn = -1 for the base family and +1 for the tilde family."""
-    anchors = tables.Etilde_at_p1 if tilde else tables.E_at_m1
-
-    def coeff(s):
-        if s > tables.S:
-            return None
-        anchor = anchors[s - 1]
-        if tilde:
-            # Et_s(-1) = (-1)^s Et_s(1) by parity
-            anchor = anchor if s % 2 == 0 else -anchor
-        c = tables.eval(s, beta, tilde) - anchor
-        return -c if (not tilde and s % 2 == 1) else c
-
-    return _truncated_sum(coeff, u, 1, 1)
-
-
 def check_region(u: float, zhat: complex) -> None:
     """Validity gate for the oscillatory-form expansions."""
     if u < U_MIN:
@@ -120,19 +101,8 @@ def check_region(u: float, zhat: complex) -> None:
             f"zhat={zhat} within {R_TURNING} of the turning point i")
     if abs(zhat.real) < 1e-13 and 0.0 <= zhat.imag <= 1.0:
         raise RegionError(f"zhat={zhat} on the excluded segment [0, i]")
-    _check_cut(zhat)
-
-
-def _geometry(u: float, zhat: complex):
-    """(beta, xi, quarter, log2u_quarter) in plain doubles: beta =
-    zhat/w, the LG variable xi = (1/2) zhat w + (1/2) asinh(zhat),
-    quarter = (1 + zhat^2)^(1/4) and log2u_quarter = log(2u)/4."""
-    w = cmath.sqrt(zhat * zhat + 1.0)
-    beta = zhat / w
-    xi = 0.5 * zhat * w + 0.5 * cmath.asinh(zhat)
-    quarter = cmath.sqrt(w)
-    log2u_quarter = 0.25 * math.log(2.0 * u)
-    return beta, xi, quarter, log2u_quarter
+    if abs(zhat.real) < 1e-13 and abs(zhat.imag) >= 1.0:
+        raise CutError(f"zhat={zhat} lies on a branch cut")
 
 
 def _geometry_dd(u: float, z: complex):
@@ -178,15 +148,37 @@ def _log_pref(u: float) -> float:
     return 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
 
 
-def _oscillatory(u: float, tables: LGCoeffTables, beta: complex, phi,
-                 quarter: complex, lq: float, tilde: bool) -> ScaledValue:
-    """U from the cosine form or, with ``tilde``, U' from the sine form,
-    given the double-double geometry of :func:`_geometry_dd`."""
-    s_even = _sum_beta(tables, u, beta, tilde, 2)
-    s_anchor = _sum_anchor(tables, u, tilde)
-    s_odd = _sum_beta(tables, u, beta, tilde, 1)
-    if not tilde:
-        s_odd = -s_odd
+class LGPoint(NamedTuple):
+    """What the expansions at one point share; see :func:`point`."""
+    u: float
+    phi: tuple[complex, complex]  # u*xi as a double-double (hi, lo) pair
+    quarter: complex              # (1 + zhat^2)^(1/4)
+    lq: float                     # log(2u)/4
+    # per family, base then tilde: the even-order sum, the odd-order
+    # sum (negated for the base family) and the odd-order anchor sum
+    sums: tuple[tuple[complex, complex, float], ...]
+
+
+def point(u: float, z: complex, tables: LGCoeffTables) -> LGPoint:
+    """The geometry of :func:`_geometry_dd` and the coefficient sums at
+    the physical argument z = sqrt(2u)*zhat, computed once for both
+    evaluators.  Raises :class:`RegionError` unless zhat passes
+    :func:`check_region`."""
+    zhat, beta, phi, quarter, lq = _geometry_dd(u, z)
+    check_region(u, zhat)
+    sums = []
+    for tilde in (False, True):
+        s_odd = _sum_beta(tables, u, beta, tilde, 1)
+        sums.append((_sum_beta(tables, u, beta, tilde, 2),
+                     s_odd if tilde else -s_odd,
+                     _sum_anchor(tables, u, tilde)))
+    return LGPoint(u, phi, quarter, lq, tuple(sums))
+
+
+def _oscillatory(pt: LGPoint, tilde: bool) -> ScaledValue:
+    """U from the cosine form or, with ``tilde``, U' from the sine form."""
+    u, phi = pt.u, pt.phi
+    s_even, s_odd, s_anchor = pt.sums[tilde]
     qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
     # x = i*u*xi + (u+1)*pi/4 + i*s_odd, assembled in dd (s_odd carries
     # the sign of its family)
@@ -196,51 +188,59 @@ def _oscillatory(u: float, tables: LGCoeffTables, beta: complex, phi,
     trig_m, trig_e = _scaled_trig_dd(xr, xim, sine=tilde)
     if tilde:
         qpm = _dd.dd_mul_d((math.pi, _PI_LO), -0.25 * (u - 1.0))
-        mant = -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1]) * quarter
-        e = (_log_pref(u) + lq, 0.0)
+        mant = -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1]) * pt.quarter
+        e = (_log_pref(u) + pt.lq, 0.0)
     else:
         mant = (2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1])
-                / quarter)
-        e = (_log_pref(u) - lq, 0.0)
+                / pt.quarter)
+        e = (_log_pref(u) - pt.lq, 0.0)
     mant *= cmath.exp(1j * s_even.imag) * trig_m
     for term in (s_even.real, s_anchor, trig_e):
         e = _dd.dd_add(e, (term, 0.0))
     return ScaledValue.make(mant * math.exp(e[1]), e[0])
 
 
-def eval_pair(u: float, z: complex, tables: LGCoeffTables
-              ) -> tuple[ScaledValue, ScaledValue]:
-    """U(u/2, z) and U'(u/2, z) via the cosine- and sine-form expansions.
+def _recessive(pt: LGPoint, tilde: bool) -> ScaledValue:
+    """U at the negated argument from the single-exponential form or,
+    with ``tilde``, U' there."""
+    f = sum(pt.sums[tilde])
+    # phase u*Im xi + Im f and scale u*Re xi + Re f, assembled in dd
+    ph = _dd.dd_add((pt.phi[0].imag, pt.phi[1].imag), (f.imag, 0.0))
+    mant = cmath.exp(1j * ph[0]) * cmath.exp(1j * ph[1])
+    if tilde:
+        mant *= -0.5 * pt.quarter
+        e = (_log_pref(pt.u) + pt.lq, 0.0)
+    else:
+        mant /= pt.quarter
+        e = (_log_pref(pt.u) - pt.lq, 0.0)
+    e = _dd.dd_add(_dd.dd_add(e, (pt.phi[0].real, pt.phi[1].real)),
+                   (f.real, 0.0))
+    return ScaledValue.make(mant * math.exp(e[1]), e[0])
+
+
+def eval_pair(pt: LGPoint) -> tuple[ScaledValue, ScaledValue]:
+    """U(u/2, z) and U'(u/2, z) at the point of :func:`point`, via the
+    cosine- and sine-form expansions.
 
     The scaling z -> zhat = z/sqrt(2u) and the large phase u*xi are
     carried in double-double precision, which keeps the relative
     accuracy near 1e-14 even when the phase reaches a few thousand.
-    Raises :class:`RegionError` unless zhat passes :func:`check_region`.
     """
-    zhat, beta, phi, quarter, lq = _geometry_dd(u, z)
-    check_region(u, zhat)
-    return (_oscillatory(u, tables, beta, phi, quarter, lq, tilde=False),
-            _oscillatory(u, tables, beta, phi, quarter, lq, tilde=True))
+    return _oscillatory(pt, tilde=False), _oscillatory(pt, tilde=True)
 
 
-def eval_pair_negarg(u: float, zhat: complex, tables: LGCoeffTables
-                     ) -> tuple[ScaledValue, ScaledValue]:
-    """U(u/2, -sqrt(2u)*zhat) and U'(u/2, -sqrt(2u)*zhat), the solution
-    recessive as zhat -> -inf."""
-    if u < U_MIN:
-        raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
-    if abs(zhat - 1j) < R_TURNING:
-        raise RegionError("zhat too close to the turning point i")
-    _check_cut(zhat)
-    beta, xi, quarter, lq = _geometry(u, zhat)
-    f = _sum_full(tables, u, beta, tilde=False)
-    U = ScaledValue.make(cmath.exp(1j * (u * xi.imag + f.imag)) / quarter,
-                         _log_pref(u) - lq + u * xi.real + f.real)
-    f = _sum_full(tables, u, beta, tilde=True)
-    Up = ScaledValue.make(
-        -0.5 * quarter * cmath.exp(1j * (u * xi.imag + f.imag)),
-        _log_pref(u) + lq + u * xi.real + f.real)
-    return U, Up
+def eval_pair_negarg(pt: LGPoint) -> tuple[ScaledValue, ScaledValue]:
+    """U(u/2, -z) and U'(u/2, -z) at the point z of :func:`point`, the
+    solution recessive as zhat -> -inf.
+
+    Each form needs the full-order sum over s = 1..S of
+    sgn^s (F_s(beta) - F_s(-1)) / u^s, with sgn = -1 for the base
+    family and +1 for the tilde family.  It is exactly the family's
+    three sums of :func:`point` added: F_s(+-1) = 0 at even s for both
+    families, and Et_s(-1) = -Et_s(1) at odd s, so the odd orders give
+    the signed odd-order sum plus the odd-order anchor sum.
+    """
+    return _recessive(pt, tilde=False), _recessive(pt, tilde=True)
 
 
 def gamma_ratio(u: float, tables: LGCoeffTables,

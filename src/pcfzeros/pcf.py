@@ -26,7 +26,8 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
 # He_n is rescaled past this modulus, into the log scale of its value
 _HERMITE_RESCALE = 1e100
-A_LG = 18.0       # |a| from which `evaluate` considers the LG expansions
+# |a| from which `evaluate` considers the LG expansions: u = 2|a| = U_MIN
+A_LG = 0.5 * lgeval.U_MIN
 LG_GATE = 15.0    # |Re z|, |Im z| gate for the positive-parameter LG route
 
 
@@ -137,7 +138,7 @@ def _evaluate_lg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     conj = z.imag < 0.0
     if conj:
         z = z.conjugate()
-    U, Up = lgeval.eval_pair(u, z, tables)
+    U, Up = lgeval.eval_pair(lgeval.point(u, z, tables))
     if conj:
         U = U.conjugate()
         Up = Up.conjugate()
@@ -172,17 +173,15 @@ def _evaluate_lg_neg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     U(u/2, -i w) and U(-u/2, w) is solved for the last term; both
     right-hand values map to the same hatted variable in the second
     quadrant, where the oscillatory and single-exponential expansions
-    apply respectively.
+    apply respectively, from one `lgeval.point`.
     """
     u = -2.0 * a
     tables = make_tables(cfg.lg_order)
     conj = z.imag < 0.0
     w = z.conjugate() if conj else z
-    wm = complex(-w.imag, -w.real)
-    zhat = wm / math.sqrt(2.0 * u)
-    T1, D1 = (v.conjugate() for v in lgeval.eval_pair(u, wm, tables))
-    T2, D2 = (v.conjugate()
-              for v in lgeval.eval_pair_negarg(u, zhat, tables))
+    pt = lgeval.point(u, complex(-w.imag, -w.real), tables)
+    T1, D1 = (v.conjugate() for v in lgeval.eval_pair(pt))
+    T2, D2 = (v.conjugate() for v in lgeval.eval_pair_negarg(pt))
 
     # 1/gamma = -i e^{(u/4+1/4) pi i} Gamma(u/2+1/2) / sqrt(2 pi), with
     # the Gamma expressed through its scaled asymptotic ratio

@@ -6,7 +6,6 @@ twin `_taylor_py`; both give the same results to the bit.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +58,7 @@ def step(state: TaylorState, h: complex) -> tuple[complex, complex]:
 
 def _cabs(x):
     """|x| elementwise, rounded as Python's abs(complex) is: np.abs can
-    differ from it in the last bit, which would move the h_max test."""
+    differ from it in the last bit, which would move the tail test."""
     return np.hypot(x.real, x.imag)
 
 
@@ -71,9 +70,9 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
     that shape.  Returns complex arrays (y, yprime) and a boolean array ok.  The
     arithmetic and the acceptance test are those of the kernel's first
     try in `step_once`: ok is true where the tail criterion holds on a
-    finite scale and |h| <= h_max(a, z0).  Where ok is false `step` would
-    subdivide or `propagate` take several steps, and (y, yprime) are not
-    to be used.
+    finite scale, at any |h|.  Where ok is false `step` would subdivide
+    or `propagate` take several steps, and (y, yprime) are not to be
+    used.
     """
     z0 = np.asarray(z0, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -102,9 +101,7 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
                           _cabs(c[n - 1]) * ah ** (n - 1))
         bound = _taylor_py.TAIL_TOL * np.maximum(
             np.maximum(_cabs(y), ah * _cabs(yp)), 1e-300)
-        # kernel.h_max, vectorised over z0
-        hm = 6.0 / np.maximum(_cabs(z0) * 0.5, max(math.sqrt(abs(a)), 1.0))
-        ok = (tail <= bound) & (bound < np.inf) & (ah <= hm)
+        ok = (tail <= bound) & (bound < np.inf)
     return y, yp, ok
 
 

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from pcfzeros import taylor
-from pcfzeros.chain import (MAX_INNER_ITERS, ZeroRecord, displace,
+from pcfzeros import chain, taylor
+from pcfzeros.chain import (MAX_INNER_ITERS, MAX_ZEROS, ZeroRecord, displace,
                             first_zero_estimate, fixed_point_T, is_hermite,
                             max_zero_index, refine_from_previous, run_chain,
                             sqrt_A, verify_zeros)
@@ -123,6 +123,24 @@ def test_run_chain_rejects_bad_l():
 def test_run_chain_rejects_non_finite_input(a, L):
     with pytest.raises(ValueError, match="finite"):
         run_chain(a, L)
+
+
+def _refinement_must_not_run(*args):
+    raise AssertionError("refine_first_zero ran")
+
+
+def test_run_chain_rejects_domain_over_zero_cap(monkeypatch):
+    # checked before any zero is refined: at L = 1e5 the first-zero
+    # refinement alone would integrate out to |z| ~ 1.4e5
+    monkeypatch.setattr(chain, "refine_first_zero", _refinement_must_not_run)
+    for a, L in ((1.0, 1e5), (-1.7, 1e5), (20.5, 7927.0)):
+        assert max_zero_index(a, L) > MAX_ZEROS
+        with pytest.raises(ValueError, match=str(MAX_ZEROS)):
+            run_chain(a, L)
+    # a domain at the cap gets past the check
+    assert max_zero_index(1.0, 7926.0) <= MAX_ZEROS
+    with pytest.raises(AssertionError, match="refine_first_zero ran"):
+        run_chain(1.0, 7926.0)
 
 
 def test_count_stable_under_config():

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from pcfzeros import cli
+from pcfzeros import chain, cli
 from pcfzeros.cli import main
 from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
@@ -174,6 +174,16 @@ def test_non_finite_input_exits_1(a, L, capsys):
     code, out, err = run([f"--a={a}", f"--L={L}"], capsys)
     assert code == 1
     assert "finite" in err
+    assert out == ""
+
+
+def test_domain_over_zero_cap_exits_1(monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("refine_first_zero ran")
+    monkeypatch.setattr(chain, "refine_first_zero", must_not_run)
+    code, out, err = run(["--a", "1", "--L", "1e5"], capsys)
+    assert code == 1
+    assert "zeros" in err
     assert out == ""
 
 

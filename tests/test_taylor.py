@@ -191,9 +191,14 @@ def _step_corpus(rng, m):
 
 def test_step_batch_matches_step():
     rng = np.random.default_rng(20261018)
-    seen = {"ok": 0, "over_h_max": 0, "subdivided": 0}
-    for _ in range(20):
-        a, z0, y0, y1, h = _step_corpus(rng, 40)
+    seen = {"ok": 0, "ok_over_h_max": 0, "subdivided": 0}
+    # no random try past h_max passes the tail test; these do, as the
+    # last two terms vanish: a = 0 expanded at the origin from (1, 0),
+    # where only c_{4k} are nonzero
+    vanishing_tail = (0.0, [0j] * 3, [1.0 + 0j] * 3, [0j] * 3,
+                      [10.0 + 0j, -8j, 5.0 - 5.0j])
+    for a, z0, y0, y1, h in [*(_step_corpus(rng, 40) for _ in range(20)),
+                             vanishing_tail]:
         yb, ypb, ok = step_batch(a, np.array(z0), np.array(y0),
                                  np.array(y1), np.array(h), N)
         for i, (z, u, up, d) in enumerate(zip(z0, y0, y1, h)):
@@ -201,20 +206,19 @@ def test_step_batch_matches_step():
             # the first try of step_once, on the plain-loop oracle
             y, yp, tail = _loop_taylor_eval(st.derivs, d)
             scale = max(abs(y), abs(d) * abs(yp), 1e-300)
-            if abs(d) > h_max(a, z):
-                seen["over_h_max"] += 1
-                assert not ok[i]
-                continue
             if tail > 2.0 * TAIL_TOL * scale:
                 assert not ok[i]
             if not ok[i]:
                 seen["subdivided"] += 1
                 continue
-            seen["ok"] += 1
+            # like step_once's first try, an accepted try past h_max is
+            # the step's result
+            seen["ok_over_h_max" if abs(d) > h_max(a, z) else "ok"] += 1
             y, yp = step(st, d)
             assert abs(yb[i] - y) <= 1e-13 * abs(y)
             assert abs(ypb[i] - yp) <= 1e-13 * abs(yp)
-    assert min(seen.values()) >= 50, seen
+    assert seen["ok"] >= 50 and seen["subdivided"] >= 50, seen
+    assert seen["ok_over_h_max"] == len(vanishing_tail[4]), seen
 
 
 def test_step_batch_broadcasts_scalar_data():
@@ -232,14 +236,18 @@ def test_step_batch_broadcasts_scalar_data():
         assert abs(yp[i] - yps) <= 1e-13 * abs(yps)
 
 
-def test_step_batch_rejects_steps_over_h_max():
-    # zero data passes any tail test, so only the step size can reject
+def test_step_batch_accepts_steps_over_h_max():
+    # zero data passes any tail test, and the step size alone rejects
+    # nothing, as in step_once's first try
     a = -7.0
     z0 = np.array([-10.0 + 10.0j, 0.5j, -30.0 + 2.0j])
     hm = np.array([h_max(a, z) for z in z0.tolist()])
-    h = np.concatenate((hm, hm * (1.0 + 1e-12))) * 1j
-    y, yp, ok = step_batch(a, np.tile(z0, 2), 0j, 0j, h, N)
-    assert ok.tolist() == [True] * 3 + [False] * 3
+    h = np.concatenate((hm, hm * (1.0 + 1e-12), 3.0 * hm)) * 1j
+    y, yp, ok = step_batch(a, np.tile(z0, 3), 0j, 0j, h, N)
+    assert ok.all()
+    for i, z in enumerate(np.tile(z0, 3).tolist()):
+        st = derivatives_at(a, z, 0j, 0j, N)
+        assert (y[i], yp[i]) == step(st, complex(h[i])) == (0j, 0j)
 
 
 # The kernel's loops as first written, kept as the oracle of the
