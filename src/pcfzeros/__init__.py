@@ -4,9 +4,9 @@ from .chain import (ZeroRecord, displace, first_zero_estimate,  # noqa: F401
                     fixed_point_T, refine_first_zero, run_chain,
                     verify_zeros)
 from .config import ChainConfig, DEFAULT_CONFIG  # noqa: F401
-from .errors import (ConvergenceError, CutError,  # noqa: F401
-                     HermiteParameterError, PcfZerosError, RegionError,
-                     StepFailureError, TruncationWarning, TurningPointError)
+from .errors import (ConvergenceError, HermiteParameterError,  # noqa: F401
+                     PcfZerosError, RegionError, StepFailureError,
+                     TruncationWarning, TurningPointError)
 from .pcf import PcfValue, evaluate, relative_error_estimate  # noqa: F401
 from .scaled import ScaledValue  # noqa: F401
 

@@ -19,14 +19,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import pcf, taylor
-from .config import ChainConfig, DEFAULT_CONFIG
+from .config import ChainConfig, DEFAULT_CONFIG, MAX_ZEROS
 from .errors import (ConvergenceError, HermiteParameterError,
                      PcfZerosError, StepFailureError, TurningPointError)
 from .pcf import is_hermite
 
 _RAY = cmath.exp(0.75j * math.pi)
 MAX_INNER_ITERS = 20        # iteration budget of one chain hop
-MAX_ZEROS = 10_000_000      # cap on the zeros of one chain
 
 
 @dataclass(frozen=True)

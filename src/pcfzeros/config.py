@@ -1,7 +1,16 @@
-"""Run configuration shared by the evaluator, the zero chain and the CLI."""
+"""Run configuration shared by the evaluator, the zero chain and the CLI,
+and the size limits they share."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+MAX_ZEROS = 10_000_000      # cap on the zeros of one chain
+# |z| beyond which `pcf.evaluate` raises RegionError: the corner modulus
+# sqrt(2) L of the largest box `chain.run_chain` accepts (its zero index
+# estimate stays within MAX_ZEROS while L^2 < pi (2 MAX_ZEROS + 2.5), at
+# a = 0), with 1% to spare for the iterates of the first-zero refinement
+Z_MAX = 1.01 * math.sqrt(2.0 * math.pi * (2 * MAX_ZEROS + 2.5))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,7 @@ class PcfZerosError(Exception):
 
 
 class RegionError(PcfZerosError):
-    """Requested point lies outside a method's validity region."""
-
-
-class CutError(RegionError):
-    """Point lies on (or numerically too close to) a branch cut."""
+    """Requested point lies outside the supported evaluation region."""
 
 
 class TurningPointError(PcfZerosError):

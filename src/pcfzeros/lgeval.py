@@ -4,9 +4,10 @@ One step per point and one evaluator per solution, each evaluator
 returning the pair (U, U') as :class:`ScaledValue` results, since the
 prefactors overflow doubles long before the series lose accuracy:
 
-- :func:`point` maps z to zhat, checks the region once, and computes
-  the geometry in double-double precision and, for each coefficient
-  family, the three truncated sums the expansions are built from;
+- :func:`point` maps z to zhat and computes the geometry in
+  double-double precision and, for each coefficient family, the three
+  truncated sums the expansions are built from; it does not check the
+  region, which is the caller's choice (`pcf._in_lg_region`);
 - :func:`eval_pair`, the oscillatory cosine/sine forms of U(u/2, z) and
   U'(u/2, z), with the scaling and the large phase carried in
   double-double precision;
@@ -29,12 +30,11 @@ import warnings
 from typing import NamedTuple
 
 from . import _dd
-from .errors import CutError, RegionError, TruncationWarning
+from .errors import TruncationWarning
 from .lgcoef import LGCoeffTables
 from .scaled import ScaledValue
 
 U_MIN = 36.0          # smallest parameter the expansions are trusted at
-R_TURNING = 0.35      # excluded disk radius around the turning point zhat = i
 
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, the tail of the double
 
@@ -43,16 +43,16 @@ def _truncated_sum(coeffs, u: float, start: int, step: int) -> complex:
     """sum coeffs[s] / u^s over s = start, start+step, ...
 
     ``coeffs[s]`` is looked up through a callable (1-based order).  Stops
-    early once a term is below 1e-16 of the partial sum; warns if the
-    final retained term is still above 1e-12 of it (approaching the
-    divergent tail of the asymptotic series).
+    early once a term is below 1e-16 of the partial sum.  Each sum enters
+    U as an exponent or a phase, so the size of the last retained term
+    is the relative error it leaves in U; warns if that exceeds 1e-13
+    (approaching the divergent tail of the asymptotic series).
     """
     total = 0j
     last = 0.0
     upow = u ** start
     ustep = u ** step
     s = start
-    n = 0
     while True:
         c = coeffs(s)
         if c is None:
@@ -60,16 +60,14 @@ def _truncated_sum(coeffs, u: float, start: int, step: int) -> complex:
         term = c / upow
         total += term
         last = abs(term)
-        n += 1
         if last < 1e-16 * max(abs(total), 1e-300):
             last = 0.0
             break
         upow *= ustep
         s += step
-    if n and last > 1e-12 * max(abs(total), 1e-300):
-        warnings.warn(
-            f"asymptotic sum truncated at relative size {last / max(abs(total), 1e-300):.2e}",
-            TruncationWarning, stacklevel=3)
+    if last > 1e-13:
+        warnings.warn(f"asymptotic sum truncated at a term of size {last:.2e}",
+                      TruncationWarning, stacklevel=3)
     return total
 
 
@@ -90,21 +88,6 @@ def _sum_anchor(tables: LGCoeffTables, u: float, tilde: bool) -> float:
         lambda s: anchors[s - 1] if s <= tables.S else None, u, 1, 2).real
 
 
-def check_region(u: float, zhat: complex) -> None:
-    """Validity gate for the oscillatory-form expansions."""
-    if u < U_MIN:
-        raise RegionError(f"u={u} below the trusted minimum {U_MIN}")
-    if zhat.real > 1e-12 or zhat.imag < -1e-12:
-        raise RegionError(f"zhat={zhat} not in the closed second quadrant")
-    if abs(zhat - 1j) < R_TURNING:
-        raise RegionError(
-            f"zhat={zhat} within {R_TURNING} of the turning point i")
-    if abs(zhat.real) < 1e-13 and 0.0 <= zhat.imag <= 1.0:
-        raise RegionError(f"zhat={zhat} on the excluded segment [0, i]")
-    if abs(zhat.real) < 1e-13 and abs(zhat.imag) >= 1.0:
-        raise CutError(f"zhat={zhat} lies on a branch cut")
-
-
 def _geometry_dd(u: float, z: complex):
     """Geometry from the physical argument z = sqrt(2u)*zhat.
 
@@ -112,7 +95,7 @@ def _geometry_dd(u: float, z: complex):
     double-double precision: for |z| ~ 100 and u ~ 40 the phase reaches
     a few thousand, where plain double rounding of xi alone already
     costs ~3e-13 of relative accuracy in the oscillatory factors.
-    Returns (zhat, beta, phi, quarter, log2u_quarter) with phi = u*xi
+    Returns (beta, phi, quarter, log2u_quarter) with phi = u*xi
     as a (hi, lo) complex pair and everything else plain doubles.
     """
     s2u = _dd.dd_sqrt((2.0 * u, 0.0))
@@ -127,7 +110,7 @@ def _geometry_dd(u: float, z: complex):
     phi = _dd.cdd_mul_d(xi, u)
     quarter = cmath.sqrt(w)
     log2u_quarter = 0.25 * math.log(2.0 * u)
-    return zhat, beta, phi, quarter, log2u_quarter
+    return beta, phi, quarter, log2u_quarter
 
 
 def _scaled_trig_dd(xr, xim, sine: bool):
@@ -162,10 +145,10 @@ class LGPoint(NamedTuple):
 def point(u: float, z: complex, tables: LGCoeffTables) -> LGPoint:
     """The geometry of :func:`_geometry_dd` and the coefficient sums at
     the physical argument z = sqrt(2u)*zhat, computed once for both
-    evaluators.  Raises :class:`RegionError` unless zhat passes
-    :func:`check_region`."""
-    zhat, beta, phi, quarter, lq = _geometry_dd(u, z)
-    check_region(u, zhat)
+    evaluators.  Unchecked precondition: u >= U_MIN, and zhat in the
+    closed second quadrant, off the imaginary axis and clear of the
+    turning point i, as `pcf._in_lg_region` admits."""
+    beta, phi, quarter, lq = _geometry_dd(u, z)
     sums = []
     for tilde in (False, True):
         s_odd = _sum_beta(tables, u, beta, tilde, 1)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from scipy.special import gammaln, gammasgn
 
 from . import lgeval, taylor
-from .config import ChainConfig, DEFAULT_CONFIG
-from .errors import PcfZerosError, RegionError
+from .config import ChainConfig, DEFAULT_CONFIG, Z_MAX
+from .errors import RegionError
 from .lgcoef import make_tables
 from .scaled import ScaledValue
 
@@ -26,8 +26,6 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
 # He_n is rescaled past this modulus, into the log scale of its value
 _HERMITE_RESCALE = 1e100
-# |a| from which `evaluate` considers the LG expansions: u = 2|a| = U_MIN
-A_LG = 0.5 * lgeval.U_MIN
 LG_GATE = 15.0    # |Re z|, |Im z| gate for the positive-parameter LG route
 
 
@@ -109,27 +107,49 @@ def evaluate(a: float, z: complex,
     """U(a,z) and U'(a,z) at a point of the closed left half-plane.
 
     The route follows from (a, z): the closed form at Hermite parameters
-    (`is_hermite`), the LG expansions for a >= A_LG at points with
-    |Re z| and |Im z| beyond LG_GATE and for a <= -A_LG where
-    `_neg_lg_usable`, and otherwise, or where an LG evaluator raises a
-    PcfZerosError, the origin-anchored Taylor route.  A non-finite a or
-    z raises ValueError.
+    (`is_hermite`), the LG expansions where `_in_lg_region`, and
+    otherwise the origin-anchored Taylor route.  A non-finite a or z
+    raises ValueError, and |z| > Z_MAX raises RegionError.
     """
     z = complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
         raise ValueError(f"a={a} and z={z} must be finite")
-    if z.real > 1e-9 and abs(z) > 30.0:
+    if abs(z) > Z_MAX or (z.real > 1e-9 and abs(z) > 30.0):
         raise RegionError(f"z={z} outside the supported evaluation region")
     if is_hermite(a):
         return _evaluate_hermite(a, z)
-    try:
-        if a >= A_LG and abs(z.real) > LG_GATE and abs(z.imag) > LG_GATE:
-            return _evaluate_lg(a, z, cfg)
-        if a <= -A_LG and _neg_lg_usable(a, z):
-            return _evaluate_lg_neg(a, z, cfg)
-    except PcfZerosError:
-        pass  # LG -> Taylor fallback, to be replaced by ROADMAP item 4
+    if _in_lg_region(a, z):
+        return (_evaluate_lg if a > 0.0 else _evaluate_lg_neg)(a, z, cfg)
     return _evaluate_taylor(a, z, cfg)
+
+
+def _in_lg_region(a: float, z: complex) -> bool:
+    """True where `evaluate` takes the LG route, for either sign of a:
+    u = 2|a| >= lgeval.U_MIN, and the zhat the route evaluates at (for
+    Im z >= 0, z/sqrt(2u) if a > 0 and -i conj(z)/sqrt(2u) if a < 0) in
+    the closed second quadrant, off the imaginary axis (the segment
+    [0, i] and the cut above i) and outside a disk around zhat = i."""
+    u = 2.0 * abs(a)
+    if u < lgeval.U_MIN:
+        return False
+    s = math.sqrt(2.0 * u)
+    y = abs(z.imag)
+    if a > 0.0:
+        if abs(z.real) <= LG_GATE or y <= LG_GATE:
+            return False
+        zhat = complex(z.real / s, y / s)
+        r_turning = 0.35
+    else:
+        zhat = complex(-y / s, -z.real / s)
+        # near the origin the expansions lose accuracy at moderate u (1e-5
+        # at a=-30.2 for |zhat| < 0.6), while the Taylor path there is
+        # short; with that, the wider disk also covers the imaginary zhat
+        # axis up to 1.5i, where the oscillatory real-z segment takes over
+        if abs(zhat) < 0.6:
+            return False
+        r_turning = 0.5
+    return (zhat.real <= 1e-12 and zhat.imag >= -1e-12
+            and abs(zhat.real) >= 1e-13 and abs(zhat - 1j) >= r_turning)
 
 
 def _evaluate_lg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
@@ -143,26 +163,6 @@ def _evaluate_lg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
         U = U.conjugate()
         Up = Up.conjugate()
     return PcfValue(U, Up, "liouville-green")
-
-
-def _neg_lg_usable(a: float, z: complex) -> bool:
-    """Geometric gate for the negative-parameter LG route: the mapped
-    variable must keep clear of the turning point and the branch cut."""
-    u = -2.0 * a
-    s = math.sqrt(2.0 * u)
-    w = z if z.imag >= 0 else z.conjugate()
-    zhat = complex(-w.imag / s, -w.real / s)
-    if abs(zhat - 1j) < 0.5:
-        return False
-    # near the origin the expansions lose accuracy at moderate u (1e-5
-    # at a=-30.2 for |zhat| < 0.6), while the Taylor path there is short
-    if abs(zhat) < 0.6:
-        return False
-    # near the imaginary zhat axis below the turning point the cut and
-    # the oscillatory real-z segment take over; Taylor handles those
-    if abs(zhat.real) < 0.1 and abs(zhat.imag) < 1.2:
-        return False
-    return True
 
 
 def _evaluate_lg_neg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:

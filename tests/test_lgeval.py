@@ -8,11 +8,10 @@ from scipy.special import gammaln
 import pcfzeros.lgeval as lgeval
 from pcfzeros import pcf
 from pcfzeros.config import DEFAULT_CONFIG
-from pcfzeros.errors import CutError, RegionError
 from pcfzeros.lgcoef import (LGCoeffTables, build_tables, make_tables,
                              poly_eval_exact)
-from pcfzeros.lgeval import (_geometry_dd, check_region, eval_pair,
-                             eval_pair_negarg, gamma_ratio, point)
+from pcfzeros.lgeval import (_geometry_dd, eval_pair, eval_pair_negarg,
+                             gamma_ratio, point)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -21,7 +20,7 @@ TABLES = make_tables(DEFAULT_CONFIG.lg_order)
 
 def _geometry_at(u, zhat):
     """(beta, u*xi) at the scaled variable zhat, u*xi as one double."""
-    _, beta, phi, _, _ = _geometry_dd(u, math.sqrt(2.0 * u) * zhat)
+    beta, phi, _, _ = _geometry_dd(u, math.sqrt(2.0 * u) * zhat)
     return beta, phi[0] + phi[1]
 
 
@@ -43,24 +42,54 @@ def test_beta_bar_values():
     assert abs(_geometry_at(40.0, 0j)[0]) == 0.0
 
 
+def _method(a, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", lgeval.TruncationWarning)
+        return pcf.evaluate(a, z).method
+
+
 def test_cut_detection():
-    with pytest.raises(CutError):
-        check_region(40.0, 2.0j)
-    with pytest.raises(CutError):
-        point(40.0, math.sqrt(80.0) * 2.0j, TABLES)
+    # the negative-a route maps the negative real z axis beyond sqrt(2u)
+    # onto the cut zhat = i y, y >= 1 (here y = 1.82), and declines it up
+    # to rounding; the positive-a route never reaches the imaginary zhat
+    # axis, which LG_GATE keeps at |Re z| > 15
+    for z in (-20.0 + 0j, -20.0 + 1e-13j, -20.0 - 1e-13j):
+        assert _method(-30.2, z) == "origin-series", z
+    assert _method(-30.2, -20.0 + 1.5j) == "liouville-green"
 
 
 def test_check_region_rejections():
-    with pytest.raises(RegionError):
-        check_region(10.0, -1.0 + 1.0j)  # u too small
-    with pytest.raises(RegionError):
-        check_region(40.0, 1.0 + 1.0j)  # wrong quadrant
-    with pytest.raises(RegionError):
-        check_region(40.0, -0.01 + 1.0j)  # too close to turning point
-    with pytest.raises(RegionError):
-        check_region(40.0, 0.5j)  # on the segment [0, i]
-    # a comfortably interior point passes
-    check_region(40.0, -1.0 + 1.0j)
+    # each reason the LG region policy declines a point, on each sign of
+    # a where it can decide: every other condition holds at these points,
+    # save where noted
+    declined = [
+        (17.9, -20.0 + 20.0j),        # u = 35.8 below U_MIN
+        (-17.9, -12.0 + 20.0j),
+        (20.0, 16.0 + 16.0j),         # zhat in the first quadrant
+        (-30.2, 20.0 + 5.0j),         # zhat in the fourth quadrant
+        (20.0, -14.9 + 20.0j),        # |Re z| within LG_GATE
+        (20.0, -20.0 + 14.9j),        # |Im z| within LG_GATE
+        (1000.0, -16.0 + 63.25j),     # |zhat - i| = 0.25 < 0.35
+        (-30.2, -10.0 + 4.5j),        # |zhat - i| = 0.42 < 0.5
+        (-30.2, -4.0 + 0j),           # segment [0, i] (zhat = 0.36i,
+                                      # inside |zhat| < 0.6 or the disk)
+        (-30.2, -1.0 + 5.0j),         # |zhat| = 0.46 < 0.6
+    ]
+    for a, z in declined:
+        assert not pcf._in_lg_region(a, z), (a, z)
+        assert _method(a, z) == "origin-series", (a, z)
+    # together, |zhat| < 0.6 and the disk of radius 0.5 decline the whole
+    # strip |Re zhat| < 0.1, |Im zhat| < 1.2 below the turning point
+    s = math.sqrt(2.0 * 60.4)
+    for re in (0.0, 0.03, 0.0999):
+        for im in range(0, 121, 5):
+            zhat = complex(-re, 0.01 * im)
+            assert not pcf._in_lg_region(-30.2, complex(-zhat.imag * s,
+                                                        -zhat.real * s))
+    # and points just across each boundary take the LG route
+    for a, z in ((18.0, -20.0 + 20.0j), (-18.1, -12.0 + 20.0j),
+                 (1000.0, -30.0 + 63.25j), (-30.2, -10.0 + 6.0j)):
+        assert _method(a, z) == "liouville-green", (a, z)
 
 
 def test_gamma_ratio_against_log_gamma():
@@ -143,17 +172,17 @@ def test_three_sums_add_to_the_full_order_sum():
     for s, p in enumerate(build_tables(TABLES.S, tilde=True), start=1):
         if s % 2:
             assert poly_eval_exact(p, -1) == -poly_eval_exact(p, 1)
-    # a corpus of beta, through the points they come from
+    # a corpus of beta, through the points they come from, at the zhat
+    # the negative-a route admits (it evaluates at w = i conj(z))
     n = 0
     for u in (36.0, 60.2, 100.0, 400.0):
         for re in (-0.05, -0.3, -1.0, -2.5, -6.0):
             for im in (0.0, 0.4, 1.5, 3.0, 7.0):
                 z = math.sqrt(2.0 * u) * complex(re, im)
-                try:
-                    pt = point(u, z, TABLES)
-                except RegionError:
+                if not pcf._in_lg_region(-0.5 * u, complex(-z.imag, -z.real)):
                     continue
-                beta = _geometry_dd(u, z)[1]
+                pt = point(u, z, TABLES)
+                beta = _geometry_dd(u, z)[0]
                 for tilde in (False, True):
                     want = _full_sum_loop(TABLES, u, beta, tilde)
                     size = sum(abs(x) for x in pt.sums[tilde])
@@ -197,3 +226,22 @@ def test_truncated_sum_warning():
     u = 36.0
     with pytest.warns(lgeval.TruncationWarning):
         point(u, math.sqrt(2.0 * u) * (-0.3 + 1.2j), TABLES)
+    # the last retained terms reach 3e-10 here (the value is 2.4e-8 off)
+    with pytest.warns(lgeval.TruncationWarning):
+        pcf.evaluate(-18.2, -4.713 + 2.402j)
+
+
+def test_truncation_warning_measures_the_last_term():
+    # each sum enters U as an exponent or a phase, so the absolute size
+    # of its last term is U's relative error; at these points that size
+    # is below 1e-13 although it is up to 1.6e-10 of a small sum, and the
+    # value is within 1.1e-14 of mpmath
+    for z in (-10.2 + 6.8j, -16.2 + 7.1j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", lgeval.TruncationWarning)
+            v = pcf.evaluate(-30.2, z)
+        assert v.method == "liouville-green"
+        with mpmath.workdps(30):
+            want = mpmath.pcfu(-30.2, z)
+            got = mpmath.mpc(v.U.mantissa) * mpmath.exp(v.U.exponent)
+            assert abs(got - want) < 1e-13 * abs(want), z

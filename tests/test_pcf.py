@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from pcfzeros import pcf, taylor
-from pcfzeros.config import DEFAULT_CONFIG
+from pcfzeros import lgeval, pcf, taylor
+from pcfzeros.chain import max_zero_index
+from pcfzeros.config import DEFAULT_CONFIG, MAX_ZEROS, Z_MAX
 from pcfzeros.errors import RegionError
 from pcfzeros.pcf import (LG_GATE, evaluate, origin_values_scaled,
                           relative_error_estimate)
@@ -71,6 +72,45 @@ def test_neg_parameter_lg_route_agrees_with_taylor():
     assert vt.method != vl.method
     assert _rel_diff(vt.U, vl.U) < 1e-11
     assert _rel_diff(vt.Uprime, vl.Uprime) < 1e-11
+
+
+def test_neg_parameter_lg_route_carries_the_recessive_term():
+    # at this point the recessive term of the connection formula, from
+    # eval_pair_negarg, is as large as the oscillatory one for U and for
+    # U' (about 1e-21 of it at the point of the test above)
+    a, z = -30.2, -25.0 + 6.0j
+    v = evaluate(a, z)
+    assert v.method == "liouville-green"
+    with mpmath.workdps(30):
+        ru = mpmath.pcfu(a, z)
+        # U'(a, z) = (z/2) U(a, z) - U(a-1, z)
+        rup = z / 2 * ru - mpmath.pcfu(a - 1, z)
+        for got, ref in ((v.U, ru), (v.Uprime, rup)):
+            val = mpmath.mpc(got.mantissa) * mpmath.exp(got.exponent)
+            assert abs(val - ref) < 1e-11 * abs(ref)
+
+
+def test_lg_route_has_no_fallback(monkeypatch):
+    # a point the region policy admits is evaluated by LG or not at all
+    def refuse(*args):
+        raise RegionError("refused")
+    monkeypatch.setattr(lgeval, "point", refuse)
+    for a, z in ((20.0, -20.0 + 20.0j), (-30.2, -25.0 + 6.0j)):
+        with pytest.raises(RegionError, match="refused"):
+            evaluate(a, z)
+
+
+def test_modulus_bound(monkeypatch):
+    # beyond Z_MAX the Taylor route would run for hours (-1e5+1e5j: about
+    # 10 h); within it, the route is reached.  The bound holds the corner
+    # -L+iL of every box run_chain accepts (a = 0 allows the largest L).
+    monkeypatch.setattr(pcf, "_evaluate_taylor", lambda *args: "taylor")
+    for z in (-1e5 + 1e5j, complex(0.0, -1.0000001 * Z_MAX),
+              cmath.rect(Z_MAX * (1.0 + 1e-12), 3.0)):
+        with pytest.raises(RegionError):
+            evaluate(1.0, z)
+    assert evaluate(1.0, cmath.rect(Z_MAX * (1.0 - 1e-12), 3.0)) == "taylor"
+    assert max_zero_index(0.0, Z_MAX / math.sqrt(2.0)) > MAX_ZEROS
 
 
 def test_neg_parameter_near_origin_takes_taylor():
