@@ -47,9 +47,10 @@ def sqrt_A(a: float, z: complex) -> complex:
     return cmath.sqrt(A)
 
 
-def displace(a: float, z: complex) -> complex:
-    """Half-period displacement toward the next zero of the chain."""
-    return z + math.pi / sqrt_A(a, z)
+def displace(a: float, z: complex, direction: int = 1) -> complex:
+    """Half-period displacement z + direction pi/sqrt(A) toward the next
+    zero of the chain, inward (direction 1) or outward (-1)."""
+    return z + direction * math.pi / sqrt_A(a, z)
 
 
 def fixed_point_T(a: float, z: complex, Q: complex) -> complex:
@@ -62,18 +63,24 @@ def fixed_point_T(a: float, z: complex, Q: complex) -> complex:
     return z - cmath.atan(arg) / w
 
 
+def _string_index(a: float, L: float) -> float:
+    """Real index x of the string zero at the corner -L + iL, from the
+    first-term zero asymptotics i z^2/2 = (2x + 1/2 - |a|) pi: the
+    corner gives i z^2/2 = L^2, so x = (L^2/pi - 1/2 + |a|)/2."""
+    return (L * L / math.pi - 0.5 + abs(a)) / 2.0
+
+
 def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
     """Leading-order estimate of the zero nearest the corner -L + iL.
 
-    Inverts the large-index zero asymptotics z ~ e^{3 pi i/4} sqrt(2 tau_m)
-    to pick the index m, then maps tau_m back to the z-plane.
+    Rounds the corner's string index to pick the index m, then maps the
+    phase tau_m of that zero back to the z-plane, z ~ e^{3 pi i/4}
+    sqrt(2 tau_m).
     """
     if L <= 2.0:
         raise ValueError("L must exceed 2")
-    z = complex(-L, L)
-    tau = 0.5j * z * z
     aa = abs(a)
-    m = max(0, round((tau.real / math.pi - 0.5 + aa) / 2.0))
+    m = max(0, round(_string_index(a, L)))
     tau_m = complex(
         (2.0 * m + 0.5 - aa) * math.pi,
         -0.5 * math.log(math.pi) - (aa + 0.5) * math.log(2.0)
@@ -154,13 +161,55 @@ def _in_domain(a: float, L: float, z: complex) -> bool:
 
 
 def max_zero_index(a: float, L: float) -> int:
-    """Largest string-zero index consistent with the corner -L + iL.
+    """Largest string-zero index consistent with the corner -L + iL, the
+    corner's string index rounded down.
 
-    The chain starts from the zero whose first-term index estimate fits
-    the corner and proceeds inward only, so at most this many zeros are
-    reported even when the box admits a few more beyond the corner.
+    At most this many zeros are reported, the innermost ones, even when
+    the box admits a few more beyond the corner.
     """
-    return max(0, math.floor((L * L / math.pi - 0.5 + abs(a)) / 2.0))
+    return max(0, math.floor(_string_index(a, L)))
+
+
+def _near_turning_point(a: float, z: complex) -> bool:
+    """Whether z lies within one local half-period pi/|sqrt(A(z))| of the
+    turning point -2 conj(sqrt(-a)) (2i sqrt(a) for a > 0, -2 sqrt(-a)
+    for a < 0), next to which the string of zeros ends."""
+    z_t = -2.0 * cmath.sqrt(-a).conjugate()
+    return abs(z - z_t) * math.sqrt(abs(-0.25 * z * z - a)) < math.pi
+
+
+def _walk(a: float, z0: complex, direction: int, done, cfg: ChainConfig):
+    """Zeros reached from z0 along the string, inward (direction 1) or
+    outward (-1), as (z, iterations) pairs, up to the first one for which
+    done(z) holds.
+
+    Each hop seeds `displace(a, z, direction)` and refines it with
+    `refine_from_previous`; the new zero must advance along the hop by
+    more than the stall tolerance.  A hop that fails, stalls or reverses
+    ends the walk if its seed is next to the turning point, where the
+    string ends (`_near_turning_point`), and raises otherwise.
+    """
+    zeros: list[tuple[complex, int]] = []
+    z_prev = z0
+    while not done(z_prev):
+        if len(zeros) >= MAX_ZEROS:
+            raise ConvergenceError("zero cap exceeded")
+        seed = z_prev   # judged by the end rule if A(z_prev) = 0 gives none
+        try:
+            seed = displace(a, z_prev, direction)
+            znew, iters, _ = refine_from_previous(a, z_prev, seed, cfg)
+            hop = seed - z_prev
+            advance = ((znew - z_prev) * hop.conjugate()).real / abs(hop)
+            if advance < 10.0 * cfg.eps * abs(z_prev):
+                raise ConvergenceError(
+                    f"chain stalled or reversed at z={z_prev} (a={a})")
+        except (ConvergenceError, StepFailureError, TurningPointError):
+            if _near_turning_point(a, seed):
+                break
+            raise
+        zeros.append((znew, iters))
+        z_prev = znew
+    return zeros
 
 
 def run_chain(a: float, L: float,
@@ -178,77 +227,21 @@ def run_chain(a: float, L: float,
         raise ValueError("L must be positive")
     if max_zero_index(a, L) > MAX_ZEROS:
         raise ValueError(f"a={a}, L={L} holds more than {MAX_ZEROS} zeros")
-    neg = a < 0
 
     _, z_est = first_zero_estimate(a, L)
     z0, first_iters, _ = refine_first_zero(a, z_est, cfg)
 
-    def towards_terminal(z: complex) -> float:
-        # signed coordinate that decreases along the inward chain
-        return z.imag if neg else -z.real
-
-    entries: list[tuple[complex, int]] = []
-
-    # Walk outward (against the chain direction) in case the refined
-    # first zero is not the outermost one inside the domain.
-    z_prev = z0
-    outward: list[tuple[complex, int]] = []
-    while _in_domain(a, L, z_prev) and len(outward) < MAX_ZEROS:
-        try:
-            seed = z_prev - math.pi / sqrt_A(a, z_prev)
-            znew, iters, _ = refine_from_previous(a, z_prev, seed, cfg)
-        except (ConvergenceError, StepFailureError, TurningPointError):
-            break
-        if towards_terminal(znew) <= towards_terminal(z_prev):
-            break  # not making outward progress
-        if abs(znew - z_prev) < 10.0 * cfg.eps * abs(z_prev):
-            break
-        outward.append((znew, iters))
-        z_prev = znew
-        if not _in_domain(a, L, znew):
-            break
-    entries.extend(reversed(outward))
-    entries.append((z0, first_iters))
-
-    # Main inward chain, terminating past the delta strip.  For a > 0
-    # the string ends at a zero of O(1) distance from the turning point
-    # 2i sqrt(a) with no zeros beyond it, so a failing step whose seed
-    # falls next to the turning point also terminates the chain.
-    z_turn = 2j * math.sqrt(a) if a > 0 else None
-    stall_tol = 10.0 * cfg.eps
-    z_prev = z0
-    t_prev = towards_terminal(z0)
-    while t_prev > cfg.delta:
-        if len(entries) >= MAX_ZEROS:
-            raise ConvergenceError("zero cap exceeded")
-        near_end = t_prev < 0.5
-        try:
-            seed = displace(a, z_prev)
-            if z_turn is not None and abs(seed - z_turn) < 1.0:
-                near_end = True
-            znew, iters, _ = refine_from_previous(a, z_prev, seed, cfg)
-        except (ConvergenceError, StepFailureError, TurningPointError):
-            if near_end:
-                break
-            raise
-        if abs(znew - z_prev) < stall_tol * abs(z_prev):
-            if near_end:
-                break
-            raise ConvergenceError(f"chain stalled at z={z_prev} (a={a})")
-        t_new = towards_terminal(znew)
-        if t_new >= t_prev:
-            if near_end:
-                break
-            raise ConvergenceError(f"chain reversed at z={z_prev} (a={a})")
-        entries.append((znew, iters))
-        z_prev, t_prev = znew, t_new
-
-    entries = [e for e in entries if _in_domain(a, L, e[0])]
+    # outward in case the refined first zero is not the outermost one
+    # inside the domain; inward until the terminal axis, the real one
+    # for a < 0 and the imaginary one otherwise
+    outward = _walk(a, z0, -1, lambda z: not _in_domain(a, L, z), cfg)
+    inward = _walk(
+        a, z0, 1, lambda z: (z.imag if a < 0 else -z.real) <= cfg.delta, cfg)
+    entries = [e for e in outward[::-1] + [(z0, first_iters)] + inward
+               if _in_domain(a, L, e[0])]
     # keep the innermost max_zero_index records; the box near the corner
     # can hold a few zeros beyond the one the index estimate starts at
-    cap = max_zero_index(a, L)
-    if len(entries) > cap:
-        entries = entries[len(entries) - cap:]
+    entries = entries[max(0, len(entries) - max_zero_index(a, L)):]
     return [ZeroRecord(i, z, math.nan, iters)
             for i, (z, iters) in enumerate(entries)]
 

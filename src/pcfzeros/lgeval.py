@@ -226,13 +226,8 @@ def eval_pair_negarg(pt: LGPoint) -> tuple[ScaledValue, ScaledValue]:
     return _recessive(pt, tilde=False), _recessive(pt, tilde=True)
 
 
-def gamma_ratio(u: float, tables: LGCoeffTables,
-                variant: str = "E") -> float:
-    """Series approximation of sqrt(2 pi)/Gamma(u/2 + 1/2) * (u/2e)^(u/2).
-
-    variant "E" uses the base-family odd anchors at -1, variant "Etilde"
-    the tilde-family anchors at +1; both target the same ratio.
-    """
-    if variant not in ("E", "Etilde"):
-        raise ValueError(f"unknown variant {variant!r}")
-    return math.exp(2.0 * _sum_anchor(tables, u, variant == "Etilde"))
+def gamma_ratio(u: float, tables: LGCoeffTables) -> float:
+    """Series approximation of sqrt(2 pi)/Gamma(u/2 + 1/2) * (u/2e)^(u/2),
+    from the base-family odd anchors at -1 (the tilde-family anchors at
+    +1 target the same ratio)."""
+    return math.exp(2.0 * _sum_anchor(tables, u, False))

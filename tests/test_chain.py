@@ -143,6 +143,44 @@ def test_run_chain_rejects_domain_over_zero_cap(monkeypatch):
         run_chain(1.0, 7926.0)
 
 
+@pytest.mark.parametrize("a", [0.0, -0.05, -0.3])
+def test_run_chain_small_a_ends_at_the_turning_point(a):
+    # these strings end off the real axis, next to the turning point
+    # -2 sqrt(-a); the inward walk ends there, not by the delta strip
+    mpmath = pytest.importorskip("mpmath")
+    zeros = run_chain(a, 9.0)
+    assert len(zeros) == 12
+    with mpmath.workdps(40):
+        for rec in zeros:
+            want = complex(mpmath.findroot(lambda t: mpmath.pcfu(a, t),
+                                           mpmath.mpc(rec.z)))
+            assert abs(rec.z - want) <= 1e-13 * abs(want), (a, rec)
+
+
+@pytest.mark.parametrize("a", [2.3, 0.0, -1.7, -30.2])
+def test_near_turning_point(a):
+    # the turning point itself, where A vanishes, counts as near; a seed
+    # several half-periods up the string does not
+    z_t = -2.0 * cmath.sqrt(-a).conjugate()
+    assert -0.25 * z_t * z_t - a == pytest.approx(0.0, abs=1e-12)
+    assert chain._near_turning_point(a, z_t)
+    assert not chain._near_turning_point(a, z_t - 5.0 + 5.0j)
+
+
+def test_failing_outward_hop_raises(monkeypatch):
+    # a hop that fails away from the turning point is not the end of the
+    # string, in either direction of the walk
+    refine = chain.refine_from_previous
+
+    def failing_outward(a, z_prev, seed, cfg):
+        if abs(seed - displace(a, z_prev)) > abs(seed - z_prev):
+            raise StepFailureError(f"forced at {seed}")
+        return refine(a, z_prev, seed, cfg)
+    monkeypatch.setattr(chain, "refine_from_previous", failing_outward)
+    with pytest.raises(StepFailureError, match="forced"):
+        run_chain(2.3, 10.0)
+
+
 def test_count_stable_under_config():
     base = len(run_chain(-1.7, 12.0))
     tight = len(run_chain(-1.7, 12.0,

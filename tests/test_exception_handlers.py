@@ -2,14 +2,16 @@
 
 A handler fails this guard if it is a bare ``except:``, if it catches
 ``Exception`` or ``BaseException`` (alone or in a tuple), or if its body
-is only ``pass``: each hides a failure, or a route change, without a
-trace.
+is only ``pass``, or only ``break`` or ``continue`` (a silent loop exit):
+each hides a failure, or a route change, without a trace.
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pcfzeros"
 BROAD = {"Exception", "BaseException"}
+SILENT = ((ast.Pass, "pass"), (ast.Break, "break"),
+          (ast.Continue, "continue"))
 
 
 def _caught(node):
@@ -30,8 +32,9 @@ def _faults(source, filename):
             yield f"{where}: bare except"
         elif _caught(node.type) & BROAD:
             yield f"{where}: catches {sorted(_caught(node.type) & BROAD)}"
-        if all(isinstance(stmt, ast.Pass) for stmt in node.body):
-            yield f"{where}: handler body is only pass"
+        for kind, word in SILENT:
+            if all(isinstance(stmt, kind) for stmt in node.body):
+                yield f"{where}: handler body is only {word}"
 
 
 def test_no_broad_or_silent_handlers():
@@ -46,8 +49,18 @@ def test_guard_detects_each_fault():
         "try: f()", "except Exception: g()",
         "try: f()", "except (ValueError, BaseException) as e: g()",
         "try: f()", "except ValueError: pass",
+        "for x in y:",
+        "    try: f()",
+        "    except ValueError: break",
+        "    try: f()",
+        "    except ValueError: continue",
+        "    try: f()",
+        "    except ValueError:",
+        "        if x: break",
+        "        raise",
         "try: f()", "except ValueError: g()",
     ])
     assert [f.split(": ", 1)[1] for f in _faults(source, "m.py")] == [
         "bare except", "catches ['Exception']", "catches ['BaseException']",
-        "handler body is only pass"]
+        "handler body is only pass", "handler body is only break",
+        "handler body is only continue"]
