@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import pcf, taylor
 from .config import ChainConfig, DEFAULT_CONFIG, MAX_ZEROS
 from .errors import (ConvergenceError, HermiteParameterError,
                      PcfZerosError, StepFailureError, TurningPointError)
-from .pcf import is_hermite
+from .pcf import is_hermite, log_gamma
 
 _RAY = cmath.exp(0.75j * math.pi)
 MAX_INNER_ITERS = 20        # iteration budget of one chain hop
@@ -84,7 +83,7 @@ def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
     tau_m = complex(
         (2.0 * m + 0.5 - aa) * math.pi,
         -0.5 * math.log(math.pi) - (aa + 0.5) * math.log(2.0)
-        + gammaln(0.5 + aa))
+        + log_gamma(0.5 + aa))
     return m, _RAY * cmath.sqrt(2.0 * tau_m)
 
 

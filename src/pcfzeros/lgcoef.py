@@ -45,7 +45,8 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         if a == 0:
             continue
         for j, b in enumerate(q):
-            out[i + j] += a * b
+            if b:
+                out[i + j] += a * b
     return _trim(out)
 
 
@@ -112,9 +113,11 @@ def build_tables(S: int, tilde: bool = False) -> list[Poly]:
     for s in range(2, S):
         # builds F_{s+1} (index s in the 0-based list)
         term = poly_scale(poly_mul(_W, dF[s - 1]), half)
+        # the convolution is symmetric in j <-> s - j: each pair once, doubled
         conv: Poly = []
-        for j in range(1, s):
-            conv = poly_add(conv, poly_mul(dF[j - 1], dF[s - j - 1]))
+        for j in range(1, s // 2 + 1):
+            prod = poly_mul(dF[j - 1], dF[s - j - 1])
+            conv = poly_add(conv, prod if 2 * j == s else poly_add(prod, prod))
         if conv:
             integrand = poly_mul(_W, conv)
             term = poly_add(term, poly_scale(

@@ -14,8 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln, gammasgn
-
 from . import lgeval, taylor
 from .config import ChainConfig, DEFAULT_CONFIG, Z_MAX
 from .errors import RegionError
@@ -43,21 +41,94 @@ def is_hermite(a: float) -> bool:
     return k >= 1 and abs(a - (0.5 - k)) < 1e-12
 
 
+# Cephes lgam: ln(pi), ln(sqrt(2 pi)) and the overflow threshold
+_LOGPI = 1.14472988584940017414
+_LS2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
+
+
+def log_gamma(x: float) -> float:
+    """ln |Gamma(x)| for real x, +inf at the poles: the Cephes `lgam`
+    algorithm, operation for operation, so that it rounds as
+    scipy.special.gammaln does.  Reflection below -34, the recurrence
+    into [2, 3) and a rational there below 13, Stirling's series above,
+    cut to three terms from 1000 and to none above 1e8.  The Horner
+    sums are written out, c*x - d rounding as c*x + (-d) does."""
+    if not math.isfinite(x):
+        return x
+    if x < -34.0:
+        q = -x
+        w = log_gamma(q)
+        p = math.floor(q)
+        if p == q:
+            return math.inf
+        z = q - p
+        if z > 0.5:
+            p += 1.0
+            z = p - q
+        z = q * math.sin(math.pi * z)
+        if z == 0.0:
+            return math.inf
+        return _LOGPI - math.log(z) - w
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        z = abs(z)
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        num = (((((-1.37825152569120859100E3 * x - 3.88016315134637840924E4)
+                  * x - 3.31612992738871184744E5) * x
+                 - 1.16237097492762307383E6) * x - 1.72173700820839662146E6)
+               * x - 8.53555664245765465627E5)
+        den = ((((((x - 3.51815701436523470549E2) * x
+                   - 1.70642106651881159223E4) * x - 2.20528590553854454839E5)
+                 * x - 1.13933444367982507207E6) * x
+                - 2.53252307177582951285E6) * x - 2.01889141433532773231E6)
+        return math.log(z) + x * num / den
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + ((((8.11614167470508450300E-4 * p - 5.95061904284301438324E-4)
+                  * p + 7.93650340457716943945E-4) * p
+                 - 2.77777777730099687205E-3) * p
+                + 8.33333333333331927722E-2) / x
+
+
+def gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) for real x: -1 where floor(x) is negative and
+    odd, else +1 (also at the poles, where `log_gamma` is +inf)."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+
+
 def origin_values_scaled(a: float) -> tuple[tuple[complex, complex], float]:
     """Origin data as mantissa pair + common log scale."""
     x0 = 0.75 + 0.5 * a
     x1 = 0.25 + 0.5 * a
-    g0 = gammaln(x0)
-    g1 = gammaln(x1)
-    # gammasgn is nan at the poles, where the value is exactly zero
-    s0 = gammasgn(x0) if math.isfinite(g0) else 0.0
-    s1 = gammasgn(x1) if math.isfinite(g1) else 0.0
     # log |U(a,0)| and log |U'(a,0)|; -inf at Gamma poles
-    l0 = _LOG_SQRT_PI - (0.5 * a + 0.25) * _LN2 - g0 if s0 else -math.inf
-    l1 = _LOG_SQRT_PI - (0.5 * a - 0.25) * _LN2 - g1 if s1 else -math.inf
+    l0 = _LOG_SQRT_PI - (0.5 * a + 0.25) * _LN2 - log_gamma(x0)
+    l1 = _LOG_SQRT_PI - (0.5 * a - 0.25) * _LN2 - log_gamma(x1)
     e = max(l0, l1)
-    m0 = s0 * math.exp(l0 - e) if s0 else 0.0
-    m1 = -s1 * math.exp(l1 - e) if s1 else 0.0
+    m0 = gamma_sign(x0) * math.exp(l0 - e)
+    m1 = -gamma_sign(x1) * math.exp(l1 - e)
     return (complex(m0), complex(m1)), e
 
 
@@ -111,7 +182,7 @@ def evaluate(a: float, z: complex,
     otherwise the origin-anchored Taylor route.  A non-finite a or z
     raises ValueError, and |z| > Z_MAX raises RegionError.
     """
-    z = complex(z)
+    a, z = float(a), complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
         raise ValueError(f"a={a} and z={z} must be finite")
     if abs(z) > Z_MAX or (z.real > 1e-9 and abs(z) > 30.0):

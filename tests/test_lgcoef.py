@@ -1,16 +1,19 @@
 """Coefficient tables: independent symbolic oracle, parity, anchors."""
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy as sp
 
 from pcfzeros.lgcoef import build_tables, make_tables, poly_eval_exact
 
-ORACLE_S = 6
+ORACLE_S = 12
 FULL_S = 12
 
 
+@lru_cache(maxsize=2)
 def _oracle(tilde):
-    """Brute-force symbolic recurrence, no shared polynomial kernels."""
+    """Brute-force symbolic recurrence, no shared polynomial kernels: the
+    full convolution over j = 1..s-1 and dense products."""
     b, p = sp.symbols("b p")
     w = (b**2 - 1) ** 2
     sign = -1 if tilde else 1
@@ -49,6 +52,22 @@ def test_tilde_family_matches_symbolic_oracle():
     theirs = _oracle(tilde=True)
     for s in range(ORACLE_S):
         assert list(ours[s]) == _as_fractions(theirs[s]), f"Et_{s+1} differs"
+
+
+def test_float_tables_match_symbolic_oracle():
+    # the four float tuples the evaluators read, from the oracle's exact
+    # coefficients, equal make_tables' float for float
+    t = make_tables(ORACLE_S)
+    E = [_as_fractions(c) for c in _oracle(tilde=False)]
+    Et = [_as_fractions(c) for c in _oracle(tilde=True)]
+
+    def at(p, x):
+        return float(sum(c * x ** k for k, c in enumerate(p)))
+
+    assert t.E_float == tuple(tuple(float(c) for c in p) for p in E)
+    assert t.Etilde_float == tuple(tuple(float(c) for c in p) for p in Et)
+    assert t.E_at_m1 == tuple(at(p, -1) for p in E)
+    assert t.Etilde_at_p1 == tuple(at(p, 1) for p in Et)
 
 
 def test_parity():

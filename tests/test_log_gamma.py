@@ -1,0 +1,62 @@
+"""pcf.log_gamma and pcf.gamma_sign against scipy.special, and a package
+import that does not load scipy."""
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from scipy.special import gammaln, gammasgn
+
+from pcfzeros.pcf import gamma_sign, log_gamma
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _arguments(seed, n=20000):
+    """Seeded arguments in every branch of Cephes lgam, plus the integers
+    (the poles, where both give +inf, at and below 0) and half-integers
+    of [-200, 200) and the branch edges."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        rng.uniform(-34.0, 13.0, n),                  # recurrence, rational
+        rng.uniform(-300.0, -34.0, n),                # reflection
+        -np.exp(rng.uniform(math.log(34.0), math.log(1e300), n)),
+        rng.uniform(13.0, 1000.0, n),                 # Stirling, A series
+        rng.uniform(1000.0, 1e8, n),                  # three-term tail
+        np.exp(rng.uniform(math.log(1e8), math.log(1e308), n)),  # bare
+        np.exp(rng.uniform(-745.0, 0.0, n)),          # near the pole at 0
+        np.arange(-200.0, 200.0, 0.5),
+        [-34.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305, 1e306,
+         math.inf, -math.inf],
+    ])
+
+
+def test_log_gamma_equals_scipy_gammaln():
+    xs = _arguments(seed=12)
+    want = gammaln(xs).tolist()
+    assert [log_gamma(-float(k)) for k in range(201)] == [math.inf] * 201
+    bad = [(x, log_gamma(x), w) for x, w in zip(xs.tolist(), want)
+           if log_gamma(x) != w]
+    assert not bad, f"{len(bad)} of {len(xs)} differ, first {bad[0]}"
+
+
+def test_gamma_sign_equals_scipy_gammasgn_off_the_poles():
+    # gammasgn casts floor(x) to a C int, so the comparison stops at 2^31
+    xs = _arguments(seed=13)
+    xs = xs[(np.abs(xs) < 2.0 ** 31) & (xs != np.floor(xs))]
+    want = gammasgn(xs).tolist()
+    assert [gamma_sign(x) for x in xs.tolist()] == want
+    # at the poles the rule still gives a sign, which multiplies a zero
+    assert gamma_sign(0.0) == 1.0
+    assert gamma_sign(-1.0) == -1.0 and gamma_sign(-2.0) == 1.0
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, pcfzeros; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -2,6 +2,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from pcfzeros import lgeval, pcf, taylor
@@ -42,6 +43,24 @@ def test_origin_values_match_mpmath():
         assert abs(u0 - float(mpmath.pcfu(a, 0))) < 1e-14 * abs(u0)
         ref = float(mpmath.diff(lambda t: mpmath.pcfu(a, t), 0))
         assert abs(up0 - ref) < 1e-13 * abs(ref)
+
+
+def test_origin_values_at_gamma_poles():
+    # Gamma(3/4 + a/2) has a pole at a = -3/2 and Gamma(1/4 + a/2) at
+    # a = -1/2, so U(a, 0) and U'(a, 0) vanish there, each with a finite
+    # partner and scale
+    (m0, m1), e = origin_values_scaled(-1.5)
+    assert m0 == 0 and abs(m1) == 1.0 and math.isfinite(e)
+    (m0, m1), e = origin_values_scaled(-0.5)
+    assert m1 == 0 and abs(m0) == 1.0 and math.isfinite(e)
+
+
+def test_origin_series_exponent_is_a_builtin_float():
+    for a in (2.3, np.float64(2.3)):
+        v = evaluate(a, -5 + 5j)
+        assert v.method == "origin-series"
+        assert type(v.U.exponent) is float
+        assert type(v.Uprime.exponent) is float
 
 
 def test_evaluate_against_mpmath_moderate():
