@@ -39,24 +39,20 @@ U_MIN = 36.0          # smallest parameter the expansions are trusted at
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, the tail of the double
 
 
-def _truncated_sum(coeffs, u: float, start: int, step: int) -> complex:
-    """sum coeffs[s] / u^s over s = start, start+step, ...
+def _truncated_sum(coeffs, u: float, start: int) -> complex:
+    """sum c_s / u^s over s = start, start+2, ..., with ``coeffs`` the
+    coefficients c_s of those orders in turn.
 
-    ``coeffs[s]`` is looked up through a callable (1-based order).  Stops
-    early once a term is below 1e-16 of the partial sum.  Each sum enters
-    U as an exponent or a phase, so the size of the last retained term
-    is the relative error it leaves in U; warns if that exceeds 1e-13
-    (approaching the divergent tail of the asymptotic series).
+    Stops early once a term is below 1e-16 of the partial sum.  Each sum
+    enters U as an exponent or a phase, so the size of the last retained
+    term is the relative error it leaves in U; warns if that exceeds
+    1e-13 (approaching the divergent tail of the asymptotic series).
     """
     total = 0j
     last = 0.0
     upow = u ** start
-    ustep = u ** step
-    s = start
-    while True:
-        c = coeffs(s)
-        if c is None:
-            break
+    ustep = u ** 2
+    for c in coeffs:
         term = c / upow
         total += term
         last = abs(term)
@@ -64,7 +60,6 @@ def _truncated_sum(coeffs, u: float, start: int, step: int) -> complex:
             last = 0.0
             break
         upow *= ustep
-        s += step
     if last > 1e-13:
         warnings.warn(f"asymptotic sum truncated at a term of size {last:.2e}",
                       TruncationWarning, stacklevel=3)
@@ -76,16 +71,15 @@ def _sum_beta(tables: LGCoeffTables, u: float, beta: complex, tilde: bool,
     """sum F_s(beta) / u^s over every other order from ``start``, with F
     the base family or, with ``tilde``, the tilde family."""
     return _truncated_sum(
-        lambda s: tables.eval(s, beta, tilde) if s <= tables.S else None,
-        u, start, 2)
+        (tables.eval(s, beta, tilde) for s in range(start, tables.S + 1, 2)),
+        u, start)
 
 
 def _sum_anchor(tables: LGCoeffTables, u: float, tilde: bool) -> float:
     """sum F_s(anchor) / u^s over odd s, at the anchor -1 of the base
     family or +1 of the tilde family."""
     anchors = tables.Etilde_at_p1 if tilde else tables.E_at_m1
-    return _truncated_sum(
-        lambda s: anchors[s - 1] if s <= tables.S else None, u, 1, 2).real
+    return _truncated_sum(anchors[0::2], u, 1).real
 
 
 def _geometry_dd(u: float, z: complex):

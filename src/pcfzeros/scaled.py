@@ -25,10 +25,6 @@ class ScaledValue:
             return ScaledValue(0j, 0.0)
         return ScaledValue(mantissa / r, exponent + math.log(r))
 
-    @staticmethod
-    def from_complex(value: complex) -> "ScaledValue":
-        return ScaledValue.make(complex(value))
-
     @property
     def is_zero(self) -> bool:
         return self.mantissa == 0
@@ -69,8 +65,6 @@ class ScaledValue:
         return ScaledValue.make(self.mantissa / other, self.exponent)
 
     def __add__(self, other: "ScaledValue") -> "ScaledValue":
-        if not isinstance(other, ScaledValue):
-            other = ScaledValue.from_complex(other)
         if self.is_zero:
             return other
         if other.is_zero:

@@ -260,24 +260,3 @@ def test_criterion_09_performance_budget():
     ok = dt < 5.0 and abs(len(zeros) - 3129) <= 1
     report(9, ok, f"{len(zeros)} zeros in {dt:.3f}s")
 
-
-def test_criterion_10_airy():
-    from pcfzeros.airy import (ai, ai_prime, airy_zero, combo_zero_refine)
-    worst_n = 0.0
-    for m in (10, 11, 25, 100):
-        x = airy_zero(m)
-        # Newton refinement against the module's own Ai
-        for _ in range(30):
-            dx = ai(x) / ai_prime(x)
-            x = x - dx.real
-            if abs(dx) < 1e-15 * abs(x):
-                break
-        worst_n = max(worst_n, abs(x - airy_zero(m)))
-    # at a = 1/2 the rotated combination reduces to -Ai, so its zeros
-    # are the Airy zeros (switchover-band zeros excluded, see airy tests)
-    worst_c = 0.0
-    for m in (1, 2, 7, 10):
-        z = combo_zero_refine(0.5, airy_zero(m) + 0.01)
-        worst_c = max(worst_c, abs(z - airy_zero(m)))
-    ok = worst_n < 1e-10 and worst_c < 1e-11
-    report(10, ok, f"newton gap {worst_n:.2e}, combo gap {worst_c:.2e}")

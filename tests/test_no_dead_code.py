@@ -1,13 +1,15 @@
-"""Every function and method in the package has a caller.
+"""Every class, function and method in the package has a caller.
 
-A function, or a method of a class, counts as used when its name
-appears somewhere in ``src/pcfzeros`` outside its own body, or anywhere
-in ``perfbench`` (the benchmark imports and patches package names): as
-a name, an attribute, or a name imported by another module (so the
-exports of ``__init__`` count).  Tests do not count; a function that
-only tests call is dead code that happens to be tested.  Dunder methods
-are called by the interpreter, and a method that overrides one of a
-base class by that base class, so both count as used.
+A top-level class, a function, or a method of a class counts as used
+when its name appears somewhere in ``src/pcfzeros`` outside its own
+body, or anywhere in ``perfbench`` (the benchmark imports and patches
+package names): as a name, an attribute, or a name imported by another
+module (so the exports of ``__init__`` count).  A name that appears
+only in the body of an unused definition does not count either.  Tests
+do not count; a function that only tests call is dead code that happens
+to be tested.  Dunder methods are called by the interpreter, and a
+method that overrides one of a base class by that base class, so both
+count as used.  Every module of the package is checked.
 """
 import ast
 import importlib
@@ -18,27 +20,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pcfzeros"
 CALLERS = ROOT / "perfbench"
 
-# modules whose functions are exempt as a whole
-ALLOWED_MODULES = {
-    # Airy seeding of the terminal end of a zero string is undecided
-    # (ROADMAP item 1, phase 2); acceptance criterion 10 exercises the
-    # module
-    "airy",
-}
 
-
-def _refs(node, owners, owner=None):
-    """(name, owner) for every name, attribute and imported name under
-    node; owner is the entry of `owners` for the innermost enclosing
-    node that has one, or None."""
-    owner = owners.get(id(node), owner)
+def _refs(node, owners, enclosing=()):
+    """(name, enclosing) for every name, attribute and imported name
+    under node; enclosing holds the entries of `owners` for the nodes
+    around it that have one, outermost first."""
+    if id(node) in owners:
+        enclosing += (owners[id(node)],)
     name = (node.id if isinstance(node, ast.Name) else
             node.attr if isinstance(node, ast.Attribute) else
             node.name if isinstance(node, ast.alias) else None)
     if name is not None:
-        yield name, owner
+        yield name, enclosing
     for child in ast.iter_child_nodes(node):
-        yield from _refs(child, owners, owner)
+        yield from _refs(child, owners, enclosing)
 
 
 def _module(path):
@@ -60,13 +55,14 @@ def _overrides(path, cls, name):
 
 
 def _definitions(path, module, tree):
-    """(owner, node) for each top-level function and each method that is
-    neither a dunder nor a base-class override; owner is (module, name)
-    with name "Class.method" for a method."""
+    """(owner, node) for each top-level function and class and each
+    method that is neither a dunder nor a base-class override; owner is
+    (module, name) with name "Class.method" for a method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield (module, node.name), node
         elif isinstance(node, ast.ClassDef):
+            yield (module, node.name), node
             for sub in node.body:
                 if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (sub.name.startswith("__")
@@ -76,11 +72,12 @@ def _definitions(path, module, tree):
 
 
 def unused_functions(src=SRC, callers=(CALLERS,)):
-    """(module, function) pairs, "Class.method" for a method, that
-    nothing in ``src`` or in the directories ``callers`` refers to,
-    other than functions that are themselves unused."""
+    """(module, name) pairs of classes, functions and methods
+    ("Class.method") that nothing in ``src`` or in the directories
+    ``callers`` refers to, other than definitions that are themselves
+    unused."""
     defined = []  # (module, name)
-    refs = []     # (name, owner), owner the enclosing function or None
+    refs = []     # (name, enclosing definitions)
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         owners = {id(node): owner
@@ -89,12 +86,12 @@ def unused_functions(src=SRC, callers=(CALLERS,)):
         refs += _refs(tree, owners)
     for path in sorted(p for d in callers for p in d.glob("*.py")):
         refs += _refs(ast.parse(path.read_text()), {})
-    candidates = [f for f in defined if f[0] not in ALLOWED_MODULES]
     dead: list = []
     while True:
-        newly = [f for f in candidates if f not in dead and not any(
-            ref == f[1].rpartition(".")[2] and owner != f
-            and owner not in dead for ref, owner in refs)]
+        newly = [f for f in defined if f not in dead and not any(
+            ref == f[1].rpartition(".")[2] and f not in enclosing
+            and not any(owner in dead for owner in enclosing)
+            for ref, enclosing in refs)]
         if not newly:
             return dead
         dead += newly
@@ -125,7 +122,7 @@ def test_guard_sees_an_unused_method(tmp_path):
         "    def timed(self):\n        return 2\n\n\n"
         "class Encoder(json.JSONEncoder):\n"
         "    def default(self, o):\n        return str(o)\n\n\n"
-        "VALUE = Box().used()\n")
+        "VALUE = Box().used()\nENCODER = Encoder()\n")
     # dunders and overrides of a base class's methods are exempt
     assert unused_functions(tmp_path, ()) == [("klass", "Box.unused"),
                                               ("klass", "Box.timed")]
@@ -134,3 +131,17 @@ def test_guard_sees_an_unused_method(tmp_path):
     bench.mkdir()
     (bench / "run.py").write_text("from klass import Box\nBox().timed()\n")
     assert unused_functions(tmp_path, (bench,)) == [("klass", "Box.unused")]
+
+
+def test_guard_sees_an_unused_class(tmp_path):
+    (tmp_path / "kinds.py").write_text(
+        "class Unused:\n"
+        "    def make(self):\n        return Unused(), Helper()\n\n\n"
+        "class Helper:\n    pass\n\n\n"
+        "class Used:\n    pass\n\n\n"
+        "VALUE = Used()\n")
+    # `Unused` is named only in its own body, and `Helper` only in the
+    # body of `Unused`
+    assert unused_functions(tmp_path, ()) == [("kinds", "Unused"),
+                                              ("kinds", "Unused.make"),
+                                              ("kinds", "Helper")]

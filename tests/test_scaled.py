@@ -20,14 +20,14 @@ def test_make_normalizes_mantissa():
 
 def test_from_complex_and_to_complex_roundtrip():
     for w in (1.5 - 2.5j, -1e-8j, 42.0):
-        assert close(ScaledValue.from_complex(w), w)
+        assert close(ScaledValue.make(w), w)
 
 
 def test_zero_handling():
-    z = ScaledValue.from_complex(0.0)
+    z = ScaledValue.make(0.0)
     assert z.is_zero
     assert z.to_complex() == 0.0
-    assert (z + ScaledValue.from_complex(2.0)).to_complex() == 2.0
+    assert (z + ScaledValue.make(2.0)).to_complex() == 2.0
 
 
 def test_arithmetic_matches_complex():
@@ -70,7 +70,7 @@ def test_addition_rebases_to_larger_exponent():
 
 def test_divide_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        ScaledValue.from_complex(1.0) / ScaledValue.from_complex(0.0)
+        ScaledValue.make(1.0) / ScaledValue.make(0.0)
 
 
 def test_exp_consistency_with_cmath():
