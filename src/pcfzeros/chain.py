@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import pcf, taylor
 from .config import ChainConfig, DEFAULT_CONFIG, MAX_ZEROS
 from .errors import (ConvergenceError, HermiteParameterError,
@@ -224,7 +222,9 @@ def run_chain(a: float, L: float,
             f"a={a} is a Hermite case -k+1/2; the zero strings degenerate")
     if L <= 0:
         raise ValueError("L must be positive")
-    if max_zero_index(a, L) > MAX_ZEROS:
+    # max_zero_index(a, L) > MAX_ZEROS, compared as a float because the
+    # index of a large finite L overflows to inf
+    if _string_index(a, L) >= MAX_ZEROS + 1:
         raise ValueError(f"a={a}, L={L} holds more than {MAX_ZEROS} zeros")
 
     _, z_est = first_zero_estimate(a, L)
@@ -267,6 +267,7 @@ def verify_zeros(a: float, zeros: list[ZeroRecord],
     if len(zeros) < 2:
         ests = [_estimate(a, rec.z, None, cfg) for rec in zeros]
     else:
+        import numpy as np   # here only: run_chain and evaluate never need it
         z = np.array([rec.z for rec in zeros], dtype=complex)
         anchor = np.concatenate((z[1:2], z[:-1]))
         y, yp, ok = taylor.step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor,

@@ -1,88 +1,87 @@
 """Exact-rational coefficient polynomials for the Liouville-Green expansions.
 
 Two families of polynomials in the variable b (the scaled LG variable,
-written beta-bar elsewhere) are built with `fractions.Fraction`
-arithmetic: the base family used for the function expansions and a
-tilde family used for the derivative expansions.  Both satisfy an
-integro-differential recurrence that keeps every coefficient an exact
-rational; floats only appear when a polynomial is evaluated.
+written beta-bar elsewhere) are built in exact rational arithmetic: the
+base family used for the function expansions and a tilde family used
+for the derivative expansions.  Both satisfy an integro-differential
+recurrence that keeps every coefficient an exact rational; floats only
+appear when a polynomial is evaluated.
 
-A polynomial is stored as a list of Fractions in ascending powers.
+A polynomial is held in integers alone, as a pair (numerators,
+denominator): its coefficients in ascending powers are n / denominator
+for n in numerators, over one positive common denominator, reduced so
+that no integer greater than 1 divides the denominator and every
+numerator.  A coefficient's float is n / denominator, which Python
+rounds correctly, as it rounds float(Fraction(n, denominator)).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-Poly = list[Fraction]
-
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
+Poly = tuple[list[int], int]
 
 
-def _trim(p: Poly) -> Poly:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _reduce(nums: list[int], den: int) -> Poly:
+    """(nums, den) with trailing zero numerators dropped and the common
+    factor of den and the numerators divided out; den must be positive."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    return [n // g for n in nums], den // g
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    out = [_ZERO] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def poly_scale(p: Poly, c: Fraction) -> Poly:
-    return _trim([c * a for a in p])
-
-
-def poly_diff(p: Poly) -> Poly:
-    return _trim([k * p[k] for k in range(1, len(p))])
-
-
-def poly_antideriv(p: Poly) -> Poly:
-    """Antiderivative with zero constant term."""
-    return _trim([_ZERO] + [p[k] / (k + 1) for k in range(len(p))])
-
-
-def poly_eval_exact(p: Poly, x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(p):
+def _horner(nums: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(nums):
         acc = acc * x + c
     return acc
 
 
-def poly_integral_from(p: Poly, lower: Fraction) -> Poly:
-    """Definite integral of p from `lower` to the variable, as a polynomial."""
-    F = poly_antideriv(p)
-    return poly_add(F, [-poly_eval_exact(F, lower)])
+def poly_add(p: Poly, q: Poly) -> Poly:
+    (pn, pd), (qn, qd) = p, q
+    den = math.lcm(pd, qd)
+    out = [0] * max(len(pn), len(qn))
+    for nums, d in ((pn, pd), (qn, qd)):
+        f = den // d
+        for i, c in enumerate(nums):
+            out[i] += c * f
+    return _reduce(out, den)
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    (pn, pd), (qn, qd) = p, q
+    out = [0] * max(len(pn) + len(qn) - 1, 0)
+    for i, a in enumerate(pn):
+        if a:
+            for j, b in enumerate(qn):
+                out[i + j] += a * b
+    return _reduce(out, pd * qd)
+
+
+def poly_scale(p: Poly, num: int, den: int) -> Poly:
+    """p times num/den, den positive."""
+    return _reduce([num * c for c in p[0]], p[1] * den)
+
+
+def poly_diff(p: Poly) -> Poly:
+    nums, den = p
+    return _reduce([k * nums[k] for k in range(1, len(nums))], den)
+
+
+def poly_integral_from(p: Poly, lower: int) -> Poly:
+    """Definite integral of p from the integer `lower` to the variable,
+    as a polynomial."""
+    nums, den = p
+    m = math.lcm(*range(1, len(nums) + 1))
+    out = [0] + [c * (m // (k + 1)) for k, c in enumerate(nums)]
+    out[0] = -_horner(out, lower)
+    return _reduce(out, den * m)
 
 
 # (b^2 - 1)^2, shared by both recurrences.
-_W = [Fraction(1), _ZERO, Fraction(-2), _ZERO, Fraction(1)]
-
-
-def _sigma(s: int) -> Fraction:
-    # lower integration limit: 1 for s odd, 0 for s even
-    return Fraction(1) if s % 2 == 1 else _ZERO
+_W: Poly = ([1, 0, -2, 0, 1], 1)
 
 
 def build_tables(S: int, tilde: bool = False) -> list[Poly]:
@@ -96,32 +95,30 @@ def build_tables(S: int, tilde: bool = False) -> list[Poly]:
         F_{s+1} = +-(1/2) (b^2-1)^2 F_s' +- (1/2) Int_{sigma(s)}^{b} (p^2-1)^2
                   sum_{j=1}^{s-1} F_j'(p) F_{s-j}'(p) dp,
     with the upper signs for the base family and the lower ones for the
-    tilde family.
+    tilde family, and the lower limit sigma(s) = 1 for s odd, 0 for s
+    even.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
     if tilde:
-        half, c3 = -_HALF, Fraction(7, 24)
-        inner = [Fraction(2), _ZERO, Fraction(-7)]
+        sign, c3, inner = -1, 7, [2, 0, -7]
     else:
-        half, c3 = _HALF, Fraction(5, 24)
-        inner = [Fraction(-2), _ZERO, Fraction(5)]
-    F: list[Poly] = [[_ZERO, Fraction(-1, 4), _ZERO, c3]]
+        sign, c3, inner = 1, 5, [-2, 0, 5]
+    F: list[Poly] = [([0, -6, 0, c3], 24)]
     if S >= 2:
-        F.append(poly_scale(poly_mul(_W, inner), Fraction(1, 16)))
+        F.append(poly_mul(_W, (inner, 16)))
     dF = [poly_diff(p) for p in F]
     for s in range(2, S):
         # builds F_{s+1} (index s in the 0-based list)
-        term = poly_scale(poly_mul(_W, dF[s - 1]), half)
+        term = poly_scale(poly_mul(_W, dF[s - 1]), sign, 2)
         # the convolution is symmetric in j <-> s - j: each pair once, doubled
-        conv: Poly = []
+        conv: Poly = ([], 1)
         for j in range(1, s // 2 + 1):
             prod = poly_mul(dF[j - 1], dF[s - j - 1])
-            conv = poly_add(conv, prod if 2 * j == s else poly_add(prod, prod))
-        if conv:
-            integrand = poly_mul(_W, conv)
+            conv = poly_add(conv, poly_scale(prod, 1 if 2 * j == s else 2, 1))
+        if conv[0]:
             term = poly_add(term, poly_scale(
-                poly_integral_from(integrand, _sigma(s)), half))
+                poly_integral_from(poly_mul(_W, conv), s % 2), sign, 2))
         F.append(term)
         dF.append(poly_diff(term))
     return F[:S]
@@ -133,8 +130,9 @@ class LGCoeffTables:
 
     `E_float[s-1]` / `Etilde_float[s-1]` hold the coefficients of the
     order-s polynomials of the base and tilde families, and `E_at_m1`,
-    `Etilde_at_p1` the constant anchors E_s(-1), Et_s(1), so evaluation
-    never touches Fractions.
+    `Etilde_at_p1` the constant anchors E_s(-1), Et_s(1), each the
+    correctly rounded float of the exact rational, so evaluation never
+    touches the integer polynomials.
     """
     S: int
     E_float: tuple[tuple[float, ...], ...]
@@ -157,8 +155,8 @@ def make_tables(S: int) -> LGCoeffTables:
     Et = build_tables(S, tilde=True)
     return LGCoeffTables(
         S=S,
-        E_float=tuple(tuple(float(c) for c in p) for p in E),
-        Etilde_float=tuple(tuple(float(c) for c in p) for p in Et),
-        E_at_m1=tuple(float(poly_eval_exact(p, Fraction(-1))) for p in E),
-        Etilde_at_p1=tuple(float(poly_eval_exact(p, Fraction(1))) for p in Et),
+        E_float=tuple(tuple(n / d for n in nums) for nums, d in E),
+        Etilde_float=tuple(tuple(n / d for n in nums) for nums, d in Et),
+        E_at_m1=tuple(_horner(nums, -1) / d for nums, d in E),
+        Etilde_at_p1=tuple(_horner(nums, 1) / d for nums, d in Et),
     )

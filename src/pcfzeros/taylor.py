@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _taylor_py
 from .errors import StepFailureError
 
@@ -59,6 +57,7 @@ def step(state: TaylorState, h: complex) -> tuple[complex, complex]:
 def _cabs(x):
     """|x| elementwise, rounded as Python's abs(complex) is: np.abs can
     differ from it in the last bit, which would move the tail test."""
+    import numpy as np
     return np.hypot(x.real, x.imag)
 
 
@@ -74,6 +73,7 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
     or `propagate` take several steps, and (y, yprime) are not to be
     used.
     """
+    import numpy as np   # the batched step is the package's one numpy user
     z0 = np.asarray(z0, dtype=complex)
     h = np.asarray(h, dtype=complex)
     n = order + 1

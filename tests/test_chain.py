@@ -137,6 +137,9 @@ def test_run_chain_rejects_domain_over_zero_cap(monkeypatch):
         assert max_zero_index(a, L) > MAX_ZEROS
         with pytest.raises(ValueError, match=str(MAX_ZEROS)):
             run_chain(a, L)
+    # L*L overflows to inf here; the check still raises its ValueError
+    with pytest.raises(ValueError, match=str(MAX_ZEROS)):
+        run_chain(-1.7, 1e200)
     # a domain at the cap gets past the check
     assert max_zero_index(1.0, 7926.0) <= MAX_ZEROS
     with pytest.raises(AssertionError, match="refine_first_zero ran"):

@@ -10,7 +10,7 @@ import pytest
 
 from pcfzeros import chain, cli
 from pcfzeros.cli import main
-from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
+from pcfzeros.config import DEFAULT_CONFIG, MAX_ZEROS, ChainConfig
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
                              StepFailureError)
 
@@ -184,6 +184,16 @@ def test_domain_over_zero_cap_exits_1(monkeypatch, capsys):
     code, out, err = run(["--a", "1", "--L", "1e5"], capsys)
     assert code == 1
     assert "zeros" in err
+    assert out == ""
+
+
+def test_overflowing_zero_index_exits_1(capsys):
+    # the zero index of L = 1e200 overflows to inf; main returns rather
+    # than raising, with the zero-cap message
+    code, out, err = run(["--a", "-1.7", "--L", "1e200"], capsys)
+    assert code == 1
+    assert err == ("pcfzeros: a=-1.7, L=1e+200 holds more than "
+                   f"{MAX_ZEROS} zeros\n")
     assert out == ""
 
 

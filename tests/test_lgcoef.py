@@ -1,13 +1,29 @@
 """Coefficient tables: independent symbolic oracle, parity, anchors."""
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import sympy as sp
 
-from pcfzeros.lgcoef import build_tables, make_tables, poly_eval_exact
+from pcfzeros import lgcoef
+from pcfzeros.lgcoef import make_tables
 
 ORACLE_S = 12
 FULL_S = 12
+
+
+def build_tables(S, tilde=False):
+    """`lgcoef.build_tables` with each polynomial's integer numerators
+    over its common denominator turned into exact Fractions."""
+    return [[Fraction(n, den) for n in nums]
+            for nums, den in lgcoef.build_tables(S, tilde)]
+
+
+def poly_eval_exact(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 @lru_cache(maxsize=2)
@@ -105,6 +121,16 @@ def test_tables_are_cached_and_consistent():
             poly_eval_exact(E[s - 1], Fraction(-1)))
         assert t1.Etilde_at_p1[s - 1] == float(
             poly_eval_exact(Et[s - 1], Fraction(1)))
+
+
+def test_integer_form_is_reduced():
+    # each polynomial: a positive denominator with no factor common to
+    # all its numerators, and no trailing zero numerator
+    for tilde in (False, True):
+        for nums, den in lgcoef.build_tables(FULL_S, tilde):
+            assert den > 0
+            assert math.gcd(den, *nums) == 1
+            assert nums and nums[-1] != 0
 
 
 def test_eval_matches_exact_evaluation():
