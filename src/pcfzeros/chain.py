@@ -60,11 +60,20 @@ def fixed_point_T(a: float, z: complex, Q: complex) -> complex:
     return z - cmath.atan(arg) / w
 
 
+def _too_many_zeros(a: float, L: float) -> ValueError:
+    return ValueError(f"a={a}, L={L} holds more than {MAX_ZEROS} zeros")
+
+
 def _string_index(a: float, L: float) -> float:
     """Real index x of the string zero at the corner -L + iL, from the
     first-term zero asymptotics i z^2/2 = (2x + 1/2 - |a|) pi: the
-    corner gives i z^2/2 = L^2, so x = (L^2/pi - 1/2 + |a|)/2."""
-    return (L * L / math.pi - 0.5 + abs(a)) / 2.0
+    corner gives i z^2/2 = L^2, so x = (L^2/pi - 1/2 + |a|)/2.  Raises
+    the ValueError of a box past MAX_ZEROS where x overflows to inf, as
+    L*L does for a large finite L."""
+    x = (L * L / math.pi - 0.5 + abs(a)) / 2.0
+    if math.isinf(x):
+        raise _too_many_zeros(a, L)
+    return x
 
 
 def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
@@ -222,10 +231,8 @@ def run_chain(a: float, L: float,
             f"a={a} is a Hermite case -k+1/2; the zero strings degenerate")
     if L <= 0:
         raise ValueError("L must be positive")
-    # max_zero_index(a, L) > MAX_ZEROS, compared as a float because the
-    # index of a large finite L overflows to inf
-    if _string_index(a, L) >= MAX_ZEROS + 1:
-        raise ValueError(f"a={a}, L={L} holds more than {MAX_ZEROS} zeros")
+    if max_zero_index(a, L) > MAX_ZEROS:
+        raise _too_many_zeros(a, L)
 
     _, z_est = first_zero_estimate(a, L)
     z0, first_iters, _ = refine_first_zero(a, z_est, cfg)

@@ -1,9 +1,14 @@
 """Liouville-Green asymptotic evaluation for large positive parameter.
 
-One step per point and one evaluator per solution, each evaluator
-returning the pair (U, U') as :class:`ScaledValue` results, since the
-prefactors overflow doubles long before the series lose accuracy:
+One step per parameter, one per point and one evaluator per solution,
+each evaluator returning the pair (U, U') as :class:`ScaledValue`
+results, since the prefactors overflow doubles long before the series
+lose accuracy:
 
+- :func:`parameter` computes, once per u and truncation order, every
+  constant that does not depend on the point: sqrt(2u), the anchor sums,
+  the quarter-pi phases, the log prefactor and the gamma factor of the
+  negative-parameter route;
 - :func:`point` maps z to zhat and computes the geometry in
   double-double precision and, for each coefficient family, the three
   truncated sums the expansions are built from; it does not check the
@@ -27,11 +32,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import _dd
 from .errors import TruncationWarning
-from .lgcoef import LGCoeffTables
+from .lgcoef import LGCoeffTables, make_tables
 from .scaled import ScaledValue
 
 U_MIN = 36.0          # smallest parameter the expansions are trusted at
@@ -82,18 +88,62 @@ def _sum_anchor(tables: LGCoeffTables, u: float, tilde: bool) -> float:
     return _truncated_sum(anchors[0::2], u, 1).real
 
 
-def _geometry_dd(u: float, z: complex):
+class LGParameter(NamedTuple):
+    """What the expansions share at one parameter u and truncation order,
+    whatever the point; see :func:`parameter`."""
+    u: float
+    tables: LGCoeffTables
+    s2u: tuple[float, float]      # sqrt(2u) as a double-double
+    anchors: tuple[float, float]  # odd-order anchor sums, base then tilde
+    qpi: tuple[float, float]      # (u+1)*pi/4 as a double-double
+    # cosine-form, then sine-form, factor of the oscillatory mantissa
+    osc: tuple[complex, complex]
+    # log of (2e/u)^(u/4) / (2u)^(1/4), the prefactor of the U forms,
+    # then of (2e/u)^(u/4) * (2u)^(1/4), that of the U' forms
+    e: tuple[float, float]
+    inv_gamma: ScaledValue        # the factor 1/gamma of the a < 0 route
+    rot: complex                  # e^{-i pi u/2}
+
+
+@lru_cache(maxsize=64)
+def parameter(u: float, S: int) -> LGParameter:
+    """Every constant of the expansions that depends on u and the order
+    S alone, computed once for all the points at that parameter.
+
+    At the default order the anchor sums never warn: their last term is
+    1.5e-17 at u = U_MIN and falls as u grows, so caching them loses no
+    TruncationWarning.
+    """
+    tables = make_tables(S)
+    anchors = (_sum_anchor(tables, u, False), _sum_anchor(tables, u, True))
+    qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
+    qpm = _dd.dd_mul_d((math.pi, _PI_LO), -0.25 * (u - 1.0))
+    lq = 0.25 * math.log(2.0 * u)
+    log_pref = 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
+    # 1/gamma = -i e^{(u/4+1/4) pi i} Gamma(u/2+1/2) / sqrt(2 pi), with
+    # the Gamma expressed through its scaled asymptotic ratio
+    inv_gamma = ScaledValue.make(
+        -1j * cmath.exp(0.25j * math.pi * (u + 1.0)) / gamma_ratio(u, tables),
+        0.5 * u * (math.log(0.5 * u) - 1.0))
+    return LGParameter(
+        u, tables, _dd.dd_sqrt((2.0 * u, 0.0)), anchors, qpi,
+        (2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1]),
+         -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1])),
+        (log_pref - lq, log_pref + lq), inv_gamma,
+        cmath.exp(-0.5j * math.pi * u))
+
+
+def _geometry_dd(par: LGParameter, z: complex):
     """Geometry from the physical argument z = sqrt(2u)*zhat.
 
     The scaling, the LG variable xi and the phase u*xi are carried in
     double-double precision: for |z| ~ 100 and u ~ 40 the phase reaches
     a few thousand, where plain double rounding of xi alone already
     costs ~3e-13 of relative accuracy in the oscillatory factors.
-    Returns (beta, phi, quarter, log2u_quarter) with phi = u*xi
-    as a (hi, lo) complex pair and everything else plain doubles.
+    Returns (beta, phi, quarter) with phi = u*xi as a (hi, lo) complex
+    pair and the others plain doubles.
     """
-    s2u = _dd.dd_sqrt((2.0 * u, 0.0))
-    zh = _dd.cdd_div_dd((complex(z), 0j), s2u)
+    zh = _dd.cdd_div_dd((complex(z), 0j), par.s2u)
     zhat = zh[0] + zh[1]
     w2 = _dd.cdd_add(_dd.cdd_mul(zh, zh), (1.0 + 0j, 0j))
     wdd = _dd.cdd_sqrt(w2)
@@ -101,10 +151,9 @@ def _geometry_dd(u: float, z: complex):
     beta = zhat / w
     asinh = _dd.cdd_log(_dd.cdd_add(zh, wdd))
     xi = _dd.cdd_mul_d(_dd.cdd_add(_dd.cdd_mul(zh, wdd), asinh), 0.5)
-    phi = _dd.cdd_mul_d(xi, u)
+    phi = _dd.cdd_mul_d(xi, par.u)
     quarter = cmath.sqrt(w)
-    log2u_quarter = 0.25 * math.log(2.0 * u)
-    return beta, phi, quarter, log2u_quarter
+    return beta, phi, quarter
 
 
 def _scaled_trig_dd(xr, xim, sine: bool):
@@ -120,58 +169,48 @@ def _scaled_trig_dd(xr, xim, sine: bool):
     return mant, m
 
 
-def _log_pref(u: float) -> float:
-    # log of (2e/u)^(u/4)
-    return 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
-
-
 class LGPoint(NamedTuple):
     """What the expansions at one point share; see :func:`point`."""
-    u: float
+    par: LGParameter
     phi: tuple[complex, complex]  # u*xi as a double-double (hi, lo) pair
     quarter: complex              # (1 + zhat^2)^(1/4)
-    lq: float                     # log(2u)/4
     # per family, base then tilde: the even-order sum, the odd-order
     # sum (negated for the base family) and the odd-order anchor sum
     sums: tuple[tuple[complex, complex, float], ...]
 
 
-def point(u: float, z: complex, tables: LGCoeffTables) -> LGPoint:
+def point(par: LGParameter, z: complex) -> LGPoint:
     """The geometry of :func:`_geometry_dd` and the coefficient sums at
     the physical argument z = sqrt(2u)*zhat, computed once for both
     evaluators.  Unchecked precondition: u >= U_MIN, and zhat in the
     closed second quadrant, off the imaginary axis and clear of the
     turning point i, as `pcf._in_lg_region` admits."""
-    beta, phi, quarter, lq = _geometry_dd(u, z)
+    beta, phi, quarter = _geometry_dd(par, z)
     sums = []
     for tilde in (False, True):
-        s_odd = _sum_beta(tables, u, beta, tilde, 1)
-        sums.append((_sum_beta(tables, u, beta, tilde, 2),
+        s_odd = _sum_beta(par.tables, par.u, beta, tilde, 1)
+        sums.append((_sum_beta(par.tables, par.u, beta, tilde, 2),
                      s_odd if tilde else -s_odd,
-                     _sum_anchor(tables, u, tilde)))
-    return LGPoint(u, phi, quarter, lq, tuple(sums))
+                     par.anchors[tilde]))
+    return LGPoint(par, phi, quarter, tuple(sums))
 
 
 def _oscillatory(pt: LGPoint, tilde: bool) -> ScaledValue:
     """U from the cosine form or, with ``tilde``, U' from the sine form."""
-    u, phi = pt.u, pt.phi
+    par, phi = pt.par, pt.phi
     s_even, s_odd, s_anchor = pt.sums[tilde]
-    qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
     # x = i*u*xi + (u+1)*pi/4 + i*s_odd, assembled in dd (s_odd carries
     # the sign of its family)
-    xr = _dd.dd_add(_dd.dd_add((-phi[0].imag, -phi[1].imag), qpi),
+    xr = _dd.dd_add(_dd.dd_add((-phi[0].imag, -phi[1].imag), par.qpi),
                     (-s_odd.imag, 0.0))
     xim = _dd.dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
     trig_m, trig_e = _scaled_trig_dd(xr, xim, sine=tilde)
     if tilde:
-        qpm = _dd.dd_mul_d((math.pi, _PI_LO), -0.25 * (u - 1.0))
-        mant = -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1]) * pt.quarter
-        e = (_log_pref(u) + pt.lq, 0.0)
+        mant = par.osc[1] * pt.quarter
     else:
-        mant = (2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1])
-                / pt.quarter)
-        e = (_log_pref(u) - pt.lq, 0.0)
+        mant = par.osc[0] / pt.quarter
     mant *= cmath.exp(1j * s_even.imag) * trig_m
+    e = (par.e[tilde], 0.0)
     for term in (s_even.real, s_anchor, trig_e):
         e = _dd.dd_add(e, (term, 0.0))
     return ScaledValue.make(mant * math.exp(e[1]), e[0])
@@ -186,11 +225,10 @@ def _recessive(pt: LGPoint, tilde: bool) -> ScaledValue:
     mant = cmath.exp(1j * ph[0]) * cmath.exp(1j * ph[1])
     if tilde:
         mant *= -0.5 * pt.quarter
-        e = (_log_pref(pt.u) + pt.lq, 0.0)
     else:
         mant /= pt.quarter
-        e = (_log_pref(pt.u) - pt.lq, 0.0)
-    e = _dd.dd_add(_dd.dd_add(e, (pt.phi[0].real, pt.phi[1].real)),
+    e = _dd.dd_add(_dd.dd_add((pt.par.e[tilde], 0.0),
+                              (pt.phi[0].real, pt.phi[1].real)),
                    (f.real, 0.0))
     return ScaledValue.make(mant * math.exp(e[1]), e[0])
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import lgeval, taylor
 from .config import ChainConfig, DEFAULT_CONFIG, Z_MAX
 from .errors import RegionError
-from .lgcoef import make_tables
 from .scaled import ScaledValue
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -224,12 +223,11 @@ def _in_lg_region(a: float, z: complex) -> bool:
 
 
 def _evaluate_lg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
-    u = 2.0 * a
-    tables = make_tables(cfg.lg_order)
+    par = lgeval.parameter(2.0 * a, cfg.lg_order)
     conj = z.imag < 0.0
     if conj:
         z = z.conjugate()
-    U, Up = lgeval.eval_pair(lgeval.point(u, z, tables))
+    U, Up = lgeval.eval_pair(lgeval.point(par, z))
     if conj:
         U = U.conjugate()
         Up = Up.conjugate()
@@ -244,26 +242,17 @@ def _evaluate_lg_neg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     U(u/2, -i w) and U(-u/2, w) is solved for the last term; both
     right-hand values map to the same hatted variable in the second
     quadrant, where the oscillatory and single-exponential expansions
-    apply respectively, from one `lgeval.point`.
+    apply respectively, from one `lgeval.point`.  The factors that
+    depend on u alone come from `lgeval.parameter`.
     """
-    u = -2.0 * a
-    tables = make_tables(cfg.lg_order)
+    par = lgeval.parameter(-2.0 * a, cfg.lg_order)
     conj = z.imag < 0.0
     w = z.conjugate() if conj else z
-    pt = lgeval.point(u, complex(-w.imag, -w.real), tables)
+    pt = lgeval.point(par, complex(-w.imag, -w.real))
     T1, D1 = (v.conjugate() for v in lgeval.eval_pair(pt))
     T2, D2 = (v.conjugate() for v in lgeval.eval_pair_negarg(pt))
-
-    # 1/gamma = -i e^{(u/4+1/4) pi i} Gamma(u/2+1/2) / sqrt(2 pi), with
-    # the Gamma expressed through its scaled asymptotic ratio
-    gr = lgeval.gamma_ratio(u, tables)
-    inv_gamma = ScaledValue.make(
-        -1j * cmath.exp(0.25j * math.pi * (u + 1.0)) / gr,
-        0.5 * u * (math.log(0.5 * u) - 1.0))
-    phase = 1j * cmath.exp(-0.5j * math.pi * u)
-
-    U = (T1 + T2 * phase) * inv_gamma
-    Up = (D1 * 1j + D2 * cmath.exp(-0.5j * math.pi * u)) * inv_gamma
+    U = (T1 + T2 * (1j * par.rot)) * par.inv_gamma
+    Up = (D1 * 1j + D2 * par.rot) * par.inv_gamma
     if conj:
         U = U.conjugate()
         Up = Up.conjugate()

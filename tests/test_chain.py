@@ -82,6 +82,15 @@ def test_max_zero_index():
     assert max_zero_index(-1.7, 12.0) > 20
 
 
+@pytest.mark.parametrize("L", [1e200, math.inf])
+def test_index_overflow_raises_the_cap_error(L):
+    # L*L overflows to inf; each entry point raises run_chain's ValueError
+    # instead of an OverflowError from round or floor
+    for f in (first_zero_estimate, max_zero_index):
+        with pytest.raises(ValueError, match=str(MAX_ZEROS)):
+            f(-1.7, L)
+
+
 def test_run_chain_counts():
     assert len(run_chain(-1.7, 12.0)) == 23
     assert len(run_chain(2.3, 10.0)) == 16

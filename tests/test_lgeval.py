@@ -1,4 +1,5 @@
 """Liouville-Green evaluation: phase functions, regions, gamma ratio."""
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -7,20 +8,22 @@ import pytest
 from scipy.special import gammaln
 
 import pcfzeros.lgeval as lgeval
-from pcfzeros import pcf
+from pcfzeros import _dd, pcf
 from pcfzeros.config import DEFAULT_CONFIG
 from pcfzeros.lgcoef import LGCoeffTables, build_tables, make_tables
 from pcfzeros.lgeval import (_geometry_dd, eval_pair, eval_pair_negarg,
-                             gamma_ratio, point)
+                             gamma_ratio, parameter, point)
+from pcfzeros.scaled import ScaledValue
 
 mpmath = pytest.importorskip("mpmath")
 
-TABLES = make_tables(DEFAULT_CONFIG.lg_order)
+S = DEFAULT_CONFIG.lg_order
+TABLES = make_tables(S)
 
 
 def _geometry_at(u, zhat):
     """(beta, u*xi) at the scaled variable zhat, u*xi as one double."""
-    beta, phi, _, _ = _geometry_dd(u, math.sqrt(2.0 * u) * zhat)
+    beta, phi, _ = _geometry_dd(parameter(u, S), math.sqrt(2.0 * u) * zhat)
     return beta, phi[0] + phi[1]
 
 
@@ -106,14 +109,14 @@ def test_gamma_ratio_against_log_gamma():
 
 
 def test_eval_U_matches_mpmath():
-    # eval_pair(u, z)[0] computes U(u/2, z) in scaled form
+    # eval_pair(point)[0] computes U(u/2, z) in scaled form
     u = 40.0
     a = u / 2.0
     for zhat in (-0.8 + 0.9j, -1.5 + 0.3j, -0.3 + 1.6j):
         z = math.sqrt(2.0 * u) * zhat
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", lgeval.TruncationWarning)
-            got = eval_pair(point(u, z, TABLES))[0].to_complex()
+            got = eval_pair(point(parameter(u, S), z))[0].to_complex()
         want = complex(mpmath.pcfu(a, complex(z)))
         assert abs(got - want) < 1e-11 * abs(want), f"zhat={zhat}"
 
@@ -125,7 +128,7 @@ def test_eval_Uprime_matches_mpmath_derivative():
     z = math.sqrt(2.0 * u) * zhat
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", lgeval.TruncationWarning)
-        got = eval_pair(point(u, z, TABLES))[1].to_complex()
+        got = eval_pair(point(parameter(u, S), z))[1].to_complex()
     want = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), complex(z)))
     assert abs(got - want) < 1e-11 * abs(want)
 
@@ -140,7 +143,7 @@ def test_negated_argument_variant():
                          (100.0, -4.0 + 4.0j, 5e-14)):
         a = u / 2.0
         z = math.sqrt(2.0 * u) * zhat
-        U, Up = eval_pair_negarg(point(u, z, TABLES))
+        U, Up = eval_pair_negarg(point(parameter(u, S), z))
         with mpmath.workdps(30):
             t = mpmath.mpc(-z.real, -z.imag)
             want = complex(mpmath.pcfu(a, t))
@@ -183,8 +186,8 @@ def test_three_sums_add_to_the_full_order_sum():
                 z = math.sqrt(2.0 * u) * complex(re, im)
                 if not pcf._in_lg_region(-0.5 * u, complex(-z.imag, -z.real)):
                     continue
-                pt = point(u, z, TABLES)
-                beta = _geometry_dd(u, z)[0]
+                pt = point(parameter(u, S), z)
+                beta = _geometry_dd(parameter(u, S), z)[0]
                 for tilde in (False, True):
                     want = _full_sum_loop(TABLES, u, beta, tilde)
                     size = sum(abs(x) for x in pt.sums[tilde])
@@ -196,27 +199,89 @@ def test_three_sums_add_to_the_full_order_sum():
 
 @pytest.mark.filterwarnings("ignore::pcfzeros.errors.TruncationWarning")
 def test_negative_route_takes_one_point(monkeypatch):
-    # one geometry and one set of sums serve both expansions
+    # one geometry and one set of sums serve both expansions, and one
+    # parameter record, with its anchor sums, serves every point at that u
     geometries = []
     evals = []
+    anchor_sums = []
     geometry = lgeval._geometry_dd
     table_eval = LGCoeffTables.eval
+    sum_anchor = lgeval._sum_anchor
     monkeypatch.setattr(lgeval, "_geometry_dd",
                         lambda *args: geometries.append(1) or geometry(*args))
     monkeypatch.setattr(LGCoeffTables, "eval",
                         lambda *args: evals.append(1) or table_eval(*args))
-    for z in (-12.0 + 20.0j, -25.0 + 5.0j, -3.0 + 28.0j):
+    monkeypatch.setattr(
+        lgeval, "_sum_anchor",
+        lambda *args: anchor_sums.append(1) or sum_anchor(*args))
+    parameter.cache_clear()
+    for i, z in enumerate((-12.0 + 20.0j, -25.0 + 5.0j, -3.0 + 28.0j)):
         geometries.clear()
         evals.clear()
         pcf._evaluate_lg_neg(-30.2, z, DEFAULT_CONFIG)
         assert len(geometries) == 1
         assert len(evals) <= 2 * TABLES.S
+        if i == 0:
+            first = len(anchor_sums)
+    assert first > 0 and len(anchor_sums) == first
+    assert parameter.cache_info().misses == 1
+    parameter.cache_clear()
+
+
+def _parameter_oracle(u, S):
+    """The constants of `parameter`, each written out as the expression
+    the evaluators would compute at every point."""
+    tables = make_tables(S)
+    pi_dd = (math.pi, lgeval._PI_LO)
+    qpi = _dd.dd_mul_d(pi_dd, 0.25 * (u + 1.0))
+    qpm = _dd.dd_mul_d(pi_dd, -0.25 * (u - 1.0))
+    log_pref = 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
+    lq = 0.25 * math.log(2.0 * u)
+    gr = math.exp(2.0 * lgeval._sum_anchor(tables, u, False))
+    return lgeval.LGParameter(
+        u=u,
+        tables=tables,
+        s2u=_dd.dd_sqrt((2.0 * u, 0.0)),
+        anchors=(lgeval._sum_anchor(tables, u, False),
+                 lgeval._sum_anchor(tables, u, True)),
+        qpi=qpi,
+        osc=(2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1]),
+             -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1])),
+        e=(log_pref - lq, log_pref + lq),
+        inv_gamma=ScaledValue.make(
+            -1j * cmath.exp(0.25j * math.pi * (u + 1.0)) / gr,
+            0.5 * u * (math.log(0.5 * u) - 1.0)),
+        rot=cmath.exp(-0.5j * math.pi * u))
+
+
+def test_parameter_matches_the_per_point_expressions():
+    # caching changes no bit of any constant
+    for u in (36.0, 40.0, 60.4, 4000.0):
+        assert parameter(u, S) == _parameter_oracle(u, S), u
+        assert parameter(u, S) is parameter(u, S)
+
+
+def test_anchor_sums_never_warn():
+    # `parameter` computes the odd-order anchor sums once per u, so a
+    # warning from them would fire once per u instead of once per point;
+    # they give none on the LG route.  Their terms |F_s(anchor)|/u^s fall
+    # as u grows, and the last one, the only one the sums can warn on, is
+    # 1.5e-17 at U_MIN (the one before it 2.1e-15), far below 1e-13
+    for anchors in (TABLES.E_at_m1, TABLES.Etilde_at_p1):
+        odd = anchors[0::2]
+        assert abs(odd[-1]) / lgeval.U_MIN ** (2 * len(odd) - 1) < 2e-17
+    parameter.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", lgeval.TruncationWarning)
+        for u in (lgeval.U_MIN, 36.4, 40.0, 60.4, 100.0, 1e3, 4000.0, 1e6):
+            parameter(u, S)
 
 
 def test_scaled_output_survives_extreme_parameters():
     # the raw function value overflows doubles here; the scaled form must not
     u = 4000.0
-    for sv in eval_pair(point(u, math.sqrt(2.0 * u) * (-1.0 + 1.0j), TABLES)):
+    for sv in eval_pair(point(parameter(u, S),
+                              math.sqrt(2.0 * u) * (-1.0 + 1.0j))):
         assert math.isfinite(abs(sv.mantissa))
         assert math.isfinite(sv.exponent)
         assert not sv.is_zero
@@ -227,10 +292,13 @@ def test_truncated_sum_warning():
     # degrades and must warn
     u = 36.0
     with pytest.warns(lgeval.TruncationWarning):
-        point(u, math.sqrt(2.0 * u) * (-0.3 + 1.2j), TABLES)
-    # the last retained terms reach 3e-10 here (the value is 2.4e-8 off)
-    with pytest.warns(lgeval.TruncationWarning):
-        pcf.evaluate(-18.2, -4.713 + 2.402j)
+        point(parameter(u, S), math.sqrt(2.0 * u) * (-0.3 + 1.2j))
+    # the last retained terms reach 3e-10 here (the value is 2.4e-8 off);
+    # they depend on the point, so a second call at the same a, which
+    # finds its parameter record cached, warns again
+    for _ in range(2):
+        with pytest.warns(lgeval.TruncationWarning):
+            pcf.evaluate(-18.2, -4.713 + 2.402j)
 
 
 def test_truncation_warning_measures_the_last_term():

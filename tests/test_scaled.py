@@ -77,3 +77,13 @@ def test_exp_consistency_with_cmath():
     # mantissa * exp(exponent) reproduces moderate values exactly enough
     sv = ScaledValue.make(1.0 - 2.0j, 3.0)
     assert close(sv, (1.0 - 2.0j) * cmath.exp(3.0))
+
+
+def test_fields_are_read_only():
+    sv = ScaledValue.make(1.0 - 2.0j, 3.0)
+    with pytest.raises(AttributeError):
+        sv.mantissa = 1.0 + 0j
+    with pytest.raises(AttributeError):
+        sv.exponent = 0.0
+    assert repr(ScaledValue(1j, 2.0)) == (
+        "ScaledValue(mantissa=1j, exponent=2.0)")
