@@ -3,7 +3,7 @@
 from .chain import (ZeroRecord, displace, first_zero_estimate,  # noqa: F401
                     fixed_point_T, refine_first_zero, run_chain,
                     verify_zeros)
-from .config import ChainConfig, DEFAULT_CONFIG  # noqa: F401
+from .config import DEFAULT_CONFIG  # noqa: F401
 from .errors import (ConvergenceError, HermiteParameterError,  # noqa: F401
                      PcfZerosError, RegionError, StepFailureError,
                      TruncationWarning, TurningPointError)

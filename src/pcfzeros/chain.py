@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import pcf, taylor
-from .config import ChainConfig, DEFAULT_CONFIG, MAX_ZEROS
+from .config import DELTA, EPS, MAX_ZEROS, TAYLOR_ORDER
 from .errors import (ConvergenceError, HermiteParameterError,
                      PcfZerosError, StepFailureError, TurningPointError)
 from .pcf import is_hermite, log_gamma
@@ -94,8 +94,7 @@ def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
     return m, _RAY * cmath.sqrt(2.0 * tau_m)
 
 
-def refine_first_zero(a: float, z0: complex,
-                      cfg: ChainConfig = DEFAULT_CONFIG):
+def refine_first_zero(a: float, z0: complex):
     """Fixed-point refinement of the first-zero estimate against absolute
     function values.  Returns (z, iterations, deltas)."""
     z = complex(z0)
@@ -104,7 +103,7 @@ def refine_first_zero(a: float, z0: complex,
     # walks zero by zero along the string before it locks on; allow for
     # that with a larger iteration budget than the inner loops need
     for it in range(1, 80 + 1):
-        v = pcf.evaluate(a, z, cfg)
+        v = pcf.evaluate(a, z)
         Q = (v.U / v.Uprime).to_complex()
         znew = fixed_point_T(a, z, Q)
         delta = abs(znew - z) / abs(z)
@@ -115,17 +114,16 @@ def refine_first_zero(a: float, z0: complex,
         # and ill conditioned), so once the step is small and no longer
         # shrinking the noise floor is reached; the chain refines every
         # later zero against Taylor-propagated values, which restores
-        # self-consistency at the eps level
+        # self-consistency at the EPS level
         stalled = (it >= 2 and delta < 3e-8
                    and delta > 0.25 * deltas[-2])
-        if delta <= cfg.eps or stalled:
+        if delta <= EPS or stalled:
             return z, it, tuple(deltas)
     raise ConvergenceError(
         f"first-zero refinement did not converge from {z0} (a={a})")
 
 
-def refine_from_previous(a: float, z_prev: complex, seed: complex,
-                         cfg: ChainConfig = DEFAULT_CONFIG):
+def refine_from_previous(a: float, z_prev: complex, seed: complex):
     """Inner fixed-point loop with U/U' Taylor-propagated from the
     previous zero, where (U, U') is normalized to (0, 1).
 
@@ -136,7 +134,7 @@ def refine_from_previous(a: float, z_prev: complex, seed: complex,
 
     Returns (z, iterations, deltas).
     """
-    state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, cfg.taylor_order)
+    state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, TAYLOR_ORDER)
     c = state.derivs
     taylor_eval = taylor.kernel.taylor_eval
     z = complex(seed)
@@ -152,7 +150,7 @@ def refine_from_previous(a: float, z_prev: complex, seed: complex,
         delta = abs(znew - z) / abs(z)
         deltas.append(delta)
         z = znew
-        if delta <= cfg.eps:
+        if delta <= EPS:
             return z, it, tuple(deltas)
     raise ConvergenceError(
         f"inner iteration did not converge near z={seed} (a={a})")
@@ -184,7 +182,7 @@ def _near_turning_point(a: float, z: complex) -> bool:
     return abs(z - z_t) * math.sqrt(abs(-0.25 * z * z - a)) < math.pi
 
 
-def _walk(a: float, z0: complex, direction: int, done, cfg: ChainConfig):
+def _walk(a: float, z0: complex, direction: int, done):
     """Zeros reached from z0 along the string, inward (direction 1) or
     outward (-1), as (z, iterations) pairs, up to the first one for which
     done(z) holds.
@@ -203,10 +201,10 @@ def _walk(a: float, z0: complex, direction: int, done, cfg: ChainConfig):
         seed = z_prev   # judged by the end rule if A(z_prev) = 0 gives none
         try:
             seed = displace(a, z_prev, direction)
-            znew, iters, _ = refine_from_previous(a, z_prev, seed, cfg)
+            znew, iters, _ = refine_from_previous(a, z_prev, seed)
             hop = seed - z_prev
             advance = ((znew - z_prev) * hop.conjugate()).real / abs(hop)
-            if advance < 10.0 * cfg.eps * abs(z_prev):
+            if advance < 10.0 * EPS * abs(z_prev):
                 raise ConvergenceError(
                     f"chain stalled or reversed at z={z_prev} (a={a})")
         except (ConvergenceError, StepFailureError, TurningPointError):
@@ -218,33 +216,44 @@ def _walk(a: float, z0: complex, direction: int, done, cfg: ChainConfig):
     return zeros
 
 
-def run_chain(a: float, L: float,
-              cfg: ChainConfig = DEFAULT_CONFIG) -> list[ZeroRecord]:
+def run_chain(a: float, L: float) -> list[ZeroRecord]:
     """All zeros of U(a,z) in the domain (Im z in [0,L], Re z < 0 for
     a < 0; Re z in [-L,0], Im z > 0 for a > 0), ordered along the chain.
-    A non-finite a or L, or a domain whose `max_zero_index` exceeds
-    MAX_ZEROS, raises ValueError before any zero is computed."""
+    L must exceed 2: a non-finite a or L, L <= 2, or a domain whose
+    `max_zero_index` exceeds MAX_ZEROS raises ValueError before any zero
+    is computed."""
     if not (math.isfinite(a) and math.isfinite(L)):
         raise ValueError(f"a={a} and L={L} must be finite")
     if is_hermite(a):
         raise HermiteParameterError(
             f"a={a} is a Hermite case -k+1/2; the zero strings degenerate")
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if L <= 2.0:
+        raise ValueError("L must exceed 2")
     if max_zero_index(a, L) > MAX_ZEROS:
         raise _too_many_zeros(a, L)
 
     _, z_est = first_zero_estimate(a, L)
-    z0, first_iters, _ = refine_first_zero(a, z_est, cfg)
+    z0, first_iters, _ = refine_first_zero(a, z_est)
+    # a real zero (a < 0) can come out with a tiny negative imaginary
+    # part; its conjugate is a zero too, and the walks start from that
+    # one so that they follow the string above the real axis
+    if z0.imag < 0:
+        z0 = z0.conjugate()
 
     # outward in case the refined first zero is not the outermost one
     # inside the domain; inward until the terminal axis, the real one
     # for a < 0 and the imaginary one otherwise
-    outward = _walk(a, z0, -1, lambda z: not _in_domain(a, L, z), cfg)
-    inward = _walk(
-        a, z0, 1, lambda z: (z.imag if a < 0 else -z.real) <= cfg.delta, cfg)
-    entries = [e for e in outward[::-1] + [(z0, first_iters)] + inward
-               if _in_domain(a, L, e[0])]
+    def on_axis(z):
+        return (z.imag if a < 0 else -z.real) <= DELTA
+
+    outward = _walk(a, z0, -1, lambda z: not _in_domain(a, L, z))
+    inward = _walk(a, z0, 1, on_axis)
+    entries = outward[::-1] + [(z0, first_iters)] + inward
+    # the string ends at its first zero on the terminal axis; a first
+    # zero refined onto a real zero inward of that end is not on it
+    end = next((i + 1 for i, (z, _) in enumerate(entries) if on_axis(z)),
+               len(entries))
+    entries = [e for e in entries[:end] if _in_domain(a, L, e[0])]
     # keep the innermost max_zero_index records; the box near the corner
     # can hold a few zeros beyond the one the index estimate starts at
     entries = entries[max(0, len(entries) - max_zero_index(a, L)):]
@@ -252,8 +261,7 @@ def run_chain(a: float, L: float,
             for i, (z, iters) in enumerate(entries)]
 
 
-def verify_zeros(a: float, zeros: list[ZeroRecord],
-                 cfg: ChainConfig = DEFAULT_CONFIG) -> list[ZeroRecord]:
+def verify_zeros(a: float, zeros: list[ZeroRecord]) -> list[ZeroRecord]:
     """Fill est_rel_error = |U / (z U')|, the inverse condition number of
     each zero.
 
@@ -272,31 +280,30 @@ def verify_zeros(a: float, zeros: list[ZeroRecord],
     is NaN; any other error propagates.
     """
     if len(zeros) < 2:
-        ests = [_estimate(a, rec.z, None, cfg) for rec in zeros]
+        ests = [_estimate(a, rec.z, None) for rec in zeros]
     else:
         import numpy as np   # here only: run_chain and evaluate never need it
         z = np.array([rec.z for rec in zeros], dtype=complex)
         anchor = np.concatenate((z[1:2], z[:-1]))
         y, yp, ok = taylor.step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor,
-                                      cfg.taylor_order)
+                                      TAYLOR_ORDER)
         ok &= yp != 0
         with np.errstate(divide="ignore", invalid="ignore"):
             ests = (np.abs(y / yp) / np.abs(z)).tolist()
         for i in np.flatnonzero(~ok).tolist():
-            ests[i] = _estimate(a, zeros[i].z, complex(anchor[i]), cfg)
+            ests[i] = _estimate(a, zeros[i].z, complex(anchor[i]))
     return [ZeroRecord(rec.index, rec.z, est, rec.inner_iterations)
             for rec, est in zip(zeros, ests)]
 
 
-def _estimate(a: float, z: complex, anchor: complex | None,
-              cfg: ChainConfig) -> float:
+def _estimate(a: float, z: complex, anchor: complex | None) -> float:
     """Estimate for one zero: Taylor propagation from a neighboring zero
     anchor, or absolute evaluation when there is none."""
     try:
         if anchor is None:
-            return pcf.relative_error_estimate(a, z, cfg)
+            return pcf.relative_error_estimate(a, z)
         y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [z],
-                                    cfg.taylor_order)
+                                    TAYLOR_ORDER)
     except PcfZerosError:
         return math.nan
     if yp == 0:

@@ -7,7 +7,6 @@ import sys
 import time
 
 from .chain import run_chain, verify_zeros
-from .config import DEFAULT_CONFIG, ChainConfig
 from .errors import HermiteParameterError, PcfZerosError
 
 CSV_HEADER = "index,re,im,est_rel_error,iterations"
@@ -36,11 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fill est_rel_error with each zero's self-consistency "
                         "estimate |U/(z U')| from its neighbouring zero "
                         "(does not see error carried along the chain)")
-    p.add_argument("--delta", type=float, default=DEFAULT_CONFIG.delta)
-    p.add_argument("--eps", type=float, default=DEFAULT_CONFIG.eps)
-    p.add_argument("--taylor-order", type=int,
-                   default=DEFAULT_CONFIG.taylor_order)
-    p.add_argument("--lg-order", type=int, default=DEFAULT_CONFIG.lg_order)
     p.add_argument("--out", type=str, default=None,
                    help="output path (default: stdout)")
     p.add_argument("--table", type=str, default=None,
@@ -48,18 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _make_config(args) -> ChainConfig:
-    return ChainConfig(eps=args.eps, delta=args.delta,
-                       taylor_order=args.taylor_order,
-                       lg_order=args.lg_order)
-
-
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None) -> int:
+    """Write text to out_path, or to stdout when it is None.  Returns 0,
+    or 1 after reporting on stderr that out_path cannot be written."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"pcfzeros: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _csv_report(zeros) -> str:
@@ -71,14 +66,10 @@ def _csv_report(zeros) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_report(a, L, cfg, zeros) -> str:
+def _json_report(a, L, zeros) -> str:
     doc = {
         "a": a,
         "L": L,
-        "config": {
-            "eps": cfg.eps, "delta": cfg.delta,
-            "taylor_order": cfg.taylor_order, "lg_order": cfg.lg_order,
-        },
         "zeros": [
             {"index": r.index,
              "re": float(_fmt(r.z.real)), "im": float(_fmt(r.z.imag)),
@@ -99,12 +90,12 @@ def _exit_status(exc: Exception) -> int:
     return 2
 
 
-def table_mode(path: str, cfg: ChainConfig, out_path: str | None) -> int:
+def table_mode(path: str, out_path: str | None) -> int:
     """One count row per 'a L' line.  A line that fails is reported on
     stderr with its line number and left out of the CSV; the exit status
     is the worst over all lines (1 for a malformed line, a Hermite
     parameter or another ValueError, 2 for any other error of this
-    package)."""
+    package, and 1 when out_path cannot be written)."""
     try:
         with open(path) as fh:
             raw = fh.readlines()
@@ -123,15 +114,14 @@ def table_mode(path: str, cfg: ChainConfig, out_path: str | None) -> int:
             if len(parts) != 2:
                 raise ValueError("expected two fields 'a L'")
             a, L = float(parts[0]), float(parts[1])
-            zeros = run_chain(a, L, cfg)
+            zeros = run_chain(a, L)
         except (PcfZerosError, ValueError) as exc:
             print(f"pcfzeros: {path}:{lineno}: {exc}", file=sys.stderr)
             status = max(status, _exit_status(exc))
             continue
         wall = time.perf_counter() - t0
         lines.append(f"{_fmt(a)},{_fmt(L)},{len(zeros)},{wall:.6f}")
-    _emit("\n".join(lines) + "\n", out_path)
-    return status
+    return max(status, _emit("\n".join(lines) + "\n", out_path))
 
 
 def main(argv=None) -> int:
@@ -141,32 +131,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 
-    try:
-        cfg = _make_config(args)
-    except ValueError as exc:
-        print(f"pcfzeros: invalid configuration: {exc}", file=sys.stderr)
-        return 1
-
     if args.table is not None:
-        return table_mode(args.table, cfg, args.out)
+        return table_mode(args.table, args.out)
 
     if args.a is None or args.L is None:
         print("pcfzeros: --a and --L are required", file=sys.stderr)
         return 1
 
     try:
-        zeros = run_chain(args.a, args.L, cfg)
+        zeros = run_chain(args.a, args.L)
         if args.verify:
-            zeros = verify_zeros(args.a, zeros, cfg)
+            zeros = verify_zeros(args.a, zeros)
     except (PcfZerosError, ValueError) as exc:
         print(f"pcfzeros: {exc}", file=sys.stderr)
         return _exit_status(exc)
 
     if args.format == "csv":
-        _emit(_csv_report(zeros), args.out)
-    else:
-        _emit(_json_report(args.a, args.L, cfg, zeros), args.out)
-    return 0
+        return _emit(_csv_report(zeros), args.out)
+    return _emit(_json_report(args.a, args.L, zeros), args.out)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,14 @@
-"""Run configuration shared by the evaluator, the zero chain and the CLI,
-and the size limits they share."""
+"""Tolerances and truncation orders shared by the evaluator and the zero
+chain, and the size limits they share."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+EPS = 1e-14             # fixed-point relative tolerance
+DELTA = 1e-4            # termination distance from the terminal axis
+TAYLOR_ORDER = 30       # truncation order of the Taylor steps
+LG_ORDER = 12           # truncation order of the LG coefficient tables
 
 MAX_ZEROS = 10_000_000      # cap on the zeros of one chain
 # |z| beyond which `pcf.evaluate` raises RegionError: the corner modulus
@@ -13,23 +18,12 @@ MAX_ZEROS = 10_000_000      # cap on the zeros of one chain
 Z_MAX = 1.01 * math.sqrt(2.0 * math.pi * (2 * MAX_ZEROS + 2.5))
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    """Tolerances and truncation orders for a run."""
-    eps: float = 1e-14          # fixed-point relative tolerance
-    delta: float = 1e-4         # termination distance from the terminal axis
-    taylor_order: int = 30
-    lg_order: int = 12          # truncation order of the LG coefficient tables
-
-    def __post_init__(self):
-        if not 0.0 < self.eps <= 1e-8:
-            raise ValueError("eps must lie in (0, 1e-8]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.taylor_order < 4:
-            raise ValueError("taylor_order must be >= 4")
-        if self.lg_order < 1:
-            raise ValueError("lg_order must be >= 1")
+class Settings(NamedTuple):
+    """Read-only record of the four constants above."""
+    eps: float
+    delta: float
+    taylor_order: int
+    lg_order: int
 
 
-DEFAULT_CONFIG = ChainConfig()
+DEFAULT_CONFIG = Settings(EPS, DELTA, TAYLOR_ORDER, LG_ORDER)

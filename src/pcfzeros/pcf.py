@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import lgeval, taylor
-from .config import ChainConfig, DEFAULT_CONFIG, Z_MAX
+from .config import LG_ORDER, TAYLOR_ORDER, Z_MAX
 from .errors import RegionError
 from .scaled import ScaledValue
 
@@ -172,8 +172,7 @@ def _path_waypoints(a: float, z: complex) -> list[complex]:
     return pts
 
 
-def evaluate(a: float, z: complex,
-             cfg: ChainConfig = DEFAULT_CONFIG) -> PcfValue:
+def evaluate(a: float, z: complex) -> PcfValue:
     """U(a,z) and U'(a,z) at a point of the closed left half-plane.
 
     The route follows from (a, z): the closed form at Hermite parameters
@@ -189,8 +188,8 @@ def evaluate(a: float, z: complex,
     if is_hermite(a):
         return _evaluate_hermite(a, z)
     if _in_lg_region(a, z):
-        return (_evaluate_lg if a > 0.0 else _evaluate_lg_neg)(a, z, cfg)
-    return _evaluate_taylor(a, z, cfg)
+        return (_evaluate_lg if a > 0.0 else _evaluate_lg_neg)(a, z)
+    return _evaluate_taylor(a, z)
 
 
 def _in_lg_region(a: float, z: complex) -> bool:
@@ -222,8 +221,8 @@ def _in_lg_region(a: float, z: complex) -> bool:
             and abs(zhat.real) >= 1e-13 and abs(zhat - 1j) >= r_turning)
 
 
-def _evaluate_lg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
-    par = lgeval.parameter(2.0 * a, cfg.lg_order)
+def _evaluate_lg(a: float, z: complex) -> PcfValue:
+    par = lgeval.parameter(2.0 * a, LG_ORDER)
     conj = z.imag < 0.0
     if conj:
         z = z.conjugate()
@@ -234,7 +233,7 @@ def _evaluate_lg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     return PcfValue(U, Up, "liouville-green")
 
 
-def _evaluate_lg_neg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
+def _evaluate_lg_neg(a: float, z: complex) -> PcfValue:
     """U(a,z), U'(a,z) for large negative a from the positive-parameter
     expansions through the parameter-connection relation.
 
@@ -245,7 +244,7 @@ def _evaluate_lg_neg(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
     apply respectively, from one `lgeval.point`.  The factors that
     depend on u alone come from `lgeval.parameter`.
     """
-    par = lgeval.parameter(-2.0 * a, cfg.lg_order)
+    par = lgeval.parameter(-2.0 * a, LG_ORDER)
     conj = z.imag < 0.0
     w = z.conjugate() if conj else z
     pt = lgeval.point(par, complex(-w.imag, -w.real))
@@ -283,25 +282,23 @@ def _evaluate_hermite(a: float, z: complex) -> PcfValue:
                     "hermite")
 
 
-def _evaluate_taylor(a: float, z: complex, cfg: ChainConfig) -> PcfValue:
+def _evaluate_taylor(a: float, z: complex) -> PcfValue:
     (m0, m1), e = origin_values_scaled(a)
     if abs(z) < 1e-300:
         return PcfValue(ScaledValue.make(m0, e), ScaledValue.make(m1, e),
                         "origin-series")
     y, yp, logscale = taylor.propagate(a, 0j, m0, m1,
-                                       _path_waypoints(a, z),
-                                       cfg.taylor_order)
+                                       _path_waypoints(a, z), TAYLOR_ORDER)
     return PcfValue(ScaledValue.make(y, e + logscale),
                     ScaledValue.make(yp, e + logscale), "origin-series")
 
 
-def relative_error_estimate(a: float, z: complex,
-                            cfg: ChainConfig = DEFAULT_CONFIG) -> float:
+def relative_error_estimate(a: float, z: complex) -> float:
     """Inverse condition number |U / (z U')| at z: the estimated relative
     error of z viewed as a computed zero of U(a, .)."""
     if z == 0:
         raise ValueError("z must be nonzero")
-    v = evaluate(a, z, cfg)
+    v = evaluate(a, z)
     if v.U.is_zero:
         return 0.0
     return math.exp(v.U.exponent - v.Uprime.exponent) / abs(z)

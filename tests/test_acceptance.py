@@ -14,12 +14,12 @@ from scipy.special import gammaln
 
 from pcfzeros import taylor
 from pcfzeros.chain import fixed_point_T, run_chain, verify_zeros
-from pcfzeros.config import DEFAULT_CONFIG
+from pcfzeros.config import LG_ORDER, TAYLOR_ORDER
 from pcfzeros.lgcoef import build_tables, make_tables
 from pcfzeros.lgeval import _sum_anchor, gamma_ratio
 from pcfzeros.pcf import evaluate
 
-N = DEFAULT_CONFIG.taylor_order
+N = TAYLOR_ORDER
 
 TABLE = [
     (-1.7, 12.0, 23), (-1.7, 60.0, 573), (-1.7, 180.0, 5157),
@@ -172,7 +172,7 @@ def test_criterion_05_coefficient_tables():
 def test_criterion_06_gamma_ratio():
     worst_o = 0.0
     worst_v = 0.0
-    tables = make_tables(DEFAULT_CONFIG.lg_order)
+    tables = make_tables(LG_ORDER)
     for u in (36.0, 40.0, 80.0, 200.0):
         want = math.exp(0.5 * math.log(2.0 * math.pi)
                         - gammaln(u / 2.0 + 0.5)

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+import pcfzeros
 from pcfzeros import chain, taylor
 from pcfzeros.chain import (MAX_INNER_ITERS, MAX_ZEROS, ZeroRecord, displace,
                             first_zero_estimate, fixed_point_T, is_hermite,
                             max_zero_index, refine_from_previous, run_chain,
                             sqrt_A, verify_zeros)
-from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
+from pcfzeros.config import (DEFAULT_CONFIG, DELTA, EPS, LG_ORDER,
+                             TAYLOR_ORDER)
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
                              PcfZerosError, StepFailureError)
 from test_taylor import _loop_verdict
@@ -122,8 +124,9 @@ def test_run_chain_rejects_hermite():
 
 
 def test_run_chain_rejects_bad_l():
-    with pytest.raises(ValueError):
-        run_chain(1.0, 0.0)
+    for L in (0.0, 2.0):
+        with pytest.raises(ValueError, match="L must exceed 2"):
+            run_chain(1.0, L)
 
 
 @pytest.mark.parametrize("a, L", [(math.inf, 10.0), (-math.inf, 10.0),
@@ -169,6 +172,23 @@ def test_run_chain_small_a_ends_at_the_turning_point(a):
             assert abs(rec.z - want) <= 1e-13 * abs(want), (a, rec)
 
 
+@pytest.mark.parametrize("a", [-30.2, -20.0, -13.1])
+def test_count_never_drops_as_the_box_grows(a):
+    # near L = 2 the first zero refines onto a real zero, whose imaginary
+    # part is rounding noise of either sign, or onto a real zero inward
+    # of the string's end; neither may change which zeros are reported
+    counts = [len(run_chain(a, 2.01 + 0.25 * k)) for k in range(16)]
+    assert counts == sorted(counts), counts
+    mpmath = pytest.importorskip("mpmath")
+    zeros = run_chain(a, 2.5)
+    assert zeros
+    with mpmath.workdps(40):
+        for rec in zeros:
+            want = complex(mpmath.findroot(lambda t: mpmath.pcfu(a, t),
+                                           mpmath.mpc(rec.z)))
+            assert abs(rec.z - want) <= 1e-13 * abs(want), (a, rec)
+
+
 @pytest.mark.parametrize("a", [2.3, 0.0, -1.7, -30.2])
 def test_near_turning_point(a):
     # the turning point itself, where A vanishes, counts as near; a seed
@@ -184,20 +204,13 @@ def test_failing_outward_hop_raises(monkeypatch):
     # string, in either direction of the walk
     refine = chain.refine_from_previous
 
-    def failing_outward(a, z_prev, seed, cfg):
+    def failing_outward(a, z_prev, seed):
         if abs(seed - displace(a, z_prev)) > abs(seed - z_prev):
             raise StepFailureError(f"forced at {seed}")
-        return refine(a, z_prev, seed, cfg)
+        return refine(a, z_prev, seed)
     monkeypatch.setattr(chain, "refine_from_previous", failing_outward)
     with pytest.raises(StepFailureError, match="forced"):
         run_chain(2.3, 10.0)
-
-
-def test_count_stable_under_config():
-    base = len(run_chain(-1.7, 12.0))
-    tight = len(run_chain(-1.7, 12.0,
-                          ChainConfig(eps=1e-15, taylor_order=40)))
-    assert base == tight
 
 
 def test_verify_zeros_estimates():
@@ -215,7 +228,7 @@ def test_verify_zeros_matches_per_zero_propagation(a, L, monkeypatch):
     for i, rec in enumerate(zeros):
         anchor = zeros[i - 1 if i else 1].z
         y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [rec.z],
-                                    DEFAULT_CONFIG.taylor_order)
+                                    TAYLOR_ORDER)
         want.append(abs(y / yp) / abs(rec.z))
     fallbacks = []
     propagate = taylor.propagate
@@ -262,24 +275,23 @@ def test_verify_zeros_malformed_record_raises(n):
 
 def test_refine_from_previous_is_fast():
     # seeding from the displacement of a converged zero takes few steps
-    cfg = ChainConfig()
     zeros = run_chain(-3.2, 15.0)
     anchor = zeros[1]
     seed = displace(-3.2, anchor.z)
-    z, iters, deltas = refine_from_previous(-3.2, anchor.z, seed, cfg)
+    z, iters, deltas = refine_from_previous(-3.2, anchor.z, seed)
     assert iters <= 6
-    assert deltas[-1] <= cfg.eps
+    assert deltas[-1] <= EPS
     # it converged to the neighboring zero, one half-period inward
     assert abs(z - zeros[2].z) < 1e-10 or abs(z - zeros[0].z) < 1e-10
 
 
-def _hop_oracle(a, z_prev, seed, cfg, handed_off):
+def _hop_oracle(a, z_prev, seed, handed_off):
     """refine_from_previous as first written, on the public pieces: one
     `taylor.step` and one `fixed_point_T` per iteration.  Appends to
     handed_off the step of each iteration whose first try the hop must
     hand to `taylor.step`: one failing the tail test of the plain-loop
     kernel oracle."""
-    state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, cfg.taylor_order)
+    state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, TAYLOR_ORDER)
     z = complex(seed)
     deltas = []
     for it in range(1, MAX_INNER_ITERS + 1):
@@ -293,7 +305,7 @@ def _hop_oracle(a, z_prev, seed, cfg, handed_off):
         delta = abs(znew - z) / abs(z)
         deltas.append(delta)
         z = znew
-        if delta <= cfg.eps:
+        if delta <= EPS:
             return z, it, tuple(deltas)
     raise ConvergenceError(
         f"inner iteration did not converge near z={seed} (a={a})")
@@ -311,7 +323,6 @@ def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
     # the hop takes the kernel's first try when its tail test passes:
     # z, iterations and deltas must be identical, and it must hand to
     # taylor.step exactly the steps whose first try the oracle rejects
-    cfg = ChainConfig()
     zeros = [r.z for r in run_chain(a, L)]
     calls = []
 
@@ -329,11 +340,11 @@ def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
             (seed - z_prev) / abs(seed - z_prev))
         for s in ((seed, far) if i % 5 == 0 else (seed,)):
             handed_off = []
-            want = _outcome(_hop_oracle, a, z_prev, s, cfg, handed_off)
+            want = _outcome(_hop_oracle, a, z_prev, s, handed_off)
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(taylor, "step", counted(taylor.step))
-                got = _outcome(refine_from_previous, a, z_prev, s, cfg)
+                got = _outcome(refine_from_previous, a, z_prev, s)
             assert got == want, (z_prev, s)
             assert [h for _, h in calls] == handed_off, (z_prev, s)
             assert handed_off or s is not far
@@ -343,15 +354,24 @@ def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
 
 def test_deltas_shrink_quartically_fast():
     # the hops of the chain: from each zero to the next one inward
-    cfg = ChainConfig()
-    zeros = [r.z for r in run_chain(-3.2, 15.0, cfg)]
+    zeros = [r.z for r in run_chain(-3.2, 15.0)]
     seen = 0
     for z_prev, z_next in zip(zeros, zeros[1:]):
         z, _, deltas = refine_from_previous(-3.2, z_prev,
-                                            displace(-3.2, z_prev), cfg)
+                                            displace(-3.2, z_prev))
         assert z == z_next
         d = [x for x in deltas if x > 0]
         if len(d) >= 2 and d[0] > 1e-10:
             seen += 1
             assert d[1] < d[0]
     assert seen > 0
+
+
+def test_default_config_records_the_constants():
+    # a read-only record of the four constants, kept for the benchmark
+    assert pcfzeros.DEFAULT_CONFIG is DEFAULT_CONFIG
+    assert DEFAULT_CONFIG._asdict() == {"eps": EPS, "delta": DELTA,
+                                        "taylor_order": TAYLOR_ORDER,
+                                        "lg_order": LG_ORDER}
+    with pytest.raises(AttributeError):
+        DEFAULT_CONFIG.eps = 1e-15

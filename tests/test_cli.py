@@ -1,8 +1,5 @@
 """Command line interface: formats, exit codes, batch mode."""
-import ast
 import csv
-import dataclasses
-import inspect
 import io
 import json
 
@@ -10,7 +7,7 @@ import pytest
 
 from pcfzeros import chain, cli
 from pcfzeros.cli import main
-from pcfzeros.config import DEFAULT_CONFIG, MAX_ZEROS, ChainConfig
+from pcfzeros.config import MAX_ZEROS
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
                              StepFailureError)
 
@@ -39,7 +36,7 @@ def test_json_output_and_roundtrip(capsys):
     doc = json.loads(out)
     assert doc["a"] == 2.3
     assert doc["L"] == 10.0
-    assert set(doc["config"]) >= {"eps", "delta", "taylor_order", "lg_order"}
+    assert set(doc) == {"a", "L", "zeros"}
     assert len(doc["zeros"]) == 16
     for rec in doc["zeros"]:
         assert rec["est_rel_error"] is not None
@@ -80,39 +77,15 @@ def test_bad_flag_exits_1(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["--a", "-1.7", "--L", "12", "--taylor-order", "3"],
-    ["--a", "-1.7", "--L", "12", "--lg-order", "0"],
-    ["--a", "20.5", "--L", "50", "--lg-order", "0"],
-])
-def test_bad_order_is_invalid_configuration(argv, capsys):
-    code, out, err = run(argv, capsys)
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "1e-13"), ("--delta", "1e-4"), ("--taylor-order", "30"),
+    ("--lg-order", "12")])
+def test_settings_are_not_flags(flag, value, capsys):
+    # tolerances and orders are constants of config.py, not run settings
+    code, out, err = run(["--a", "-1.7", "--L", "12", flag, value], capsys)
     assert code == 1
-    assert "invalid configuration" in err
+    assert f"unrecognized arguments: {flag} {value}" in err
     assert out == ""
-
-
-def test_config_fields_are_exactly_the_cli_settings(capsys):
-    # every run setting is a CLI flag: ChainConfig holds no field the CLI
-    # does not set, and the JSON report echoes all of them
-    fields = {f.name for f in dataclasses.fields(ChainConfig)}
-    tree = ast.parse(inspect.getsource(cli._make_config))
-    (call,) = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
-               and getattr(n.func, "id", None) == "ChainConfig"]
-    assert {kw.arg for kw in call.keywords} == fields
-    code, out, err = run(["--a", "2.3", "--L", "10", "--format", "json"],
-                         capsys)
-    assert code == 0
-    assert set(json.loads(out)["config"]) == fields
-
-
-def test_parser_defaults_are_the_config_defaults():
-    # ChainConfig is the one home of the defaults; the flags take theirs
-    # from DEFAULT_CONFIG
-    args = cli.build_parser().parse_args([])
-    assert cli._make_config(args) == DEFAULT_CONFIG
-    for f in dataclasses.fields(ChainConfig):
-        assert getattr(args, f.name) == getattr(DEFAULT_CONFIG, f.name)
 
 
 def test_out_file(tmp_path, capsys):
@@ -122,6 +95,18 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(path.read_text())))
     assert len(rows) == 24
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    path = tmp_path / "missing" / "zeros.csv"
+    table = tmp_path / "cases.txt"
+    table.write_text("2.3 10\n")
+    for argv in (["--a", "2.3", "--L", "10"], ["--table", str(table)]):
+        code, out, err = run(argv + ["--out", str(path)], capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"pcfzeros: cannot write {path}: ")
+        assert "Traceback" not in err
 
 
 def test_table_mode(tmp_path, capsys):
@@ -211,10 +196,3 @@ def test_single_run_and_table_share_exit_status(exc, status, tmp_path,
         code, out, err = run(argv, capsys)
         assert code == status, argv
         assert "forced" in err
-
-
-def test_custom_eps(capsys):
-    code, out, err = run(
-        ["--a", "-1.7", "--L", "12", "--eps", "1e-13"], capsys)
-    assert code == 0
-    assert len(out.strip().split("\n")) == 24

@@ -22,7 +22,7 @@ import pytest
 
 from pcfzeros import _taylor_py, taylor
 from pcfzeros.chain import run_chain, verify_zeros
-from pcfzeros.config import DEFAULT_CONFIG, ChainConfig
+from pcfzeros.config import TAYLOR_ORDER
 from pcfzeros.errors import StepFailureError
 from test_taylor import _kernel_corpus, _loop_verdict
 
@@ -79,13 +79,13 @@ def use_kernel(monkeypatch):
 def _step(kernel, use_kernel):
     use_kernel(kernel)
     st = taylor.derivatives_at(-3.3, -4.0 + 2.0j, 1.0 + 0.0j, 0.2 - 0.5j,
-                               DEFAULT_CONFIG.taylor_order)
+                               TAYLOR_ORDER)
     return taylor.step(st, 0.4 - 0.3j)
 
 
-def _records(a, L, cfg):
+def _records(a, L):
     return [(r.index, r.z, r.inner_iterations, r.est_rel_error)
-            for r in verify_zeros(a, run_chain(a, L, cfg), cfg)]
+            for r in verify_zeros(a, run_chain(a, L))]
 
 
 def test_pure_kernel_importable(use_kernel):
@@ -152,7 +152,7 @@ def test_entry_points_bit_for_bit(compiled):
 def test_step_is_step_once(request, use_kernel, kernel):
     use_kernel(request.getfixturevalue("compiled") if kernel == "c"
                else _taylor_py)
-    order = DEFAULT_CONFIG.taylor_order
+    order = TAYLOR_ORDER
     over_h_max = 0
     # no corpus try past h_max passes the tail test; these do, as the
     # last two terms vanish: zero data, and a = 0 expanded at the origin
@@ -183,16 +183,10 @@ def test_step_is_step_once(request, use_kernel, kernel):
             taylor.step(st, h)
 
 
-@pytest.mark.parametrize(
-    "a, L, order",
-    [(-3.2, 15.0, 30), (-30.2, 12.0, 30), (20.5, 50.0, 30),
-     # both kernels take any order
-     (-3.2, 15.0, 255)],
-    ids=["-3.2-15.0", "-30.2-12.0", "20.5-50.0", "-3.2-15.0-order255"])
-def test_chain_agreement(compiled, use_kernel, a, L, order):
+@pytest.mark.parametrize("a, L", [(-3.2, 15.0), (-30.2, 12.0), (20.5, 50.0)])
+def test_chain_agreement(compiled, use_kernel, a, L):
     # index, zero, iterations and estimate, bit for bit
-    cfg = ChainConfig(taylor_order=order)
     use_kernel(_taylor_py)
-    want = _records(a, L, cfg)
+    want = _records(a, L)
     use_kernel(compiled)
-    assert _records(a, L, cfg) == want
+    assert _records(a, L) == want

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 
 import pcfzeros.lgeval as lgeval
 from pcfzeros import _dd, pcf
-from pcfzeros.config import DEFAULT_CONFIG
+from pcfzeros.config import LG_ORDER
 from pcfzeros.lgcoef import LGCoeffTables, build_tables, make_tables
 from pcfzeros.lgeval import (_geometry_dd, eval_pair, eval_pair_negarg,
                              gamma_ratio, parameter, point)
@@ -17,7 +17,7 @@ from pcfzeros.scaled import ScaledValue
 
 mpmath = pytest.importorskip("mpmath")
 
-S = DEFAULT_CONFIG.lg_order
+S = LG_ORDER
 TABLES = make_tables(S)
 
 
@@ -218,7 +218,7 @@ def test_negative_route_takes_one_point(monkeypatch):
     for i, z in enumerate((-12.0 + 20.0j, -25.0 + 5.0j, -3.0 + 28.0j)):
         geometries.clear()
         evals.clear()
-        pcf._evaluate_lg_neg(-30.2, z, DEFAULT_CONFIG)
+        pcf._evaluate_lg_neg(-30.2, z)
         assert len(geometries) == 1
         assert len(evals) <= 2 * TABLES.S
         if i == 0:

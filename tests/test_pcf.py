@@ -7,14 +7,12 @@ import pytest
 
 from pcfzeros import lgeval, pcf, taylor
 from pcfzeros.chain import max_zero_index
-from pcfzeros.config import DEFAULT_CONFIG, MAX_ZEROS, Z_MAX
+from pcfzeros.config import MAX_ZEROS, TAYLOR_ORDER, Z_MAX
 from pcfzeros.errors import RegionError
 from pcfzeros.pcf import (LG_GATE, evaluate, origin_values_scaled,
                           relative_error_estimate)
 
 mpmath = pytest.importorskip("mpmath")
-
-CFG = DEFAULT_CONFIG
 
 
 def _rel_diff(x, y):
@@ -77,8 +75,8 @@ def test_evaluate_against_mpmath_moderate():
 
 def test_taylor_and_lg_routes_agree():
     a, z = 20.0, -20.0 + 20.0j
-    vt = pcf._evaluate_taylor(a, z, CFG)
-    vl = pcf._evaluate_lg(a, z, CFG)
+    vt = pcf._evaluate_taylor(a, z)
+    vl = pcf._evaluate_lg(a, z)
     assert vt.method != vl.method
     assert _rel_diff(vt.U, vl.U) < 1e-11
     assert _rel_diff(vt.Uprime, vl.Uprime) < 1e-11
@@ -86,8 +84,8 @@ def test_taylor_and_lg_routes_agree():
 
 def test_neg_parameter_lg_route_agrees_with_taylor():
     a, z = -20.0, -12.0 + 10.0j
-    vt = pcf._evaluate_taylor(a, z, CFG)
-    vl = pcf._evaluate_lg_neg(a, z, CFG)
+    vt = pcf._evaluate_taylor(a, z)
+    vl = pcf._evaluate_lg_neg(a, z)
     assert vt.method != vl.method
     assert _rel_diff(vt.U, vl.U) < 1e-11
     assert _rel_diff(vt.Uprime, vl.Uprime) < 1e-11
@@ -147,9 +145,9 @@ def test_neg_parameter_near_origin_takes_taylor():
 def test_recurrence_residuals():
     # z U(a,z) - U(a-1,z) + (a + 1/2) U(a+1,z) = 0
     a, z = 20.0, -25.0 + 25.0j
-    u_m = pcf._evaluate_lg(a - 1.0, z, CFG).U
-    v0 = pcf._evaluate_lg(a, z, CFG)
-    u_p = pcf._evaluate_lg(a + 1.0, z, CFG).U
+    u_m = pcf._evaluate_lg(a - 1.0, z).U
+    v0 = pcf._evaluate_lg(a, z)
+    u_p = pcf._evaluate_lg(a + 1.0, z).U
     res = v0.U * z - u_m + u_p * (a + 0.5)
     scale = max(abs(z) * math.exp(v0.U.log_abs()), math.exp(u_m.log_abs()))
     assert math.exp(res.log_abs()) < 5e-13 * scale
@@ -171,7 +169,7 @@ def test_path_independence():
     # straight path vs a dog-leg through a different waypoint
     a = 2.0
     z = -3.0 + 4.0j
-    n = CFG.taylor_order
+    n = TAYLOR_ORDER
     y1, yp1, ls1 = taylor.propagate(a, 0.0, 1.0, 0.0, [z], n)
     y2, yp2, ls2 = taylor.propagate(a, 0.0, 1.0, 0.0, [-3.0 + 0.0j, z], n)
     v1 = y1 * cmath.exp(ls1)

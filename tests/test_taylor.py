@@ -8,12 +8,12 @@ import pytest
 
 from pcfzeros import _taylor_py, taylor
 from pcfzeros._taylor_py import TAIL_TOL
-from pcfzeros.config import DEFAULT_CONFIG
+from pcfzeros.config import TAYLOR_ORDER
 from pcfzeros.errors import StepFailureError
 from pcfzeros.taylor import (derivatives_at, h_max, propagate, step,
                              step_batch)
 
-N = DEFAULT_CONFIG.taylor_order
+N = TAYLOR_ORDER
 
 
 def gauss_pair(a, z):
