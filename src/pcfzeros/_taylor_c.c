@@ -11,7 +11,7 @@
    the twin catches Python's OverflowError to the same effect; a try
    whose scale is not finite fails the tail test in both.  The tail test
    lives in eval alone: taylor_eval returns its verdict with the values,
-   and step and the chain hop (pcfzeros.chain.refine_from_previous) take
+   and step and the chain hop (pcfzeros.chain._propagated_quotient) take
    that verdict as it comes. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

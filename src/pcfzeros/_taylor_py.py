@@ -8,7 +8,8 @@ made there too.  Selection happens in `pcfzeros.taylor` at import time.
 The tail criterion `_tail_ok` is the one home of the step rule:
 `step_once` applies it to each try, and `taylor_eval` returns its
 verdict with the values, which the chain hop
-(`pcfzeros.chain.refine_from_previous`) takes as it comes.
+(`pcfzeros.chain._propagated_quotient`) takes as it comes;
+`taylor.step_batch` runs `scaled_derivs` on numpy arrays.
 
 The ODE is y'' = (z^2/4 + a) y.  Derivatives are stored scaled,
 c_k = y^(k)(z0)/k!, so a step is a plain polynomial in h and the

@@ -2,12 +2,12 @@
 displacement stepping and per-zero error estimation.
 
 Zeros of U(a,z) in the second quadrant are computed as a chain: an
-asymptotic estimate seeds the zero nearest the domain corner -L+iL, a
-fourth-order fixed-point iteration refines it against absolute function
-values, and every further zero is reached by the half-period
-displacement z + pi/sqrt(A) followed by the same iteration with the
-quotient U/U' propagated by Taylor steps from the previous zero (where
-the values can be normalized to (0, 1)).
+asymptotic estimate seeds the zero nearest the domain corner -L+iL, and
+the half-period displacement z + pi/sqrt(A) each further zero.  One
+fourth-order fixed-point loop, `_refine`, refines every seed with U/U'
+from absolute values for the first zero (`_absolute_quotient`), and
+for the others from a Taylor expansion at the previous zero, where the
+values are (0, 1) (`_propagated_quotient`, shared by `verify_zeros`).
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .errors import (ConvergenceError, HermiteParameterError,
 from .pcf import is_hermite, log_gamma
 
 _RAY = cmath.exp(0.75j * math.pi)
+FIRST_ZERO_ITERS = 80       # iteration budget of the first-zero refinement
 MAX_INNER_ITERS = 20        # iteration budget of one chain hop
 
 
@@ -94,66 +95,72 @@ def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
     return m, _RAY * cmath.sqrt(2.0 * tau_m)
 
 
-def refine_first_zero(a: float, z0: complex):
-    """Fixed-point refinement of the first-zero estimate against absolute
-    function values.  Returns (z, iterations, deltas)."""
+def _refine(a: float, z0: complex, quotient, budget: int, what: str,
+            floor: float):
+    """The fourth-order fixed-point loop: apply `fixed_point_T` with
+    U/U' from quotient(z) until the relative step is at most EPS, or has
+    stalled on the quotient's rounding-noise floor (below floor, 0 for a
+    quotient without one, and above a quarter of the step before),
+    within budget iterations.  Returns (z, iterations, deltas)."""
     z = complex(z0)
     deltas: list[float] = []
-    # a first-term seed can land mid-gap, in which case the iteration
-    # walks zero by zero along the string before it locks on; allow for
-    # that with a larger iteration budget than the inner loops need
-    for it in range(1, 80 + 1):
-        v = pcf.evaluate(a, z)
-        Q = (v.U / v.Uprime).to_complex()
-        znew = fixed_point_T(a, z, Q)
+    for it in range(1, budget + 1):
+        znew = fixed_point_T(a, z, quotient(z))
         delta = abs(znew - z) / abs(z)
         deltas.append(delta)
         z = znew
-        # the absolute evaluation carries its own rounding noise (worst
-        # around moderate negative a, where the integration path is long
-        # and ill conditioned), so once the step is small and no longer
-        # shrinking the noise floor is reached; the chain refines every
-        # later zero against Taylor-propagated values, which restores
-        # self-consistency at the EPS level
-        stalled = (it >= 2 and delta < 3e-8
-                   and delta > 0.25 * deltas[-2])
-        if delta <= EPS or stalled:
+        if delta <= EPS or (delta < floor and it >= 2
+                            and delta > 0.25 * deltas[-2]):
             return z, it, tuple(deltas)
-    raise ConvergenceError(
-        f"first-zero refinement did not converge from {z0} (a={a})")
+    raise ConvergenceError(f"{what} did not converge from {z0} (a={a})")
 
 
-def refine_from_previous(a: float, z_prev: complex, seed: complex):
-    """Inner fixed-point loop with U/U' Taylor-propagated from the
-    previous zero, where (U, U') is normalized to (0, 1).
+def _absolute_quotient(a: float):
+    """U/U' at z from absolute values, `pcf.evaluate`."""
+    def quotient(z: complex) -> complex:
+        v = pcf.evaluate(a, z)
+        if v.Uprime.is_zero:
+            raise ConvergenceError(f"U' vanished near z={z}")
+        return (v.U / v.Uprime).to_complex()
+    return quotient
 
-    One hop of the chain: the expansion at z_prev is built once, and
-    each iteration evaluates it at the current point and applies
-    `fixed_point_T`; a try the kernel's tail test rejects goes through
-    `taylor.step`, which subdivides.
 
-    Returns (z, iterations, deltas).
-    """
-    state = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, TAYLOR_ORDER)
+def _propagated_quotient(a: float, anchor: complex):
+    """U/U' at z from one Taylor expansion at a zero anchor, (U, U')
+    normalized to (0, 1) there: the kernel's `taylor_eval`, or
+    `taylor.step`, which subdivides, for a try its tail test rejects."""
+    state = taylor.derivatives_at(a, anchor, 0j, 1.0 + 0j, TAYLOR_ORDER)
     c = state.derivs
     taylor_eval = taylor.kernel.taylor_eval
-    z = complex(seed)
-    deltas: list[float] = []
-    for it in range(1, MAX_INNER_ITERS + 1):
-        h = z - z_prev
+
+    def quotient(z: complex) -> complex:
+        h = z - anchor
         y, yp, ok = taylor_eval(c, h)
         if not ok:
             y, yp = taylor.step(state, h)
         if yp == 0:
             raise ConvergenceError(f"U' vanished near z={z}")
-        znew = fixed_point_T(a, z, y / yp)
-        delta = abs(znew - z) / abs(z)
-        deltas.append(delta)
-        z = znew
-        if delta <= EPS:
-            return z, it, tuple(deltas)
-    raise ConvergenceError(
-        f"inner iteration did not converge near z={seed} (a={a})")
+        return y / yp
+    return quotient
+
+
+def refine_first_zero(a: float, z0: complex):
+    """Refine the first-zero estimate against absolute values; returns
+    (z, iterations, deltas).  A seed that lands mid-gap walks the string
+    before it locks on, hence the larger budget, and the values' rounding
+    noise (worst at moderate negative a) ends the loop by the stall exit;
+    the chain's propagated values restore self-consistency at EPS."""
+    return _refine(a, z0, _absolute_quotient(a), FIRST_ZERO_ITERS,
+                   "first-zero refinement", 3e-8)
+
+
+def refine_from_previous(a: float, z_prev: complex, seed: complex):
+    """One hop of the chain: refine seed with U/U' propagated from the
+    previous zero z_prev (`_propagated_quotient`), within
+    MAX_INNER_ITERS iterations and with no stall exit: a hop that stops
+    short of EPS raises.  Returns (z, iterations, deltas)."""
+    return _refine(a, seed, _propagated_quotient(a, z_prev),
+                   MAX_INNER_ITERS, "inner iteration", 0.0)
 
 
 def _in_domain(a: float, L: float, z: complex) -> bool:
@@ -217,8 +224,12 @@ def _walk(a: float, z0: complex, direction: int, done):
 
 
 def run_chain(a: float, L: float) -> list[ZeroRecord]:
-    """All zeros of U(a,z) in the domain (Im z in [0,L], Re z < 0 for
-    a < 0; Re z in [-L,0], Im z > 0 for a > 0), ordered along the chain.
+    """The zeros of U(a,z) on the string through the domain (Im z in
+    [0,L], Re z < 0 for a < 0; Re z in [-L,0], Im z > 0 for a > 0), the
+    innermost `max_zero_index` of them, ordered along the chain inward
+    to the string's end: its first zero within DELTA of the terminal
+    axis, or its last one next to the turning point.  Real zeros inward
+    of that end (a < 0) lie in the domain but are not reported.
     L must exceed 2: a non-finite a or L, L <= 2, or a domain whose
     `max_zero_index` exceeds MAX_ZEROS raises ValueError before any zero
     is computed."""
@@ -263,24 +274,22 @@ def run_chain(a: float, L: float) -> list[ZeroRecord]:
 
 def verify_zeros(a: float, zeros: list[ZeroRecord]) -> list[ZeroRecord]:
     """Fill est_rel_error = |U / (z U')|, the inverse condition number of
-    each zero.
-
-    The quotient is obtained by a fresh Taylor step anchored at a
+    each zero, from the hop's quotient (`_propagated_quotient`) at a
     neighboring zero (the previous one; the second for the first zero),
-    where the values are normalized to (0, 1), which stays well
-    conditioned arbitrarily far from the origin.  The estimate thus
-    measures the chain's self-consistency, how well each zero agrees
-    with its neighbor; an error carried along the chain from the first
-    zero moves both alike and does not show in it.  All zeros take that
-    step at once, as one batched first try (`taylor.step_batch`).  The
-    few whose try fails the tail test, typically near the ends of a
-    chain, fall back to a scalar `taylor.propagate` with subdivision, as
-    does a list of one zero, which has no neighbor and is checked by
-    absolute evaluation.  An estimate that fails with a `PcfZerosError`
-    is NaN; any other error propagates.
+    where the values are normalized to (0, 1) and stay well conditioned
+    arbitrarily far from the origin.  The estimate thus measures the
+    chain's self-consistency: an error carried along the chain from the
+    first zero moves both neighbors alike and does not show in it.  All
+    zeros take the kernel's first try at once (`taylor.step_batch`); the
+    few it rejects, typically near the ends of a chain, go through the
+    quotient one by one, which hands them to `taylor.step`.  A lone zero
+    is checked by absolute evaluation (`pcf.relative_error_estimate`).
+    An estimate that fails with a `PcfZerosError` is NaN; any other
+    error propagates.
     """
     if len(zeros) < 2:
-        ests = [_estimate(a, rec.z, None) for rec in zeros]
+        ests = [_estimate(pcf.relative_error_estimate, a, rec.z)
+                for rec in zeros]
     else:
         import numpy as np   # here only: run_chain and evaluate never need it
         z = np.array([rec.z for rec in zeros], dtype=complex)
@@ -291,21 +300,15 @@ def verify_zeros(a: float, zeros: list[ZeroRecord]) -> list[ZeroRecord]:
         with np.errstate(divide="ignore", invalid="ignore"):
             ests = (np.abs(y / yp) / np.abs(z)).tolist()
         for i in np.flatnonzero(~ok).tolist():
-            ests[i] = _estimate(a, zeros[i].z, complex(anchor[i]))
+            q = _propagated_quotient(a, complex(anchor[i]))
+            ests[i] = _estimate(lambda w: abs(q(w)) / abs(w), zeros[i].z)
     return [ZeroRecord(rec.index, rec.z, est, rec.inner_iterations)
             for rec, est in zip(zeros, ests)]
 
 
-def _estimate(a: float, z: complex, anchor: complex | None) -> float:
-    """Estimate for one zero: Taylor propagation from a neighboring zero
-    anchor, or absolute evaluation when there is none."""
+def _estimate(estimate, *args) -> float:
+    """estimate(*args), or NaN where it raises a PcfZerosError."""
     try:
-        if anchor is None:
-            return pcf.relative_error_estimate(a, z)
-        y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [z],
-                                    TAYLOR_ORDER)
+        return estimate(*args)
     except PcfZerosError:
         return math.nan
-    if yp == 0:
-        return math.nan
-    return abs(y / yp) / abs(z)

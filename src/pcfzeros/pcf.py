@@ -1,4 +1,5 @@
-"""Absolute evaluation of U(a,z) and U'(a,z) in the left half-plane.
+"""Absolute evaluation of U(a,z) and U'(a,z) in the left half-plane
+and, within |z| <= 30, on the right.
 
 Two routes: origin-anchored Taylor-ODE integration along a path that
 follows the level lines of Re z^2 (where forward integration stays well
@@ -173,12 +174,14 @@ def _path_waypoints(a: float, z: complex) -> list[complex]:
 
 
 def evaluate(a: float, z: complex) -> PcfValue:
-    """U(a,z) and U'(a,z) at a point of the closed left half-plane.
+    """U(a,z) and U'(a,z) at z with |z| <= Z_MAX in the closed left
+    half-plane (Re z <= 1e-9), or with |z| <= 30 on the right.
 
     The route follows from (a, z): the closed form at Hermite parameters
-    (`is_hermite`), the LG expansions where `_in_lg_region`, and
-    otherwise the origin-anchored Taylor route.  A non-finite a or z
-    raises ValueError, and |z| > Z_MAX raises RegionError.
+    (`is_hermite`), the LG expansions where `_in_lg_region` (Re z <= 0
+    only), and otherwise the origin-anchored Taylor route.  A non-finite
+    a or z raises ValueError, and a point outside that region
+    RegionError.
     """
     a, z = float(a), complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):

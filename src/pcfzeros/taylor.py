@@ -66,9 +66,10 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
     arrays: expand (y0, y1) at each point of z0 and evaluate at z0 + h.
 
     z0 and h are arrays of one shape; y0 and y1 are scalars or arrays of
-    that shape.  Returns complex arrays (y, yprime) and a boolean array ok.  The
-    arithmetic and the acceptance test are those of the kernel's first
-    try in `step_once`: ok is true where the tail criterion holds on a
+    that shape.  Returns complex arrays (y, yprime) and a boolean array
+    ok.  The expansion is the pure-Python kernel's `scaled_derivs`, and
+    the sums and the acceptance test are those of the kernel's first try
+    in `step_once`: ok is true where the tail criterion holds on a
     finite scale, at any |h|.  Where ok is false `step` would subdivide
     or `propagate` take several steps, and (y, yprime) are not to be
     used.
@@ -77,19 +78,9 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
     z0 = np.asarray(z0, dtype=complex)
     h = np.asarray(h, dtype=complex)
     n = order + 1
-    q = 0.25 * z0 * z0 + a
-    hz = 0.5 * z0
     # rejected entries may overflow; the tail test turns them down
     with np.errstate(over="ignore", invalid="ignore"):
-        c = [np.broadcast_to(y0, z0.shape), np.broadcast_to(y1, z0.shape)]
-        for k in range(n - 1):
-            t = q * c[k]
-            if k >= 1:
-                t += hz * c[k - 1]
-            if k >= 2:
-                t += 0.25 * c[k - 2]
-            t /= (k + 1) * (k + 2)
-            c.append(t)
+        c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
         y = c[n]
         for k in range(n - 1, -1, -1):
             y = y * h + c[k]

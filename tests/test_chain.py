@@ -1,19 +1,22 @@
 """Zero chains: seeding, refinement, walking, verification."""
 import cmath
+import dataclasses
 import math
 
 import pytest
 
 import pcfzeros
-from pcfzeros import chain, taylor
-from pcfzeros.chain import (MAX_INNER_ITERS, MAX_ZEROS, ZeroRecord, displace,
-                            first_zero_estimate, fixed_point_T, is_hermite,
-                            max_zero_index, refine_from_previous, run_chain,
-                            sqrt_A, verify_zeros)
+from pcfzeros import chain, cli, pcf, taylor
+from pcfzeros.chain import (FIRST_ZERO_ITERS, MAX_INNER_ITERS, MAX_ZEROS,
+                            ZeroRecord, displace, first_zero_estimate,
+                            fixed_point_T, is_hermite, max_zero_index,
+                            refine_first_zero, refine_from_previous,
+                            run_chain, sqrt_A, verify_zeros)
 from pcfzeros.config import (DEFAULT_CONFIG, DELTA, EPS, LG_ORDER,
                              TAYLOR_ORDER)
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
                              PcfZerosError, StepFailureError)
+from pcfzeros.scaled import ScaledValue
 from test_taylor import _loop_verdict
 
 
@@ -231,14 +234,15 @@ def test_verify_zeros_matches_per_zero_propagation(a, L, monkeypatch):
                                     TAYLOR_ORDER)
         want.append(abs(y / yp) / abs(rec.z))
     fallbacks = []
-    propagate = taylor.propagate
+    step = taylor.step
 
-    def spy(a, z0, y0, y1, waypoints, order):
-        fallbacks.append(waypoints[0])
-        return propagate(a, z0, y0, y1, waypoints, order)
-    monkeypatch.setattr(taylor, "propagate", spy)
+    def spy(state, h):
+        fallbacks.append(h)
+        return step(state, h)
+    monkeypatch.setattr(taylor, "step", spy)
     checked = verify_zeros(a, zeros)
-    # the batch takes almost every zero; the rest go the scalar way
+    # the batch takes almost every zero; the rest go the hop's way, whose
+    # first try fails as the batch's did and is handed to taylor.step
     assert 1 <= len(fallbacks) <= 10
     assert [r.z for r in checked] == [r.z for r in zeros]
     assert [r.index for r in checked] == [r.index for r in zeros]
@@ -259,9 +263,9 @@ def test_verify_zeros_step_failure_is_nan(monkeypatch):
 
     def failing(*args, **kwargs):
         raise StepFailureError("forced")
-    monkeypatch.setattr(taylor, "propagate", failing)
+    monkeypatch.setattr(taylor, "step", failing)
     ests = [r.est_rel_error for r in verify_zeros(2.3, zeros)]
-    # only the zeros the batch rejects are propagated one by one
+    # only the zeros the batch rejects are stepped one by one
     assert 1 <= sum(map(math.isnan, ests)) < len(ests)
 
 
@@ -271,6 +275,69 @@ def test_verify_zeros_malformed_record_raises(n):
     zeros[-1] = ZeroRecord(index=n - 1, z=None)
     with pytest.raises(TypeError):
         verify_zeros(2.3, zeros)
+
+
+def test_first_zero_u_prime_zero_is_convergence_error(monkeypatch, capsys):
+    # a vanishing U' is a typed failure of the refinement, not the bare
+    # ZeroDivisionError of the ScaledValue quotient, so the command line
+    # reports it with status 2 instead of a traceback
+    evaluate = pcf.evaluate
+
+    def flat(a, z):
+        return dataclasses.replace(evaluate(a, z),
+                                   Uprime=ScaledValue(0j, 0.0))
+    monkeypatch.setattr(pcf, "evaluate", flat)
+    _, z_est = first_zero_estimate(2.3, 10.0)
+    with pytest.raises(ConvergenceError, match="U' vanished"):
+        refine_first_zero(2.3, z_est)
+    assert cli.main(["--a", "2.3", "--L", "10"]) == 2
+    assert "U' vanished" in capsys.readouterr().err
+
+
+def test_first_zero_stall_exit():
+    # at 20.5/10 the absolute values reach their noise floor before EPS:
+    # the loop ends on the stall exit, with a last step above EPS
+    _, z_est = first_zero_estimate(20.5, 10.0)
+    z, iters, deltas = refine_first_zero(20.5, z_est)
+    assert iters == len(deltas) == 20
+    assert EPS < deltas[-1] < 3e-8
+    assert deltas[-1] > 0.25 * deltas[-2]
+    assert all(d > EPS for d in deltas)
+
+
+def test_first_zero_budget_exit(monkeypatch):
+    # at 14.02/25 the seed lands mid-gap and the iterate walks the string
+    # for the whole budget
+    calls = []
+    evaluate = pcf.evaluate
+
+    def counted(a, z):
+        calls.append(z)
+        return evaluate(a, z)
+    monkeypatch.setattr(pcf, "evaluate", counted)
+    _, z_est = first_zero_estimate(14.02, 25.0)
+    with pytest.raises(ConvergenceError,
+                       match="first-zero refinement did not converge"):
+        refine_first_zero(14.02, z_est)
+    assert len(calls) == FIRST_ZERO_ITERS == 80
+
+
+def test_hop_has_no_stall_exit():
+    # past the last zero of 20.5/10 the hop's iterate leaves the string
+    # and its steps stop shrinking: the hop raises, and the walk ends at
+    # the turning point; under the first-zero floor it would stop on a
+    # point outside the box, which only the domain filter drops
+    a = 20.5
+    z_prev = run_chain(a, 10.0)[-1].z
+    seed = displace(a, z_prev)
+    with pytest.raises(ConvergenceError,
+                       match="inner iteration did not converge from"):
+        refine_from_previous(a, z_prev, seed)
+    z, iters, deltas = chain._refine(a, seed,
+                                     chain._propagated_quotient(a, z_prev),
+                                     MAX_INNER_ITERS, "hop", 3e-8)
+    assert iters < MAX_INNER_ITERS and deltas[-1] > EPS
+    assert z.real > 0.0
 
 
 def test_refine_from_previous_is_fast():
@@ -308,7 +375,7 @@ def _hop_oracle(a, z_prev, seed, handed_off):
         if delta <= EPS:
             return z, it, tuple(deltas)
     raise ConvergenceError(
-        f"inner iteration did not converge near z={seed} (a={a})")
+        f"inner iteration did not converge from {seed} (a={a})")
 
 
 def _outcome(fn, *args):
