@@ -12,7 +12,7 @@
    whose scale is not finite fails the tail test in both.  The tail test
    lives in eval alone: taylor_eval returns its verdict with the values,
    and step and the chain hop (pcfzeros.chain._propagated_quotient) take
-   that verdict as it comes. */
+   that verdict as it comes.  step starts from the caller's expansion. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
@@ -104,27 +104,28 @@ eval(const cplx *c, Py_ssize_t n, cplx h, cplx *y, cplx *yp)
     return tail <= bound && bound < HUGE_VAL;
 }
 
-/* One re-expanding step of size h, bisecting up to h/64 on demand; c0
-   and c hold n+1 coefficients each.  Returns 1 with the end values in
-   (*yout, *ypout), or 0 with the values where the last attempt stopped
-   if the tail criterion fails at the smallest subdivision. */
+/* One step of size h from the expansion c0 = c_0..c_n0 (n0 >= 1) at z0,
+   bisecting up to h/64 on demand; later pieces are expanded afresh into
+   c, ncoef(n0)+1 entries as the twin's scaled_derivs.  Returns 1 with the
+   end values in (*yout, *ypout), or 0 with the values where the last
+   attempt stopped if the tail criterion fails at the smallest subdivision. */
 static int
-step(double a, cplx z0, cplx y0, cplx y1, cplx h, Py_ssize_t n,
-     cplx *c0, cplx *c, cplx *yout, cplx *ypout)
+step(double a, cplx z0, const cplx *c0, Py_ssize_t n0, cplx h, cplx *c,
+     cplx *yout, cplx *ypout)
 {
     cplx y, yp, zc, yc, ypc, hh;
     int pieces = 1, i = 0;
+    Py_ssize_t n = ncoef(n0);
 
-    derivs(a, z0, y0, y1, n, c0);
     for (int depth = 0; depth <= MAX_SPLIT_DEPTH && i < pieces; depth++) {
         pieces = 1 << depth;
         hh = depth ? rdiv(h, pieces) : h;
-        /* every attempt starts at (z0, y0, y1), expanded in c0 */
-        zc = z0, yc = y0, ypc = y1;
+        /* every attempt starts at z0, from the caller's expansion c0 */
+        zc = z0, yc = c0[0], ypc = c0[1];
         for (i = 0; i < pieces; i++) {
             if (i)
                 derivs(a, zc, yc, ypc, n, c);
-            if (!eval(i ? c : c0, n, hh, &y, &yp))
+            if (!(i ? eval(c, n, hh, &y, &yp) : eval(c0, n0, hh, &y, &yp)))
                 break;
             zc = add(zc, hh);
             yc = y;
@@ -141,6 +142,28 @@ as_cplx(PyObject *o)
 {
     return PyComplex_CheckExact(o) ? ((PyComplexObject *)o)->cval
                                    : PyComplex_AsCComplex(o);
+}
+
+/* The expansion c_0..c_n (n >= 1) in the sequence o, copied into a new
+   array, followed if spare by room for the ncoef(n)+1 that step expands
+   into; NULL with an exception set on failure. */
+static cplx *
+coefs(PyObject *o, Py_ssize_t *n, int spare)
+{
+    cplx *c = NULL;
+    PyObject *seq = PySequence_Fast(o, "coefficients must be a sequence");
+    if (seq && (*n = PySequence_Fast_GET_SIZE(seq) - 1) < 1)
+        PyErr_SetString(PyExc_ValueError, "need at least two coefficients");
+    else if (seq && !(c = PyMem_New(cplx, *n + 1 + spare * (ncoef(*n) + 1))))
+        PyErr_NoMemory();
+    for (Py_ssize_t i = 0; c && i <= *n; i++)
+        if ((c[i] = as_cplx(PySequence_Fast_GET_ITEM(seq, i))).real == -1.0
+            && PyErr_Occurred())
+            break;
+    Py_XDECREF(seq);
+    if (c && PyErr_Occurred())
+        PyMem_Free(c), c = NULL;
+    return c;
 }
 
 /* Convert the positional arguments of `name` by fmt, one letter each:
@@ -214,43 +237,28 @@ py_scaled_derivs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 py_taylor_eval(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *seq, *res = NULL;
-    cplx h, y, yp, *c = NULL;
+    PyObject *seq;
+    Py_ssize_t n;
+    cplx h, y, yp, *c;
     if (!unpack(args, nargs, "taylor_eval", "OD", &seq, &h)
-        || !(seq = PySequence_Fast(seq, "coefficients must be a sequence")))
+        || !(c = coefs(seq, &n, 0)))
         return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq) - 1;
-    if (n < 1)
-        PyErr_SetString(PyExc_ValueError, "need at least two coefficients");
-    else if ((c = PyMem_New(cplx, n + 1)) == NULL)
-        PyErr_NoMemory();
-    for (Py_ssize_t i = 0; c != NULL && i <= n; i++) {
-        c[i] = as_cplx(PySequence_Fast_GET_ITEM(seq, i));
-        if (c[i].real == -1.0 && PyErr_Occurred())
-            break;
-    }
-    if (!PyErr_Occurred()) {
-        int ok = eval(c, n, h, &y, &yp);
-        res = Py_BuildValue("(DDO)", &y, &yp, ok ? Py_True : Py_False);
-    }
+    int ok = eval(c, n, h, &y, &yp);
     PyMem_Free(c);
-    Py_DECREF(seq);
-    return res;
+    return Py_BuildValue("(DDO)", &y, &yp, ok ? Py_True : Py_False);
 }
 
 static PyObject *
 py_step_once(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     double a;
-    cplx z0, y0, y1, h, y, yp, *c;
-    int order;
-    if (!unpack(args, nargs, "step_once", "dDDDDi",
-                &a, &z0, &y0, &y1, &h, &order))
+    PyObject *seq;
+    Py_ssize_t n;
+    cplx z0, h, y, yp, *c;
+    if (!unpack(args, nargs, "step_once", "dDOD", &a, &z0, &seq, &h)
+        || !(c = coefs(seq, &n, 1)))
         return NULL;
-    Py_ssize_t n = ncoef((Py_ssize_t)order + 1);
-    if ((c = PyMem_New(cplx, 2 * (n + 1))) == NULL)
-        return PyErr_NoMemory();
-    int good = step(a, z0, y0, y1, h, n, c, c + n + 1, &y, &yp);
+    int good = step(a, z0, c, n, h, c + n + 1, &y, &yp);
     PyMem_Free(c);
     return Py_BuildValue("(DDO)", &y, &yp, good ? Py_True : Py_False);
 }
@@ -281,7 +289,8 @@ py_propagate_polyline(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 break;
             hm = h_max_(a, zc);
             h = d <= hm ? rem : rmul(hm / d, rem);
-            if (!(good = step(a, zc, yc, ypc, h, n, c, c + n + 1, &yc, &ypc)))
+            derivs(a, zc, yc, ypc, n, c);
+            if (!(good = step(a, zc, c, n, h, c + n + 1, &yc, &ypc)))
                 break;
             zc = add(zc, h);
             m = cabs_(yc);
@@ -312,7 +321,7 @@ static PyMethodDef methods[] = {
     {"taylor_eval", (PyCFunction)py_taylor_eval, METH_FASTCALL,
      "Evaluate (y, yprime, ok) of the expansion at displacement h."},
     {"step_once", (PyCFunction)py_step_once, METH_FASTCALL,
-     "One re-expanding step of size h; returns (y, yprime, ok)."},
+     "One step of size h from the expansion c0; returns (y, yprime, ok)."},
     {"propagate_polyline", (PyCFunction)py_propagate_polyline, METH_FASTCALL,
      "Propagate along straight segments; returns (y, yprime, logscale, ok)."},
     {NULL, NULL, 0, NULL}

@@ -5,9 +5,10 @@ from the hand-written `_taylor_c.c`, is the compiled twin, with the same
 operations in the same order and so the same results to the bit
 (`tests/test_kernels_equiv.py`); a change to the arithmetic here must be
 made there too.  Selection happens in `pcfzeros.taylor` at import time.
-The tail criterion `_tail_ok` is the one home of the step rule:
-`step_once` applies it to each try, and `taylor_eval` returns its
-verdict with the values, which the chain hop
+`taylor_eval` and `step_once` take the caller's expansion, the sequence
+`scaled_derivs` returns.  The tail criterion `_tail_ok` is the one home
+of the step rule: `step_once` applies it to each try, and `taylor_eval`
+returns its verdict with the values, which the chain hop
 (`pcfzeros.chain._propagated_quotient`) takes as it comes;
 `taylor.step_batch` runs `scaled_derivs` on numpy arrays.
 
@@ -143,14 +144,14 @@ def _taylor_eval2(c, h: complex, h2: complex):
     return y, yp, y2, yp2
 
 
-def step_once(a: float, z0: complex, y0: complex, y1: complex,
-              h: complex, order: int):
-    """One re-expanding step of size h, bisecting up to h/64 on demand.
+def step_once(a: float, z0: complex, c0, h: complex):
+    """One step of size h from the expansion c0 = c_0..c_n at z0, bisecting
+    up to h/64 on demand; later pieces are expanded afresh to the same n.
 
     Returns (y, yprime, ok); ok is False if the tail criterion still
     fails at the smallest subdivision.
     """
-    c0 = scaled_derivs(a, z0, y0, y1, order + 1)
+    n = len(c0) - 1
     # a step of h_max rarely passes on its first try, so the first
     # half-step of the bisection is evaluated in the same pass
     y, yp, yh, yph = _taylor_eval2(c0, h, h / 2)
@@ -160,12 +161,12 @@ def step_once(a: float, z0: complex, y0: complex, y1: complex,
     for depth in range(1, MAX_SPLIT_DEPTH + 1):
         pieces *= 2
         hh = h / pieces
-        # every subdivision starts at (z0, y0, y1), expanded above
-        zc, yc, ypc = z0, y0, y1
+        # every subdivision starts at z0, from the caller's expansion
+        zc, yc, ypc = z0, c0[0], c0[1]
         c = c0
         for piece in range(pieces):
             if piece:
-                c = scaled_derivs(a, zc, yc, ypc, order + 1)
+                c = scaled_derivs(a, zc, yc, ypc, n)
             if depth == 1 and not piece:
                 y, yp, ok = yh, yph, _tail_ok(c0, hh, yh, yph)
             else:
@@ -197,7 +198,8 @@ def propagate_polyline(a: float, z0: complex, y0: complex, y1: complex,
                 break
             hm = h_max(a, zc)
             h = rem if d <= hm else rem * (hm / d)
-            y, yp, ok = step_once(a, zc, yc, ypc, h, order)
+            c0 = scaled_derivs(a, zc, yc, ypc, order + 1)
+            y, yp, ok = step_once(a, zc, c0, h)
             if not ok:
                 return y, yp, logscale, False
             zc += h

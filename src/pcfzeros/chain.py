@@ -126,18 +126,18 @@ def _absolute_quotient(a: float):
 
 
 def _propagated_quotient(a: float, anchor: complex):
-    """U/U' at z from one Taylor expansion at a zero anchor, (U, U')
-    normalized to (0, 1) there: the kernel's `taylor_eval`, or
-    `taylor.step`, which subdivides, for a try its tail test rejects."""
-    state = taylor.derivatives_at(a, anchor, 0j, 1.0 + 0j, TAYLOR_ORDER)
-    c = state.derivs
+    """U/U' at z from one Taylor expansion c at a zero anchor, (U, U')
+    normalized to (0, 1) there: the kernel's `taylor_eval` of c, or, for
+    a try its tail test rejects, `taylor.step` from c, which subdivides
+    and expands afresh only the pieces past the first."""
+    c = taylor.derivatives_at(a, anchor, 0j, 1.0 + 0j, TAYLOR_ORDER)
     taylor_eval = taylor.kernel.taylor_eval
 
     def quotient(z: complex) -> complex:
         h = z - anchor
         y, yp, ok = taylor_eval(c, h)
         if not ok:
-            y, yp = taylor.step(state, h)
+            y, yp = taylor.step(a, anchor, c, h)
         if yp == 0:
             raise ConvergenceError(f"U' vanished near z={z}")
         return y / yp

@@ -135,8 +135,8 @@ def origin_values_scaled(a: float) -> tuple[tuple[complex, complex], float]:
 def _path_waypoints(a: float, z: complex) -> list[complex]:
     """Integration path 0 -> axis -> z along the hyperbola Re w^2 = Re z^2.
 
-    The first leg runs along the real or imaginary axis (whichever the
-    hyperbola through z meets) and the second follows that hyperbola,
+    The first leg runs along the real or positive imaginary axis (whichever
+    the hyperbola through z meets) and the second follows that hyperbola,
     i.e. a line of constant Im(i w^2/2).  Along such a line the growing
     and decaying solution branches both evolve monotonically toward
     their size at z, so forward integration picks up no contamination
@@ -150,7 +150,7 @@ def _path_waypoints(a: float, z: complex) -> list[complex]:
     if c >= 0.0:
         p = complex(math.copysign(math.sqrt(c), x if x != 0.0 else 1.0), 0.0)
     else:
-        p = complex(0.0, math.copysign(math.sqrt(-c), y if y != 0.0 else 1.0))
+        p = complex(0.0, math.sqrt(-c))
     pts: list[complex] = []
     if abs(p) > 1e-12:
         pts.append(p)
@@ -177,10 +177,11 @@ def evaluate(a: float, z: complex) -> PcfValue:
     """U(a,z) and U'(a,z) at z with |z| <= Z_MAX in the closed left
     half-plane (Re z <= 1e-9), or with |z| <= 30 on the right.
 
-    The route follows from (a, z): the closed form at Hermite parameters
-    (`is_hermite`), the LG expansions where `_in_lg_region` (Re z <= 0
-    only), and otherwise the origin-anchored Taylor route.  A non-finite
-    a or z raises ValueError, and a point outside that region
+    The lower half-plane comes by reflection, U(a, conj z) = conj U(a, z)
+    for real a, so every route sees Im z >= 0: the closed form at Hermite
+    parameters (`is_hermite`), the LG expansions where `_in_lg_region`
+    (Re z <= 0 only), and otherwise the origin-anchored Taylor route.  A
+    non-finite a or z raises ValueError, and a point outside that region
     RegionError.
     """
     a, z = float(a), complex(z)
@@ -188,24 +189,31 @@ def evaluate(a: float, z: complex) -> PcfValue:
         raise ValueError(f"a={a} and z={z} must be finite")
     if abs(z) > Z_MAX or (z.real > 1e-9 and abs(z) > 30.0):
         raise RegionError(f"z={z} outside the supported evaluation region")
+    conj = z.imag < 0.0
+    if conj:
+        z = z.conjugate()
     if is_hermite(a):
-        return _evaluate_hermite(a, z)
-    if _in_lg_region(a, z):
-        return (_evaluate_lg if a > 0.0 else _evaluate_lg_neg)(a, z)
-    return _evaluate_taylor(a, z)
+        v = _evaluate_hermite(a, z)
+    elif _in_lg_region(a, z):
+        v = (_evaluate_lg if a > 0.0 else _evaluate_lg_neg)(a, z)
+    else:
+        v = _evaluate_taylor(a, z)
+    if conj:
+        v = PcfValue(v.U.conjugate(), v.Uprime.conjugate(), v.method)
+    return v
 
 
 def _in_lg_region(a: float, z: complex) -> bool:
-    """True where `evaluate` takes the LG route, for either sign of a:
-    u = 2|a| >= lgeval.U_MIN, and the zhat the route evaluates at (for
-    Im z >= 0, z/sqrt(2u) if a > 0 and -i conj(z)/sqrt(2u) if a < 0) in
-    the closed second quadrant, off the imaginary axis (the segment
-    [0, i] and the cut above i) and outside a disk around zhat = i."""
+    """True where `evaluate` takes the LG route at z, Im z >= 0, for either
+    sign of a: u = 2|a| >= lgeval.U_MIN, and the zhat the route evaluates
+    at (z/sqrt(2u) if a > 0 and -i conj(z)/sqrt(2u) if a < 0) in the
+    closed second quadrant, off the imaginary axis (the segment [0, i]
+    and the cut above i) and outside a disk around zhat = i."""
     u = 2.0 * abs(a)
     if u < lgeval.U_MIN:
         return False
     s = math.sqrt(2.0 * u)
-    y = abs(z.imag)
+    y = z.imag
     if a > 0.0:
         if abs(z.real) <= LG_GATE or y <= LG_GATE:
             return False
@@ -226,13 +234,7 @@ def _in_lg_region(a: float, z: complex) -> bool:
 
 def _evaluate_lg(a: float, z: complex) -> PcfValue:
     par = lgeval.parameter(2.0 * a, LG_ORDER)
-    conj = z.imag < 0.0
-    if conj:
-        z = z.conjugate()
     U, Up = lgeval.eval_pair(lgeval.point(par, z))
-    if conj:
-        U = U.conjugate()
-        Up = Up.conjugate()
     return PcfValue(U, Up, "liouville-green")
 
 
@@ -248,16 +250,11 @@ def _evaluate_lg_neg(a: float, z: complex) -> PcfValue:
     depend on u alone come from `lgeval.parameter`.
     """
     par = lgeval.parameter(-2.0 * a, LG_ORDER)
-    conj = z.imag < 0.0
-    w = z.conjugate() if conj else z
-    pt = lgeval.point(par, complex(-w.imag, -w.real))
+    pt = lgeval.point(par, complex(-z.imag, -z.real))
     T1, D1 = (v.conjugate() for v in lgeval.eval_pair(pt))
     T2, D2 = (v.conjugate() for v in lgeval.eval_pair_negarg(pt))
     U = (T1 + T2 * (1j * par.rot)) * par.inv_gamma
     Up = (D1 * 1j + D2 * par.rot) * par.inv_gamma
-    if conj:
-        U = U.conjugate()
-        Up = Up.conjugate()
     return PcfValue(U, Up, "liouville-green")
 
 

@@ -2,11 +2,11 @@
 
 Thin, typed API over the stepping kernel: the compiled `_taylor_c` (C,
 built by setup.py) when it has been built, otherwise its pure-Python
-twin `_taylor_py`; both give the same results to the bit.
+twin `_taylor_py`; both give the same results to the bit.  An expansion
+is a tuple of scaled derivatives (`derivatives_at`), and `step` steps
+from the one its caller holds.
 """
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from . import _taylor_py
 from .errors import StepFailureError
@@ -20,36 +20,22 @@ KERNEL = kernel.KERNEL
 h_max = kernel.h_max
 
 
-class TaylorState(NamedTuple):
-    """Expansion of a solution at z0: derivs[k] = y^(k)(z0)/k!.
-
-    derivs has N+2 entries (orders 0..N+1) so that both the value and
-    the derivative sums carry N+1 terms.  Immutable; a named tuple
-    rather than a frozen dataclass because the zero chain builds one per
-    zero and the dataclass constructor costs microseconds.
-    """
-    a: float
-    z0: complex
-    derivs: tuple[complex, ...]
-    N: int
-
-
 def derivatives_at(a: float, z0: complex, y0: complex, y1: complex,
-                   N: int) -> TaylorState:
-    """Generate scaled derivatives from (y, y') data at z0."""
+                   N: int) -> tuple[complex, ...]:
+    """Expansion c_0..c_{N+1}, c_k = y^(k)(z0)/k!, of the solution with
+    (y, y') = (y0, y1) at z0, as a tuple: N+1 terms for y and for y'."""
     if N < 4:
         raise ValueError("N must be >= 4")
-    c = kernel.scaled_derivs(a, z0, y0, y1, N + 1)
-    return TaylorState(a, z0, tuple(c), N)
+    return tuple(kernel.scaled_derivs(a, z0, y0, y1, N + 1))
 
 
-def step(state: TaylorState, h: complex) -> tuple[complex, complex]:
-    """Advance (y, y') by h, re-expanding and subdividing as needed."""
-    y, yp, ok = kernel.step_once(state.a, state.z0, state.derivs[0],
-                                 state.derivs[1], h, state.N)
+def step(a: float, z0: complex, c, h: complex) -> tuple[complex, complex]:
+    """Advance (y, y') = (c[0], c[1]) at z0 by h from the expansion c
+    there (`derivatives_at`), subdividing as needed."""
+    y, yp, ok = kernel.step_once(a, z0, c, h)
     if not ok:
         raise StepFailureError(
-            f"step h={h:.3g} at z0={state.z0} failed the tail criterion "
+            f"step h={h:.3g} at z0={z0} failed the tail criterion "
             "after maximal subdivision")
     return y, yp
 

@@ -205,18 +205,20 @@ def test_criterion_07_taylor_properties():
         if abs(y0) < 0.1 or abs(y1) < 0.1:
             continue
         n += 1
-        st = taylor.derivatives_at(a, z0, y0, y1, N)
+        c = taylor.derivatives_at(a, z0, y0, y1, N)
         hm = taylor.h_max(a, z0)
-        growth = max(abs(d) * hm ** k for k, d in enumerate(st.derivs))
-        assert growth < 1e6 * abs(st.derivs[0])
-        ya, ypa = taylor.step(st, h)
-        yb, ypb = taylor.step(taylor.derivatives_at(a, z0 + h, ya, ypa, N),
-                              -h)
+        growth = max(abs(d) * hm ** k for k, d in enumerate(c))
+        assert growth < 1e6 * abs(c[0])
+        ya, ypa = taylor.step(a, z0, c, h)
+        back = taylor.derivatives_at(a, z0 + h, ya, ypa, N)
+        yb, ypb = taylor.step(a, z0 + h, back, -h)
         d = max(abs(y0), abs(y1))
         worst_rt = max(worst_rt, abs(yb - y0) / d, abs(ypb - y1) / d)
         # Wronskian of the fundamental pair over the same step
-        u1, up1 = taylor.step(taylor.derivatives_at(a, z0, 1.0, 0.0, N), h)
-        u2, up2 = taylor.step(taylor.derivatives_at(a, z0, 0.0, 1.0, N), h)
+        u1, up1 = taylor.step(a, z0, taylor.derivatives_at(a, z0, 1.0, 0.0, N),
+                              h)
+        u2, up2 = taylor.step(a, z0, taylor.derivatives_at(a, z0, 0.0, 1.0, N),
+                              h)
         w = u1 * up2 - u2 * up1
         scale = abs(u1 * up2) + abs(u2 * up1)
         worst_w = max(worst_w, abs(w - 1.0) / scale)
@@ -237,11 +239,11 @@ def test_criterion_08_convergence_order():
         for i in idxs:
             zp = zeros[i - 1].z
             zs = zeros[i].z
-            st = taylor.derivatives_at(a, zp, 0j, 1.0 + 0j, N)
+            c = taylor.derivatives_at(a, zp, 0j, 1.0 + 0j, N)
             dirn = (zs - zp) / abs(zs - zp) * (0.6 + 0.8j)
             errs = []
             for d in (1e-1, 5e-2):
-                y, yp = taylor.step(st, zs + d * dirn - zp)
+                y, yp = taylor.step(a, zp, c, zs + d * dirn - zp)
                 z1 = fixed_point_T(a, zs + d * dirn, y / yp)
                 errs.append(abs(z1 - zs))
             if min(errs) < 1e-12 or max(errs) > 1e-2:

@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,9 +79,9 @@ def use_kernel(monkeypatch):
 
 def _step(kernel, use_kernel):
     use_kernel(kernel)
-    st = taylor.derivatives_at(-3.3, -4.0 + 2.0j, 1.0 + 0.0j, 0.2 - 0.5j,
-                               TAYLOR_ORDER)
-    return taylor.step(st, 0.4 - 0.3j)
+    c = taylor.derivatives_at(-3.3, -4.0 + 2.0j, 1.0 + 0.0j, 0.2 - 0.5j,
+                              TAYLOR_ORDER)
+    return taylor.step(-3.3, -4.0 + 2.0j, c, 0.4 - 0.3j)
 
 
 def _records(a, L):
@@ -118,7 +119,7 @@ def test_entry_points_bit_for_bit(compiled):
             got = same("taylor_eval", c, d)
             assert repr(got) == repr(_loop_verdict(c, d)), (c, d)
             same("taylor_eval", tuple(c[:4]), d)
-        same("step_once", a, z0, y0, y1, h, 30)
+        same("step_once", a, z0, c, h)
         if i % 20 == 0:
             same("propagate_polyline", a, z0, y0, y1,
                  [z0 + h / 4, z0 + h / 3], 30)
@@ -135,9 +136,9 @@ def test_entry_points_bit_for_bit(compiled):
     assert ok and logscale > math.log(_taylor_py.RESCALE_LIMIT)
     # |h|**n past the largest double: the first try fails its tail test
     # and a half-step passes
-    y, yp, ok = same("step_once", 1.0, 0j, 1.0 + 0j, 0j, 20.0 + 0j, 300)
-    assert ok and math.isfinite(abs(y))
     c = same("scaled_derivs", 1.0, 0j, 1.0 + 0j, 0j, 301)
+    y, yp, ok = same("step_once", 1.0, 0j, c, 20.0 + 0j)
+    assert ok and math.isfinite(abs(y))
     same("taylor_eval", c, 20.0 + 0j)
     same("taylor_eval", [1e300 + 1e308j, 1e308 - 1e308j], 2.0 + 0j)
     same("taylor_eval", [1j, 1.0 + 0j], complex(1e308, 1e308))
@@ -145,7 +146,28 @@ def test_entry_points_bit_for_bit(compiled):
     # and max() keeps |y|, so the tail test passes
     big = complex(1.5e308, 1.5e308)
     assert same("taylor_eval", [1j, big, 0j, 0j], 0j)[2]
-    assert same("step_once", 1.0, 0j, 1j, big, 0j, 30)[2]
+    c = same("scaled_derivs", 1.0, 0j, 1j, big, 31)
+    assert same("step_once", 1.0, 0j, c, 0j)[2]
+
+
+def test_step_once_from_short_expansions(compiled):
+    # the pieces past the first are expanded afresh to c_0..c_3 at least,
+    # as scaled_derivs returns, however short the caller's expansion
+    subdivided = Counter()
+    # a two-term expansion passes the tail test only where its terms
+    # fall below the floor TAIL_TOL * 1e-300, here from h/2 on
+    tiny = [(1.0, -2.0 + 1.0j, 0j, 1e-300 + 0j, 1.5e-15 + 0j),
+            (3.0, -5.0 + 2.0j, 0j, 1.0 + 0j, 1.5e-315 + 0j)]
+    for a, z0, y0, y1, h in [*_kernel_corpus(20261022, 40), *tiny]:
+        c = _taylor_py.scaled_derivs(a, z0, y0, y1, 31)
+        for k in (2, 3, 4):
+            for d in (h * 2.0 ** -j for j in range(0, 80, 4)):
+                got = compiled.step_once(a, z0, c[:k], d)
+                assert repr(got) == repr(
+                    _taylor_py.step_once(a, z0, c[:k], d)), (a, z0, k, d)
+                subdivided[k] += (got[2]
+                                  and not _taylor_py.taylor_eval(c[:k], d)[2])
+    assert min(subdivided[k] for k in (2, 3, 4)) > 0, subdivided
 
 
 @pytest.mark.parametrize("kernel", ["python", "c"])
@@ -162,25 +184,25 @@ def test_step_is_step_once(request, use_kernel, kernel):
                       (0.0, 0j, 1.0 + 0j, 0j, -8j)]
     for a, z0, y0, y1, h in [*_kernel_corpus(20261021, 300),
                              *vanishing_tail]:
-        y, yp, ok = taylor.kernel.step_once(a, z0, y0, y1, h, order)
-        st = taylor.derivatives_at(a, z0, y0, y1, order)
+        c = taylor.derivatives_at(a, z0, y0, y1, order)
+        y, yp, ok = taylor.kernel.step_once(a, z0, c, h)
         if ok:
-            assert repr(taylor.step(st, h)) == repr((y, yp))
+            assert repr(taylor.step(a, z0, c, h)) == repr((y, yp))
         else:
             with pytest.raises(StepFailureError):
-                taylor.step(st, h)
-        # a try of the state's own expansion that passes the tail test is
+                taylor.step(a, z0, c, h)
+        # a try of the caller's expansion that passes the tail test is
         # what step returns, at any |h|: the chain hop relies on it
-        y, yp, ok = taylor.kernel.taylor_eval(st.derivs, h)
+        y, yp, ok = taylor.kernel.taylor_eval(c, h)
         if ok:
-            assert repr(taylor.step(st, h)) == repr((y, yp))
+            assert repr(taylor.step(a, z0, c, h)) == repr((y, yp))
             over_h_max += abs(h) > taylor.h_max(a, z0)
     assert over_h_max >= len(vanishing_tail)
     # a step whose every subdivision overflows fails, on either kernel
-    st = taylor.derivatives_at(-3.2, -4.0 + 2.0j, 0j, 1.0 + 0j, order)
+    c = taylor.derivatives_at(-3.2, -4.0 + 2.0j, 0j, 1.0 + 0j, order)
     for h in (1e12, complex(1.5e308, 1.5e308)):
         with pytest.raises(StepFailureError):
-            taylor.step(st, h)
+            taylor.step(-3.2, -4.0 + 2.0j, c, h)
 
 
 @pytest.mark.parametrize("a, L", [(-3.2, 15.0), (-30.2, 12.0), (20.5, 50.0)])

@@ -157,12 +157,32 @@ def test_recurrence_residuals():
     assert math.exp(res2.log_abs()) < 5e-13 * scale2
 
 
-def test_conjugate_symmetry():
+def test_conjugate_symmetry(monkeypatch):
     # U(a, conj z) = conj U(a, z) for real a
     for a, z in ((3.1, -4.0 + 5.0j), (-7.7, -3.0 + 2.0j)):
         u1 = evaluate(a, z).U.to_complex()
         u2 = evaluate(a, z.conjugate()).U.to_complex()
         assert abs(u2 - u1.conjugate()) < 1e-12 * abs(u1)
+    # evaluate reflects Im z < 0 itself, on every route, and no route
+    # sees the lower half-plane
+    seen = []
+    for name in ("_evaluate_hermite", "_evaluate_lg", "_evaluate_lg_neg",
+                 "_evaluate_taylor"):
+        monkeypatch.setattr(pcf, name, lambda a, z, f=getattr(pcf, name):
+                            seen.append((f.__name__, z)) or f(a, z))
+    cases = [(-18.5, -16.6 + 1.9j, "hermite"),
+             (3.1, -4.0 + 5.0j, "origin-series"),
+             (20.0, -20.0 + 20.0j, "liouville-green"),
+             (-30.2, -25.0 + 6.0j, "liouville-green")]
+    for a, z, method in cases:
+        v = evaluate(a, z)
+        w = evaluate(a, z.conjugate())
+        assert v.method == w.method == method, (a, z)
+        assert (w.U, w.Uprime) == (v.U.conjugate(), v.Uprime.conjugate())
+    assert [f for f, _ in seen[::2]] == [
+        "_evaluate_hermite", "_evaluate_taylor", "_evaluate_lg",
+        "_evaluate_lg_neg"]
+    assert [z for _, z in seen] == [z for _, z, _ in cases for _ in "ab"]
 
 
 def test_path_independence():

@@ -29,52 +29,52 @@ def gauss_pair(a, z):
 
 def test_closed_form_minus_half():
     # the solution exp(-z^2/4), started from z0 = 0
-    st = derivatives_at(-0.5, 0.0 + 0.0j, 1.0, 0.0, N)
+    c = derivatives_at(-0.5, 0.0 + 0.0j, 1.0, 0.0, N)
     for z in (0.5 + 0.5j, -1.0 + 2.0j, -3.0 + 3.0j):
-        y, yp = step(st, z)
+        y, yp = step(-0.5, 0.0 + 0.0j, c, z)
         ref, refp = gauss_pair(-0.5, z)
         assert abs(y - ref) < 1e-13 * abs(ref)
         assert abs(yp - refp) < 1e-13 * abs(refp)
 
 
 def test_closed_form_minus_three_halves():
-    st = derivatives_at(-1.5, 0.0 + 0.0j, 0.0, 1.0, N)
+    c = derivatives_at(-1.5, 0.0 + 0.0j, 0.0, 1.0, N)
     z = -1.0 + 1.5j
-    y, yp = step(st, z)
+    y, yp = step(-1.5, 0.0 + 0.0j, c, z)
     ref, refp = gauss_pair(-1.5, z)
     assert abs(y - ref) < 1e-13 * abs(ref)
     assert abs(yp - refp) < 1e-13 * abs(refp)
 
 
 def test_zero_step_is_identity():
-    st = derivatives_at(2.0, 1.0 - 1.0j, 0.3 + 0.1j, -0.2j, N)
-    y, yp = step(st, 0.0)
-    assert y == st.derivs[0]
-    assert yp == st.derivs[1]
+    c = derivatives_at(2.0, 1.0 - 1.0j, 0.3 + 0.1j, -0.2j, N)
+    y, yp = step(2.0, 1.0 - 1.0j, c, 0.0)
+    assert y == c[0]
+    assert yp == c[1]
 
 
 def test_state_satisfies_ode_at_expansion_point():
     a, z0 = 1.7, -2.0 + 3.0j
     y0, y1 = 0.4 - 0.3j, 1.1 + 0.2j
-    st = derivatives_at(a, z0, y0, y1, N)
+    d = derivatives_at(a, z0, y0, y1, N)
     c = 0.25 * z0 * z0 + a
     # y'' = c y  and  y''' = c y' + (z/2) y, in scaled-derivative form
-    assert abs(st.derivs[2] * 2.0 - c * y0) < 1e-14 * max(1.0, abs(c * y0))
+    assert abs(d[2] * 2.0 - c * y0) < 1e-14 * max(1.0, abs(c * y0))
     want3 = c * y1 + 0.5 * z0 * y0
-    assert abs(st.derivs[3] * 6.0 - want3) < 1e-14 * max(1.0, abs(want3))
+    assert abs(d[3] * 6.0 - want3) < 1e-14 * max(1.0, abs(want3))
 
 
 def test_derivatives_against_finite_differences():
     a, z0 = -3.3, -4.0 + 2.0j
-    st = derivatives_at(a, z0, 1.0 + 0.0j, 0.2 - 0.5j, N)
+    c = derivatives_at(a, z0, 1.0 + 0.0j, 0.2 - 0.5j, N)
     h = 1e-3
     # second derivative by central difference of the evaluated series
-    yp1 = step(st, h)[0]
-    ym1 = step(st, -h)[0]
-    y0 = st.derivs[0]
+    yp1 = step(a, z0, c, h)[0]
+    ym1 = step(a, z0, c, -h)[0]
+    y0 = c[0]
     d2 = (yp1 - 2.0 * y0 + ym1) / (h * h)
     # central difference truncation is O(h^2 y''''/12), about 1e-6 here
-    assert abs(d2 - 2.0 * st.derivs[2]) < 1e-5 * max(1.0, abs(st.derivs[2]))
+    assert abs(d2 - 2.0 * c[2]) < 1e-5 * max(1.0, abs(c[2]))
 
 
 def test_round_trip_corpus():
@@ -102,11 +102,11 @@ def test_round_trip_corpus():
         fwd = derivatives_at(a, z0, y0, y1, N)
         # the scaled-derivative sequence must stay balanced within h_max
         hm = h_max(a, z0)
-        growth = max(abs(d) * hm ** k for k, d in enumerate(fwd.derivs))
-        assert growth < 1e6 * abs(fwd.derivs[0])
-        ya, ypa = step(fwd, h)
+        growth = max(abs(d) * hm ** k for k, d in enumerate(fwd))
+        assert growth < 1e6 * abs(fwd[0])
+        ya, ypa = step(a, z0, fwd, h)
         back = derivatives_at(a, z0 + h, ya, ypa, N)
-        yb, ypb = step(back, -h)
+        yb, ypb = step(a, z0 + h, back, -h)
         # relative to the data vector norm, the standard backward measure
         d = max(abs(y0), abs(y1))
         worst = max(worst, abs(yb - y0) / d, abs(ypb - y1) / d)
@@ -121,8 +121,8 @@ def test_wronskian_conservation():
     w0 = 1.0  # value at z0
     z = z0
     for h in (0.6 - 0.2j, -0.3 + 0.7j, 0.5 + 0.5j):
-        y1, yp1 = step(s1, h)
-        y2, yp2 = step(s2, h)
+        y1, yp1 = step(a, z, s1, h)
+        y2, yp2 = step(a, z, s2, h)
         w = y1 * yp2 - y2 * yp1
         # the products cancel, so scale the tolerance by their size
         assert abs(w - w0) < 1e-13 * (abs(y1 * yp2) + abs(y2 * yp1))
@@ -133,17 +133,41 @@ def test_wronskian_conservation():
 
 def test_h_max_bounds_series_growth():
     a, z0 = 30.0, -50.0 + 40.0j
-    st = derivatives_at(a, z0, 1.0, 0.5, N)
+    c = derivatives_at(a, z0, 1.0, 0.5, N)
     hm = h_max(a, z0)
-    growth = max(abs(d) * hm ** k for k, d in enumerate(st.derivs))
-    assert growth / abs(st.derivs[0]) < 1e6
+    growth = max(abs(d) * hm ** k for k, d in enumerate(c))
+    assert growth / abs(c[0]) < 1e6
 
 
 def test_unreasonable_step_raises():
     a, z0 = 30.0, -50.0 + 40.0j
-    st = derivatives_at(a, z0, 1.0, 0.5, N)
+    c = derivatives_at(a, z0, 1.0, 0.5, N)
     with pytest.raises(StepFailureError):
-        step(st, 1e5)
+        step(a, z0, c, 1e5)
+
+
+def test_step_expands_only_past_its_first_piece(monkeypatch):
+    # every try from z0 uses the caller's expansion; a subdivided step
+    # expands afresh only where its later pieces start
+    monkeypatch.setattr(taylor, "kernel", _taylor_py)
+    build = _taylor_py.scaled_derivs
+    at = []
+
+    def spy(a, z, *args):
+        at.append(z)
+        return build(a, z, *args)
+    monkeypatch.setattr(_taylor_py, "scaled_derivs", spy)
+    rebuilt = 0
+    for a, z0, y0, y1, h in _kernel_corpus(20261022, 100):
+        c = derivatives_at(a, z0, y0, y1, N)
+        at.clear()
+        try:
+            step(a, z0, c, h)
+        except StepFailureError:
+            pass
+        assert z0 not in at
+        rebuilt += bool(at)
+    assert rebuilt >= 50
 
 
 def test_subdivided_step_matches_many_small_steps():
@@ -151,14 +175,14 @@ def test_subdivided_step_matches_many_small_steps():
     a, z0 = 3.0, -6.0 + 5.0j
     y0, y1 = 1.0 + 0.0j, 0.0 + 1.0j
     target = -2.0 + 9.0j
-    st = derivatives_at(a, z0, y0, y1, N)
-    y, yp = step(st, target - z0)
+    c = derivatives_at(a, z0, y0, y1, N)
+    y, yp = step(a, z0, c, target - z0)
     n = 200
     z = z0
     cy, cyp = y0, y1
     for k in range(1, n + 1):
         zn = z0 + (target - z0) * (k / n)
-        cy, cyp = step(derivatives_at(a, z, cy, cyp, N), zn - z)
+        cy, cyp = step(a, z, derivatives_at(a, z, cy, cyp, N), zn - z)
         z = zn
     assert abs(y - cy) < 1e-11 * abs(cy)
     assert abs(yp - cyp) < 1e-11 * abs(cyp)
@@ -170,7 +194,7 @@ def test_propagate_polyline():
     mid = -4.0 + 7.0j
     target = -2.0 + 9.0j
     y, yp, logscale = propagate(a, z0, y0, y1, [mid, target], N)
-    yd, ypd = step(derivatives_at(a, z0, y0, y1, N), target - z0)
+    yd, ypd = step(a, z0, derivatives_at(a, z0, y0, y1, N), target - z0)
     scale = math.exp(logscale)
     assert abs(y * scale - yd) < 1e-11 * abs(yd)
     assert abs(yp * scale - ypd) < 1e-11 * abs(ypd)
@@ -202,9 +226,9 @@ def test_step_batch_matches_step():
         yb, ypb, ok = step_batch(a, np.array(z0), np.array(y0),
                                  np.array(y1), np.array(h), N)
         for i, (z, u, up, d) in enumerate(zip(z0, y0, y1, h)):
-            st = derivatives_at(a, z, u, up, N)
+            c = derivatives_at(a, z, u, up, N)
             # the first try of step_once, on the plain-loop oracle
-            y, yp, tail = _loop_taylor_eval(st.derivs, d)
+            y, yp, tail = _loop_taylor_eval(c, d)
             scale = max(abs(y), abs(d) * abs(yp), 1e-300)
             if tail > 2.0 * TAIL_TOL * scale:
                 assert not ok[i]
@@ -214,7 +238,7 @@ def test_step_batch_matches_step():
             # like step_once's first try, an accepted try past h_max is
             # the step's result
             seen["ok_over_h_max" if abs(d) > h_max(a, z) else "ok"] += 1
-            y, yp = step(st, d)
+            y, yp = step(a, z, c, d)
             assert abs(yb[i] - y) <= 1e-13 * abs(y)
             assert abs(ypb[i] - yp) <= 1e-13 * abs(yp)
     assert seen["ok"] >= 50 and seen["subdivided"] >= 50, seen
@@ -230,7 +254,8 @@ def test_step_batch_broadcasts_scalar_data():
     assert ok.all()
     assert y[2] == 0 and yp[2] == 1
     for i in range(2):
-        ys, yps = step(derivatives_at(a, complex(z0[i]), 0j, 1.0 + 0j, N),
+        z = complex(z0[i])
+        ys, yps = step(a, z, derivatives_at(a, z, 0j, 1.0 + 0j, N),
                        complex(h[i]))
         assert abs(y[i] - ys) <= 1e-13 * abs(ys)
         assert abs(yp[i] - yps) <= 1e-13 * abs(yps)
@@ -246,8 +271,8 @@ def test_step_batch_accepts_steps_over_h_max():
     y, yp, ok = step_batch(a, np.tile(z0, 3), 0j, 0j, h, N)
     assert ok.all()
     for i, z in enumerate(np.tile(z0, 3).tolist()):
-        st = derivatives_at(a, z, 0j, 0j, N)
-        assert (y[i], yp[i]) == step(st, complex(h[i])) == (0j, 0j)
+        c = derivatives_at(a, z, 0j, 0j, N)
+        assert (y[i], yp[i]) == step(a, z, c, complex(h[i])) == (0j, 0j)
 
 
 # The kernel's loops as first written, kept as the oracle of the
@@ -356,7 +381,8 @@ def test_step_once_is_plain_bisection():
     depths = Counter()
     for a, z0, y0, y1, h in _kernel_corpus(20261019, 600):
         *want, depth = _bisecting_step(a, z0, y0, y1, h, 30)
-        got = _taylor_py.step_once(a, z0, y0, y1, h, 30)
+        c = _taylor_py.scaled_derivs(a, z0, y0, y1, 31)
+        got = _taylor_py.step_once(a, z0, c, h)
         assert repr(got) == repr(tuple(want))
         depths[depth, want[2]] += 1
     # every depth 0..6 accepts somewhere, and some steps fail at depth 6
