@@ -9,8 +9,11 @@ made there too.  Selection happens in `pcfzeros.taylor` at import time.
 `scaled_derivs` returns.  The tail criterion `_tail_ok` is the one home
 of the step rule: `step_once` applies it to each try, and `taylor_eval`
 returns its verdict with the values, which the chain hop
-(`pcfzeros.chain._propagated_quotient`) takes as it comes;
-`taylor.step_batch` runs `scaled_derivs` on numpy arrays.
+(`pcfzeros.chain._propagated_quotient`) takes as it comes.
+`taylor.step_batch` runs `scaled_derivs` on numpy arrays, whose complex
+products and complex/float quotients can round differently from
+CPython's, so the batch matches this kernel's first try to rounding,
+not bit for bit.
 
 The ODE is y'' = (z^2/4 + a) y.  Derivatives are stored scaled,
 c_k = y^(k)(z0)/k!, so a step is a plain polynomial in h and the
@@ -85,6 +88,8 @@ def taylor_eval(c, h: complex):
     `_tail_ok`: the try is accepted as it stands.
     """
     n = len(c) - 1
+    if n < 1:
+        raise ValueError("need at least two coefficients")
     cn = c[n]
     y = cn
     yp = n * cn
@@ -152,6 +157,8 @@ def step_once(a: float, z0: complex, c0, h: complex):
     fails at the smallest subdivision.
     """
     n = len(c0) - 1
+    if n < 1:
+        raise ValueError("need at least two coefficients")
     # a step of h_max rarely passes on its first try, so the first
     # half-step of the bisection is evaluated in the same pass
     y, yp, yh, yph = _taylor_eval2(c0, h, h / 2)

@@ -26,9 +26,10 @@ FIRST_ZERO_ITERS = 80       # iteration budget of the first-zero refinement
 MAX_INNER_ITERS = 20        # iteration budget of one chain hop
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ZeroRecord:
-    """One computed zero of U(a, .)."""
+    """One computed zero of U(a, .); slotted, not frozen, to be cheap to
+    build, and never mutated by the package once returned."""
     index: int
     z: complex
     est_rel_error: float = math.nan
@@ -285,7 +286,7 @@ def verify_zeros(a: float, zeros: list[ZeroRecord]) -> list[ZeroRecord]:
     quotient one by one, which hands them to `taylor.step`.  A lone zero
     is checked by absolute evaluation (`pcf.relative_error_estimate`).
     An estimate that fails with a `PcfZerosError` is NaN; any other
-    error propagates.
+    error propagates.  The records given are left as they are.
     """
     if len(zeros) < 2:
         ests = [_estimate(pcf.relative_error_estimate, a, rec.z)

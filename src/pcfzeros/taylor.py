@@ -41,8 +41,8 @@ def step(a: float, z0: complex, c, h: complex) -> tuple[complex, complex]:
 
 
 def _cabs(x):
-    """|x| elementwise, rounded as Python's abs(complex) is: np.abs can
-    differ from it in the last bit, which would move the tail test."""
+    """|x| elementwise, rounded as Python's abs(complex) is (np.abs can
+    differ in the last bit), so the tail test adds no rounding of its own."""
     import numpy as np
     return np.hypot(x.real, x.imag)
 
@@ -54,11 +54,14 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
     z0 and h are arrays of one shape; y0 and y1 are scalars or arrays of
     that shape.  Returns complex arrays (y, yprime) and a boolean array
     ok.  The expansion is the pure-Python kernel's `scaled_derivs`, and
-    the sums and the acceptance test are those of the kernel's first try
-    in `step_once`: ok is true where the tail criterion holds on a
-    finite scale, at any |h|.  Where ok is false `step` would subdivide
-    or `propagate` take several steps, and (y, yprime) are not to be
-    used.
+    the sums and the acceptance test take the operations of the kernel's
+    first try in `step_once` in the same order; but numpy may round
+    complex products and complex/float quotients differently from
+    CPython, so the values match that try to rounding (the tests hold
+    them to 1e-13), not bit for bit.  ok is true where the tail
+    criterion holds on a finite scale, at any |h|.  Where ok is false
+    `step` would subdivide or `propagate` take several steps, and
+    (y, yprime) are not to be used.
     """
     import numpy as np   # the batched step is the package's one numpy user
     z0 = np.asarray(z0, dtype=complex)
@@ -67,12 +70,15 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
     # rejected entries may overflow; the tail test turns them down
     with np.errstate(over="ignore", invalid="ignore"):
         c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
-        y = c[n]
+        # in place: the ufunc calls of y = y * h + c[k], one array fewer
+        y = c[n].copy()
         for k in range(n - 1, -1, -1):
-            y = y * h + c[k]
+            y *= h
+            y += c[k]
         yp = n * c[n]
         for k in range(n - 1, 0, -1):
-            yp = yp * h + k * c[k]
+            yp *= h
+            yp += k * c[k]
         ah = _cabs(h)
         tail = np.maximum(_cabs(c[n]) * ah ** n,
                           _cabs(c[n - 1]) * ah ** (n - 1))

@@ -2,6 +2,7 @@
 import cmath
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -248,6 +249,28 @@ def test_verify_zeros_matches_per_zero_propagation(a, L, monkeypatch):
     assert [r.index for r in checked] == [r.index for r in zeros]
     for rec, est in zip(checked, want):
         assert abs(rec.est_rel_error - est) <= 1e-15
+
+
+def test_zero_record_contract():
+    rec = ZeroRecord(3, -4.5 + 2.25j, 1e-15, 2)
+    assert rec == ZeroRecord(3, -4.5 + 2.25j, 1e-15, 2)
+    assert rec != dataclasses.replace(rec, est_rel_error=2e-15)
+    moved = dataclasses.replace(rec, z=rec.z * (1.0 + 1e-12))
+    assert (moved.index, moved.est_rel_error, moved.inner_iterations) == (
+        3, 1e-15, 2) and moved.z != rec.z
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    # a record holds its four fields and nothing else
+    with pytest.raises(AttributeError):
+        rec.note = "x"
+
+
+def test_verify_zeros_returns_new_records():
+    for zeros in (run_chain(2.3, 10.0), run_chain(2.3, 10.0)[:1]):
+        before = [repr(r) for r in zeros]
+        checked = verify_zeros(2.3, zeros)
+        assert [repr(r) for r in zeros] == before
+        assert not any(c is r for c, r in zip(checked, zeros))
+        assert all(math.isfinite(r.est_rel_error) for r in checked)
 
 
 def test_verify_zeros_short_lists():

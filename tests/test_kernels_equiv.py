@@ -171,6 +171,17 @@ def test_step_once_from_short_expansions(compiled):
 
 
 @pytest.mark.parametrize("kernel", ["python", "c"])
+def test_too_short_expansions_raise(request, kernel):
+    k = (request.getfixturevalue("compiled") if kernel == "c"
+         else _taylor_py)
+    for c in ([], [1j], (1j,)):
+        with pytest.raises(ValueError, match="need at least two"):
+            k.taylor_eval(c, 0.5)
+        with pytest.raises(ValueError, match="need at least two"):
+            k.step_once(1.0, 0j, c, 0.5)
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
 def test_step_is_step_once(request, use_kernel, kernel):
     use_kernel(request.getfixturevalue("compiled") if kernel == "c"
                else _taylor_py)

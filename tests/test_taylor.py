@@ -8,6 +8,7 @@ import pytest
 
 from pcfzeros import _taylor_py, taylor
 from pcfzeros._taylor_py import TAIL_TOL
+from pcfzeros.chain import run_chain
 from pcfzeros.config import TAYLOR_ORDER
 from pcfzeros.errors import StepFailureError
 from pcfzeros.taylor import (derivatives_at, h_max, propagate, step,
@@ -273,6 +274,41 @@ def test_step_batch_accepts_steps_over_h_max():
     for i, z in enumerate(np.tile(z0, 3).tolist()):
         c = derivatives_at(a, z, 0j, 0j, N)
         assert (y[i], yp[i]) == step(a, z, c, complex(h[i])) == (0j, 0j)
+
+
+def _out_of_place_step_batch(a, z0, y0, y1, h, order):
+    """step_batch with its Horner sums built out of place, a new array
+    per term: the same ufunc calls in the same order as the in-place
+    sums, so the results must be identical to the bit."""
+    n = order + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
+        y = c[n]
+        for k in range(n - 1, -1, -1):
+            y = y * h + c[k]
+        yp = n * c[n]
+        for k in range(n - 1, 0, -1):
+            yp = yp * h + k * c[k]
+        ah = taylor._cabs(h)
+        tail = np.maximum(taylor._cabs(c[n]) * ah ** n,
+                          taylor._cabs(c[n - 1]) * ah ** (n - 1))
+        bound = TAIL_TOL * np.maximum(
+            np.maximum(taylor._cabs(y), ah * taylor._cabs(yp)), 1e-300)
+        ok = (tail <= bound) & (bound < np.inf)
+    return y, yp, ok
+
+
+@pytest.mark.parametrize("a, L", [(-30.2, 60.0), (20.5, 50.0)])
+def test_step_batch_in_place_matches_out_of_place(a, L):
+    # verify_zeros' batch: each zero from its neighbor, entries the tail
+    # test rejects included
+    z = np.array([r.z for r in run_chain(a, L)])
+    anchor = np.concatenate((z[1:2], z[:-1]))
+    got = step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor, N)
+    want = _out_of_place_step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor, N)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w, strict=True)
+    assert 1 <= np.count_nonzero(~got[2]) < len(z)
 
 
 # The kernel's loops as first written, kept as the oracle of the
