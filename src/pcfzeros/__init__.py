@@ -7,7 +7,7 @@ from .config import DEFAULT_CONFIG  # noqa: F401
 from .errors import (ConvergenceError, HermiteParameterError,  # noqa: F401
                      PcfZerosError, RegionError, StepFailureError,
                      TruncationWarning, TurningPointError)
-from .pcf import PcfValue, evaluate, relative_error_estimate  # noqa: F401
+from .pcf import PcfValue, evaluate  # noqa: F401
 from .scaled import ScaledValue  # noqa: F401
 
 __version__ = "0.1.0"

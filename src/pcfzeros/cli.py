@@ -132,6 +132,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
 
     if args.table is not None:
+        # a table line gives its own a and L, and the mode writes counts
+        # as CSV, so these flags would be ignored
+        ignored = [flag for flag, given in (
+            ("--a", args.a is not None), ("--L", args.L is not None),
+            ("--verify", args.verify), ("--format", args.format != "csv"))
+            if given]
+        if ignored:
+            print(f"pcfzeros: --table does not take {', '.join(ignored)}",
+                  file=sys.stderr)
+            return 1
         return table_mode(args.table, args.out)
 
     if args.a is None or args.L is None:

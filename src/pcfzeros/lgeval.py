@@ -5,9 +5,9 @@ each evaluator returning the pair (U, U') as :class:`ScaledValue`
 results, since the prefactors overflow doubles long before the series
 lose accuracy:
 
-- :func:`parameter` computes, once per u and truncation order, every
-  constant that does not depend on the point: sqrt(2u), the anchor sums,
-  the quarter-pi phases, the log prefactor and the gamma factor of the
+- :func:`parameter` computes, once per u, every constant that does not
+  depend on the point: sqrt(2u), the anchor sums, the quarter-pi
+  phases, the log prefactor and the gamma factor of the
   negative-parameter route;
 - :func:`point` maps z to zhat and computes the geometry in
   double-double precision and, for each coefficient family, the three
@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import _dd
+from .config import LG_ORDER
 from .errors import TruncationWarning
 from .lgcoef import LGCoeffTables, make_tables
 from .scaled import ScaledValue
@@ -89,8 +90,8 @@ def _sum_anchor(tables: LGCoeffTables, u: float, tilde: bool) -> float:
 
 
 class LGParameter(NamedTuple):
-    """What the expansions share at one parameter u and truncation order,
-    whatever the point; see :func:`parameter`."""
+    """What the expansions share at one parameter u, whatever the
+    point; see :func:`parameter`."""
     u: float
     tables: LGCoeffTables
     s2u: tuple[float, float]      # sqrt(2u) as a double-double
@@ -106,15 +107,16 @@ class LGParameter(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def parameter(u: float, S: int) -> LGParameter:
-    """Every constant of the expansions that depends on u and the order
-    S alone, computed once for all the points at that parameter.
+def parameter(u: float) -> LGParameter:
+    """Every constant of the expansions that depends on u alone, at the
+    truncation order `config.LG_ORDER`, computed once for all the points
+    at that parameter.
 
-    At the default order the anchor sums never warn: their last term is
+    At that order the anchor sums never warn: their last term is
     1.5e-17 at u = U_MIN and falls as u grows, so caching them loses no
     TruncationWarning.
     """
-    tables = make_tables(S)
+    tables = make_tables(LG_ORDER)
     anchors = (_sum_anchor(tables, u, False), _sum_anchor(tables, u, True))
     qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
     qpm = _dd.dd_mul_d((math.pi, _PI_LO), -0.25 * (u - 1.0))

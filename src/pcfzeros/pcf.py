@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import lgeval, taylor
-from .config import LG_ORDER, TAYLOR_ORDER, Z_MAX
+from .config import A_MAX, Z_MAX
 from .errors import RegionError
 from .scaled import ScaledValue
 
@@ -36,9 +36,11 @@ class PcfValue:
 
 
 def is_hermite(a: float) -> bool:
-    """True if a is -k + 1/2, to within 1e-12, for some integer k >= 1."""
+    """True if a is -k + 1/2, to within 1e-12, for some integer k >= 1.
+    The distance is summed exactly: past 2^53 the half of 0.5 - k rounds
+    away, and a would pass for a Hermite parameter."""
     k = round(0.5 - a)
-    return k >= 1 and abs(a - (0.5 - k)) < 1e-12
+    return k >= 1 and abs(math.fsum((a, k, -0.5))) < 1e-12
 
 
 # Cephes lgam: ln(pi), ln(sqrt(2 pi)) and the overflow threshold
@@ -174,19 +176,21 @@ def _path_waypoints(a: float, z: complex) -> list[complex]:
 
 
 def evaluate(a: float, z: complex) -> PcfValue:
-    """U(a,z) and U'(a,z) at z with |z| <= Z_MAX in the closed left
-    half-plane (Re z <= 1e-9), or with |z| <= 30 on the right.
+    """U(a,z) and U'(a,z) for |a| <= A_MAX at z with |z| <= Z_MAX in the
+    closed left half-plane (Re z <= 1e-9), or with |z| <= 30 on the right.
 
     The lower half-plane comes by reflection, U(a, conj z) = conj U(a, z)
     for real a, so every route sees Im z >= 0: the closed form at Hermite
     parameters (`is_hermite`), the LG expansions where `_in_lg_region`
     (Re z <= 0 only), and otherwise the origin-anchored Taylor route.  A
-    non-finite a or z raises ValueError, and a point outside that region
-    RegionError.
+    non-finite a or z raises ValueError, and an a or a point outside that
+    region RegionError.
     """
     a, z = float(a), complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
         raise ValueError(f"a={a} and z={z} must be finite")
+    if abs(a) > A_MAX:
+        raise RegionError(f"|a|={abs(a)} exceeds A_MAX={A_MAX}")
     if abs(z) > Z_MAX or (z.real > 1e-9 and abs(z) > 30.0):
         raise RegionError(f"z={z} outside the supported evaluation region")
     conj = z.imag < 0.0
@@ -233,7 +237,7 @@ def _in_lg_region(a: float, z: complex) -> bool:
 
 
 def _evaluate_lg(a: float, z: complex) -> PcfValue:
-    par = lgeval.parameter(2.0 * a, LG_ORDER)
+    par = lgeval.parameter(2.0 * a)
     U, Up = lgeval.eval_pair(lgeval.point(par, z))
     return PcfValue(U, Up, "liouville-green")
 
@@ -249,7 +253,7 @@ def _evaluate_lg_neg(a: float, z: complex) -> PcfValue:
     apply respectively, from one `lgeval.point`.  The factors that
     depend on u alone come from `lgeval.parameter`.
     """
-    par = lgeval.parameter(-2.0 * a, LG_ORDER)
+    par = lgeval.parameter(-2.0 * a)
     pt = lgeval.point(par, complex(-z.imag, -z.real))
     T1, D1 = (v.conjugate() for v in lgeval.eval_pair(pt))
     T2, D2 = (v.conjugate() for v in lgeval.eval_pair_negarg(pt))
@@ -287,18 +291,6 @@ def _evaluate_taylor(a: float, z: complex) -> PcfValue:
     if abs(z) < 1e-300:
         return PcfValue(ScaledValue.make(m0, e), ScaledValue.make(m1, e),
                         "origin-series")
-    y, yp, logscale = taylor.propagate(a, 0j, m0, m1,
-                                       _path_waypoints(a, z), TAYLOR_ORDER)
+    y, yp, logscale = taylor.propagate(a, 0j, m0, m1, _path_waypoints(a, z))
     return PcfValue(ScaledValue.make(y, e + logscale),
                     ScaledValue.make(yp, e + logscale), "origin-series")
-
-
-def relative_error_estimate(a: float, z: complex) -> float:
-    """Inverse condition number |U / (z U')| at z: the estimated relative
-    error of z viewed as a computed zero of U(a, .)."""
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    v = evaluate(a, z)
-    if v.U.is_zero:
-        return 0.0
-    return math.exp(v.U.exponent - v.Uprime.exponent) / abs(z)

@@ -4,11 +4,13 @@ Thin, typed API over the stepping kernel: the compiled `_taylor_c` (C,
 built by setup.py) when it has been built, otherwise its pure-Python
 twin `_taylor_py`; both give the same results to the bit.  An expansion
 is a tuple of scaled derivatives (`derivatives_at`), and `step` steps
-from the one its caller holds.
+from the one its caller holds.  Every expansion here is truncated at
+`config.TAYLOR_ORDER`.
 """
 from __future__ import annotations
 
 from . import _taylor_py
+from .config import TAYLOR_ORDER
 from .errors import StepFailureError
 
 try:
@@ -20,13 +22,12 @@ KERNEL = kernel.KERNEL
 h_max = kernel.h_max
 
 
-def derivatives_at(a: float, z0: complex, y0: complex, y1: complex,
-                   N: int) -> tuple[complex, ...]:
-    """Expansion c_0..c_{N+1}, c_k = y^(k)(z0)/k!, of the solution with
-    (y, y') = (y0, y1) at z0, as a tuple: N+1 terms for y and for y'."""
-    if N < 4:
-        raise ValueError("N must be >= 4")
-    return tuple(kernel.scaled_derivs(a, z0, y0, y1, N + 1))
+def derivatives_at(a: float, z0: complex, y0: complex,
+                   y1: complex) -> tuple[complex, ...]:
+    """Expansion c_0..c_{N+1}, c_k = y^(k)(z0)/k! and N = TAYLOR_ORDER,
+    of the solution with (y, y') = (y0, y1) at z0, as a tuple: N+1 terms
+    for y and for y'."""
+    return tuple(kernel.scaled_derivs(a, z0, y0, y1, TAYLOR_ORDER + 1))
 
 
 def step(a: float, z0: complex, c, h: complex) -> tuple[complex, complex]:
@@ -47,7 +48,7 @@ def _cabs(x):
     return np.hypot(x.real, x.imag)
 
 
-def step_batch(a: float, z0, y0, y1, h, order: int):
+def step_batch(a: float, z0, y0, y1, h):
     """First try of many independent steps at once, vectorised over numpy
     arrays: expand (y0, y1) at each point of z0 and evaluate at z0 + h.
 
@@ -66,7 +67,7 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
     import numpy as np   # the batched step is the package's one numpy user
     z0 = np.asarray(z0, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    n = order + 1
+    n = TAYLOR_ORDER + 1
     # rejected entries may overflow; the tail test turns them down
     with np.errstate(over="ignore", invalid="ignore"):
         c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
@@ -88,11 +89,10 @@ def step_batch(a: float, z0, y0, y1, h, order: int):
     return y, yp, ok
 
 
-def propagate(a: float, z0: complex, y0: complex, y1: complex,
-              waypoints, order: int):
+def propagate(a: float, z0: complex, y0: complex, y1: complex, waypoints):
     """Propagate (y, y') along a polyline; returns (y, yprime, logscale)."""
     y, yp, logscale, ok = kernel.propagate_polyline(
-        a, z0, y0, y1, list(waypoints), order)
+        a, z0, y0, y1, list(waypoints), TAYLOR_ORDER)
     if not ok:
         raise StepFailureError(
             f"propagation from {z0} failed the tail criterion")

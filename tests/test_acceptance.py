@@ -14,12 +14,10 @@ from scipy.special import gammaln
 
 from pcfzeros import taylor
 from pcfzeros.chain import fixed_point_T, run_chain, verify_zeros
-from pcfzeros.config import LG_ORDER, TAYLOR_ORDER
+from pcfzeros.config import LG_ORDER
 from pcfzeros.lgcoef import build_tables, make_tables
 from pcfzeros.lgeval import _sum_anchor, gamma_ratio
 from pcfzeros.pcf import evaluate
-
-N = TAYLOR_ORDER
 
 TABLE = [
     (-1.7, 12.0, 23), (-1.7, 60.0, 573), (-1.7, 180.0, 5157),
@@ -205,19 +203,19 @@ def test_criterion_07_taylor_properties():
         if abs(y0) < 0.1 or abs(y1) < 0.1:
             continue
         n += 1
-        c = taylor.derivatives_at(a, z0, y0, y1, N)
+        c = taylor.derivatives_at(a, z0, y0, y1)
         hm = taylor.h_max(a, z0)
         growth = max(abs(d) * hm ** k for k, d in enumerate(c))
         assert growth < 1e6 * abs(c[0])
         ya, ypa = taylor.step(a, z0, c, h)
-        back = taylor.derivatives_at(a, z0 + h, ya, ypa, N)
+        back = taylor.derivatives_at(a, z0 + h, ya, ypa)
         yb, ypb = taylor.step(a, z0 + h, back, -h)
         d = max(abs(y0), abs(y1))
         worst_rt = max(worst_rt, abs(yb - y0) / d, abs(ypb - y1) / d)
         # Wronskian of the fundamental pair over the same step
-        u1, up1 = taylor.step(a, z0, taylor.derivatives_at(a, z0, 1.0, 0.0, N),
+        u1, up1 = taylor.step(a, z0, taylor.derivatives_at(a, z0, 1.0, 0.0),
                               h)
-        u2, up2 = taylor.step(a, z0, taylor.derivatives_at(a, z0, 0.0, 1.0, N),
+        u2, up2 = taylor.step(a, z0, taylor.derivatives_at(a, z0, 0.0, 1.0),
                               h)
         w = u1 * up2 - u2 * up1
         scale = abs(u1 * up2) + abs(u2 * up1)
@@ -239,7 +237,7 @@ def test_criterion_08_convergence_order():
         for i in idxs:
             zp = zeros[i - 1].z
             zs = zeros[i].z
-            c = taylor.derivatives_at(a, zp, 0j, 1.0 + 0j, N)
+            c = taylor.derivatives_at(a, zp, 0j, 1.0 + 0j)
             dirn = (zs - zp) / abs(zs - zp) * (0.6 + 0.8j)
             errs = []
             for d in (1e-1, 5e-2):

@@ -16,7 +16,8 @@ from pcfzeros.chain import (FIRST_ZERO_ITERS, MAX_INNER_ITERS, MAX_ZEROS,
 from pcfzeros.config import (DEFAULT_CONFIG, DELTA, EPS, LG_ORDER,
                              TAYLOR_ORDER)
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
-                             PcfZerosError, StepFailureError)
+                             PcfZerosError, StepFailureError,
+                             TurningPointError)
 from pcfzeros.scaled import ScaledValue
 from test_taylor import _loop_verdict
 
@@ -32,6 +33,12 @@ def test_sqrt_A_branch():
     # between the turning points of a = -5 it is positive: real root
     s3 = sqrt_A(-5.0, -1.0 + 0.0j)
     assert abs(s3 - math.sqrt(4.75)) < 1e-14
+
+
+def test_sqrt_A_raises_at_a_turning_point():
+    # A = -(-2)^2/4 + 1 is exactly 0
+    with pytest.raises(TurningPointError):
+        sqrt_A(-1.0, -2.0 + 0.0j)
 
 
 def test_displace_real_axis():
@@ -58,13 +65,25 @@ def test_fixed_point_newton_limit():
     assert abs(resid) < 1e-12 * abs(q)
 
 
+def test_fixed_point_arctan_singularity():
+    # w Q = i, where atan has its pole
+    a, z = 2.3, -5.0 + 5.0j
+    with pytest.raises(ConvergenceError, match="arctan singularity"):
+        fixed_point_T(a, z, 1j / sqrt_A(a, z))
+
+
 def test_is_hermite():
     assert is_hermite(-0.5)
     assert is_hermite(-2.5)
+    assert is_hermite(-9.5)
     assert is_hermite(-1.5 + 1e-13)
+    assert is_hermite(-(2.0 ** 51 + 0.5))
     assert not is_hermite(0.5)  # k = 0 is not an excluded case
     assert not is_hermite(-2.5 + 1e-6)
     assert not is_hermite(1.5)
+    # past 2^53 no double is a half-integer; 0.5 - k rounds the half away
+    assert not is_hermite(-2.0 ** 53)
+    assert not is_hermite(-1e18)
 
 
 def test_first_zero_estimate_consistency():
@@ -149,7 +168,7 @@ def test_run_chain_rejects_domain_over_zero_cap(monkeypatch):
     # checked before any zero is refined: at L = 1e5 the first-zero
     # refinement alone would integrate out to |z| ~ 1.4e5
     monkeypatch.setattr(chain, "refine_first_zero", _refinement_must_not_run)
-    for a, L in ((1.0, 1e5), (-1.7, 1e5), (20.5, 7927.0)):
+    for a, L in ((1.0, 1e5), (-1.7, 1e5), (20.5, 7927.0), (-1e18, 10.0)):
         assert max_zero_index(a, L) > MAX_ZEROS
         with pytest.raises(ValueError, match=str(MAX_ZEROS)):
             run_chain(a, L)
@@ -217,6 +236,15 @@ def test_failing_outward_hop_raises(monkeypatch):
         run_chain(2.3, 10.0)
 
 
+def test_hop_that_does_not_advance_raises(monkeypatch):
+    # a hop back onto the zero it started from is no progress, and away
+    # from the turning point it is not the end of the string either
+    monkeypatch.setattr(chain, "refine_from_previous",
+                        lambda a, z_prev, seed: (z_prev, 1, ()))
+    with pytest.raises(ConvergenceError, match="stalled or reversed"):
+        run_chain(2.3, 10.0)
+
+
 def test_verify_zeros_estimates():
     zeros = run_chain(2.3, 10.0)
     checked = verify_zeros(2.3, zeros)
@@ -231,8 +259,7 @@ def test_verify_zeros_matches_per_zero_propagation(a, L, monkeypatch):
     want = []
     for i, rec in enumerate(zeros):
         anchor = zeros[i - 1 if i else 1].z
-        y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [rec.z],
-                                    TAYLOR_ORDER)
+        y, yp, _ = taylor.propagate(a, anchor, 0j, 1.0 + 0j, [rec.z])
         want.append(abs(y / yp) / abs(rec.z))
     fallbacks = []
     step = taylor.step
@@ -279,6 +306,31 @@ def test_verify_zeros_short_lists():
     (rec,) = verify_zeros(2.3, zeros[:1])
     assert rec.est_rel_error < 1e-11
     assert verify_zeros(2.3, []) == []
+
+
+def test_lone_zero_u_prime_zero_is_nan(monkeypatch):
+    # the lone zero is checked through the first-zero refinement's
+    # quotient, whose vanishing U' is a failure, not a finite estimate
+    zeros = run_chain(2.3, 10.0)[:1]
+    evaluate = pcf.evaluate
+
+    def flat(a, z):
+        return dataclasses.replace(evaluate(a, z),
+                                   Uprime=ScaledValue(0j, 0.0))
+    monkeypatch.setattr(pcf, "evaluate", flat)
+    (rec,) = verify_zeros(2.3, zeros)
+    assert math.isnan(rec.est_rel_error)
+
+
+def test_propagated_quotient_u_prime_zero_is_convergence_error(monkeypatch):
+    # data (U, U') = (1, 0) at the anchor instead of (0, 1)
+    derivatives_at = taylor.derivatives_at
+    monkeypatch.setattr(taylor, "derivatives_at",
+                        lambda a, z0, y0, y1: derivatives_at(a, z0, y1, y0))
+    anchor = -5.0 + 5.0j
+    quotient = chain._propagated_quotient(2.3, anchor)
+    with pytest.raises(ConvergenceError, match="U' vanished"):
+        quotient(anchor)
 
 
 def test_verify_zeros_step_failure_is_nan(monkeypatch):
@@ -381,7 +433,7 @@ def _hop_oracle(a, z_prev, seed, handed_off):
     handed_off the step of each iteration whose first try the hop must
     hand to `taylor.step`: one failing the tail test of the plain-loop
     kernel oracle."""
-    c = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j, TAYLOR_ORDER)
+    c = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j)
     z = complex(seed)
     deltas = []
     for it in range(1, MAX_INNER_ITERS + 1):

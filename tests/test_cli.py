@@ -122,6 +122,25 @@ def test_table_mode(tmp_path, capsys):
     assert int(second[2]) == 16
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--a", "2.3"], "--a"), (["--L", "10"], "--L"),
+    (["--verify"], "--verify"), (["--format", "json"], "--format"),
+    (["--format", "json", "--verify", "--a", "2.3", "--L", "10"],
+     "--a, --L, --verify, --format")])
+def test_table_mode_rejects_flags_it_ignores(flags, named, tmp_path,
+                                             capsys):
+    # each line gives its own a and L, and the counts are always CSV
+    table = tmp_path / "cases.txt"
+    table.write_text("2.3 10\n")
+    code, out, err = run(["--table", str(table), *flags], capsys)
+    assert code == 1
+    assert err == f"pcfzeros: --table does not take {named}\n"
+    assert out == ""
+    # the CSV format it writes anyway is no conflict
+    code, out, err = run(["--table", str(table), "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+
+
 def test_table_mode_empty_file(tmp_path, capsys):
     table = tmp_path / "empty.txt"
     table.write_text("")

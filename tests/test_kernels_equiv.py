@@ -23,7 +23,6 @@ import pytest
 
 from pcfzeros import _taylor_py, taylor
 from pcfzeros.chain import run_chain, verify_zeros
-from pcfzeros.config import TAYLOR_ORDER
 from pcfzeros.errors import StepFailureError
 from test_taylor import _kernel_corpus, _loop_verdict
 
@@ -79,8 +78,7 @@ def use_kernel(monkeypatch):
 
 def _step(kernel, use_kernel):
     use_kernel(kernel)
-    c = taylor.derivatives_at(-3.3, -4.0 + 2.0j, 1.0 + 0.0j, 0.2 - 0.5j,
-                              TAYLOR_ORDER)
+    c = taylor.derivatives_at(-3.3, -4.0 + 2.0j, 1.0 + 0.0j, 0.2 - 0.5j)
     return taylor.step(-3.3, -4.0 + 2.0j, c, 0.4 - 0.3j)
 
 
@@ -185,7 +183,6 @@ def test_too_short_expansions_raise(request, kernel):
 def test_step_is_step_once(request, use_kernel, kernel):
     use_kernel(request.getfixturevalue("compiled") if kernel == "c"
                else _taylor_py)
-    order = TAYLOR_ORDER
     over_h_max = 0
     # no corpus try past h_max passes the tail test; these do, as the
     # last two terms vanish: zero data, and a = 0 expanded at the origin
@@ -195,7 +192,7 @@ def test_step_is_step_once(request, use_kernel, kernel):
                       (0.0, 0j, 1.0 + 0j, 0j, -8j)]
     for a, z0, y0, y1, h in [*_kernel_corpus(20261021, 300),
                              *vanishing_tail]:
-        c = taylor.derivatives_at(a, z0, y0, y1, order)
+        c = taylor.derivatives_at(a, z0, y0, y1)
         y, yp, ok = taylor.kernel.step_once(a, z0, c, h)
         if ok:
             assert repr(taylor.step(a, z0, c, h)) == repr((y, yp))
@@ -210,7 +207,7 @@ def test_step_is_step_once(request, use_kernel, kernel):
             over_h_max += abs(h) > taylor.h_max(a, z0)
     assert over_h_max >= len(vanishing_tail)
     # a step whose every subdivision overflows fails, on either kernel
-    c = taylor.derivatives_at(-3.2, -4.0 + 2.0j, 0j, 1.0 + 0j, order)
+    c = taylor.derivatives_at(-3.2, -4.0 + 2.0j, 0j, 1.0 + 0j)
     for h in (1e12, complex(1.5e308, 1.5e308)):
         with pytest.raises(StepFailureError):
             taylor.step(-3.2, -4.0 + 2.0j, c, h)

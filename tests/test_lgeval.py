@@ -23,7 +23,7 @@ TABLES = make_tables(S)
 
 def _geometry_at(u, zhat):
     """(beta, u*xi) at the scaled variable zhat, u*xi as one double."""
-    beta, phi, _ = _geometry_dd(parameter(u, S), math.sqrt(2.0 * u) * zhat)
+    beta, phi, _ = _geometry_dd(parameter(u), math.sqrt(2.0 * u) * zhat)
     return beta, phi[0] + phi[1]
 
 
@@ -116,7 +116,7 @@ def test_eval_U_matches_mpmath():
         z = math.sqrt(2.0 * u) * zhat
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", lgeval.TruncationWarning)
-            got = eval_pair(point(parameter(u, S), z))[0].to_complex()
+            got = eval_pair(point(parameter(u), z))[0].to_complex()
         want = complex(mpmath.pcfu(a, complex(z)))
         assert abs(got - want) < 1e-11 * abs(want), f"zhat={zhat}"
 
@@ -128,7 +128,7 @@ def test_eval_Uprime_matches_mpmath_derivative():
     z = math.sqrt(2.0 * u) * zhat
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", lgeval.TruncationWarning)
-        got = eval_pair(point(parameter(u, S), z))[1].to_complex()
+        got = eval_pair(point(parameter(u), z))[1].to_complex()
     want = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), complex(z)))
     assert abs(got - want) < 1e-11 * abs(want)
 
@@ -143,7 +143,7 @@ def test_negated_argument_variant():
                          (100.0, -4.0 + 4.0j, 5e-14)):
         a = u / 2.0
         z = math.sqrt(2.0 * u) * zhat
-        U, Up = eval_pair_negarg(point(parameter(u, S), z))
+        U, Up = eval_pair_negarg(point(parameter(u), z))
         with mpmath.workdps(30):
             t = mpmath.mpc(-z.real, -z.imag)
             want = complex(mpmath.pcfu(a, t))
@@ -186,8 +186,8 @@ def test_three_sums_add_to_the_full_order_sum():
                 z = math.sqrt(2.0 * u) * complex(re, im)
                 if not pcf._in_lg_region(-0.5 * u, complex(-z.imag, -z.real)):
                     continue
-                pt = point(parameter(u, S), z)
-                beta = _geometry_dd(parameter(u, S), z)[0]
+                pt = point(parameter(u), z)
+                beta = _geometry_dd(parameter(u), z)[0]
                 for tilde in (False, True):
                     want = _full_sum_loop(TABLES, u, beta, tilde)
                     size = sum(abs(x) for x in pt.sums[tilde])
@@ -257,8 +257,8 @@ def _parameter_oracle(u, S):
 def test_parameter_matches_the_per_point_expressions():
     # caching changes no bit of any constant
     for u in (36.0, 40.0, 60.4, 4000.0):
-        assert parameter(u, S) == _parameter_oracle(u, S), u
-        assert parameter(u, S) is parameter(u, S)
+        assert parameter(u) == _parameter_oracle(u, S), u
+        assert parameter(u) is parameter(u)
 
 
 def test_anchor_sums_never_warn():
@@ -274,13 +274,13 @@ def test_anchor_sums_never_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", lgeval.TruncationWarning)
         for u in (lgeval.U_MIN, 36.4, 40.0, 60.4, 100.0, 1e3, 4000.0, 1e6):
-            parameter(u, S)
+            parameter(u)
 
 
 def test_scaled_output_survives_extreme_parameters():
     # the raw function value overflows doubles here; the scaled form must not
     u = 4000.0
-    for sv in eval_pair(point(parameter(u, S),
+    for sv in eval_pair(point(parameter(u),
                               math.sqrt(2.0 * u) * (-1.0 + 1.0j))):
         assert math.isfinite(abs(sv.mantissa))
         assert math.isfinite(sv.exponent)
@@ -292,7 +292,7 @@ def test_truncated_sum_warning():
     # degrades and must warn
     u = 36.0
     with pytest.warns(lgeval.TruncationWarning):
-        point(parameter(u, S), math.sqrt(2.0 * u) * (-0.3 + 1.2j))
+        point(parameter(u), math.sqrt(2.0 * u) * (-0.3 + 1.2j))
     # the last retained terms reach 3e-10 here (the value is 2.4e-8 off);
     # they depend on the point, so a second call at the same a, which
     # finds its parameter record cached, warns again

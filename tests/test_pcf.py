@@ -1,16 +1,16 @@
 """Function evaluation: origin data, route dispatch, recurrence checks."""
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
 from pcfzeros import lgeval, pcf, taylor
 from pcfzeros.chain import max_zero_index
-from pcfzeros.config import MAX_ZEROS, TAYLOR_ORDER, Z_MAX
+from pcfzeros.config import A_MAX, MAX_ZEROS, Z_MAX
 from pcfzeros.errors import RegionError
-from pcfzeros.pcf import (LG_GATE, evaluate, origin_values_scaled,
-                          relative_error_estimate)
+from pcfzeros.pcf import LG_GATE, evaluate, origin_values_scaled
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -189,9 +189,8 @@ def test_path_independence():
     # straight path vs a dog-leg through a different waypoint
     a = 2.0
     z = -3.0 + 4.0j
-    n = TAYLOR_ORDER
-    y1, yp1, ls1 = taylor.propagate(a, 0.0, 1.0, 0.0, [z], n)
-    y2, yp2, ls2 = taylor.propagate(a, 0.0, 1.0, 0.0, [-3.0 + 0.0j, z], n)
+    y1, yp1, ls1 = taylor.propagate(a, 0.0, 1.0, 0.0, [z])
+    y2, yp2, ls2 = taylor.propagate(a, 0.0, 1.0, 0.0, [-3.0 + 0.0j, z])
     v1 = y1 * cmath.exp(ls1)
     v2 = y2 * cmath.exp(ls2)
     assert abs(v1 - v2) < 1e-10 * abs(v1)
@@ -221,12 +220,17 @@ def test_region_rejection():
             evaluate(a, z)
 
 
-def test_relative_error_estimate_scale():
-    # at a generic point the estimate is O(1/|z|); tiny only near a zero
-    est = relative_error_estimate(2.3, -3.0 + 4.0j)
-    assert 1e-3 < est < 10.0
-    with pytest.raises(ValueError):
-        relative_error_estimate(2.3, 0.0)
+@pytest.mark.parametrize("a, z", [(-1e18, -2.0 + 2.0j),
+                                  (-1e300, -20.0 + 20.0j),
+                                  (-1e12, -2.0 + 2.0j),
+                                  (math.nextafter(A_MAX, math.inf), -1.0j)])
+def test_parameter_past_a_max_is_rejected_at_once(a, z):
+    # the Hermite recurrence would run |a| times, and the origin route
+    # takes about |z| sqrt|a| / 6 steps
+    t0 = time.perf_counter()
+    with pytest.raises(RegionError, match="A_MAX"):
+        evaluate(a, z)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_hermite_parameters_take_the_closed_form():

@@ -14,8 +14,6 @@ from pcfzeros.errors import StepFailureError
 from pcfzeros.taylor import (derivatives_at, h_max, propagate, step,
                              step_batch)
 
-N = TAYLOR_ORDER
-
 
 def gauss_pair(a, z):
     """Closed forms for the two elementary parameter values."""
@@ -30,7 +28,7 @@ def gauss_pair(a, z):
 
 def test_closed_form_minus_half():
     # the solution exp(-z^2/4), started from z0 = 0
-    c = derivatives_at(-0.5, 0.0 + 0.0j, 1.0, 0.0, N)
+    c = derivatives_at(-0.5, 0.0 + 0.0j, 1.0, 0.0)
     for z in (0.5 + 0.5j, -1.0 + 2.0j, -3.0 + 3.0j):
         y, yp = step(-0.5, 0.0 + 0.0j, c, z)
         ref, refp = gauss_pair(-0.5, z)
@@ -39,7 +37,7 @@ def test_closed_form_minus_half():
 
 
 def test_closed_form_minus_three_halves():
-    c = derivatives_at(-1.5, 0.0 + 0.0j, 0.0, 1.0, N)
+    c = derivatives_at(-1.5, 0.0 + 0.0j, 0.0, 1.0)
     z = -1.0 + 1.5j
     y, yp = step(-1.5, 0.0 + 0.0j, c, z)
     ref, refp = gauss_pair(-1.5, z)
@@ -48,7 +46,7 @@ def test_closed_form_minus_three_halves():
 
 
 def test_zero_step_is_identity():
-    c = derivatives_at(2.0, 1.0 - 1.0j, 0.3 + 0.1j, -0.2j, N)
+    c = derivatives_at(2.0, 1.0 - 1.0j, 0.3 + 0.1j, -0.2j)
     y, yp = step(2.0, 1.0 - 1.0j, c, 0.0)
     assert y == c[0]
     assert yp == c[1]
@@ -57,7 +55,7 @@ def test_zero_step_is_identity():
 def test_state_satisfies_ode_at_expansion_point():
     a, z0 = 1.7, -2.0 + 3.0j
     y0, y1 = 0.4 - 0.3j, 1.1 + 0.2j
-    d = derivatives_at(a, z0, y0, y1, N)
+    d = derivatives_at(a, z0, y0, y1)
     c = 0.25 * z0 * z0 + a
     # y'' = c y  and  y''' = c y' + (z/2) y, in scaled-derivative form
     assert abs(d[2] * 2.0 - c * y0) < 1e-14 * max(1.0, abs(c * y0))
@@ -67,7 +65,7 @@ def test_state_satisfies_ode_at_expansion_point():
 
 def test_derivatives_against_finite_differences():
     a, z0 = -3.3, -4.0 + 2.0j
-    c = derivatives_at(a, z0, 1.0 + 0.0j, 0.2 - 0.5j, N)
+    c = derivatives_at(a, z0, 1.0 + 0.0j, 0.2 - 0.5j)
     h = 1e-3
     # second derivative by central difference of the evaluated series
     yp1 = step(a, z0, c, h)[0]
@@ -100,13 +98,13 @@ def test_round_trip_corpus():
         if abs(y0) < 0.1 or abs(y1) < 0.1:
             continue
         n += 1
-        fwd = derivatives_at(a, z0, y0, y1, N)
+        fwd = derivatives_at(a, z0, y0, y1)
         # the scaled-derivative sequence must stay balanced within h_max
         hm = h_max(a, z0)
         growth = max(abs(d) * hm ** k for k, d in enumerate(fwd))
         assert growth < 1e6 * abs(fwd[0])
         ya, ypa = step(a, z0, fwd, h)
-        back = derivatives_at(a, z0 + h, ya, ypa, N)
+        back = derivatives_at(a, z0 + h, ya, ypa)
         yb, ypb = step(a, z0 + h, back, -h)
         # relative to the data vector norm, the standard backward measure
         d = max(abs(y0), abs(y1))
@@ -117,8 +115,8 @@ def test_round_trip_corpus():
 def test_wronskian_conservation():
     # two independent solutions keep y1 y2' - y2 y1' constant
     a, z0 = 5.0, -10.0 + 8.0j
-    s1 = derivatives_at(a, z0, 1.0, 0.0, N)
-    s2 = derivatives_at(a, z0, 0.0, 1.0, N)
+    s1 = derivatives_at(a, z0, 1.0, 0.0)
+    s2 = derivatives_at(a, z0, 0.0, 1.0)
     w0 = 1.0  # value at z0
     z = z0
     for h in (0.6 - 0.2j, -0.3 + 0.7j, 0.5 + 0.5j):
@@ -128,13 +126,13 @@ def test_wronskian_conservation():
         # the products cancel, so scale the tolerance by their size
         assert abs(w - w0) < 1e-13 * (abs(y1 * yp2) + abs(y2 * yp1))
         z = z + h
-        s1 = derivatives_at(a, z, y1, yp1, N)
-        s2 = derivatives_at(a, z, y2, yp2, N)
+        s1 = derivatives_at(a, z, y1, yp1)
+        s2 = derivatives_at(a, z, y2, yp2)
 
 
 def test_h_max_bounds_series_growth():
     a, z0 = 30.0, -50.0 + 40.0j
-    c = derivatives_at(a, z0, 1.0, 0.5, N)
+    c = derivatives_at(a, z0, 1.0, 0.5)
     hm = h_max(a, z0)
     growth = max(abs(d) * hm ** k for k, d in enumerate(c))
     assert growth / abs(c[0]) < 1e6
@@ -142,7 +140,7 @@ def test_h_max_bounds_series_growth():
 
 def test_unreasonable_step_raises():
     a, z0 = 30.0, -50.0 + 40.0j
-    c = derivatives_at(a, z0, 1.0, 0.5, N)
+    c = derivatives_at(a, z0, 1.0, 0.5)
     with pytest.raises(StepFailureError):
         step(a, z0, c, 1e5)
 
@@ -160,7 +158,7 @@ def test_step_expands_only_past_its_first_piece(monkeypatch):
     monkeypatch.setattr(_taylor_py, "scaled_derivs", spy)
     rebuilt = 0
     for a, z0, y0, y1, h in _kernel_corpus(20261022, 100):
-        c = derivatives_at(a, z0, y0, y1, N)
+        c = derivatives_at(a, z0, y0, y1)
         at.clear()
         try:
             step(a, z0, c, h)
@@ -176,14 +174,14 @@ def test_subdivided_step_matches_many_small_steps():
     a, z0 = 3.0, -6.0 + 5.0j
     y0, y1 = 1.0 + 0.0j, 0.0 + 1.0j
     target = -2.0 + 9.0j
-    c = derivatives_at(a, z0, y0, y1, N)
+    c = derivatives_at(a, z0, y0, y1)
     y, yp = step(a, z0, c, target - z0)
     n = 200
     z = z0
     cy, cyp = y0, y1
     for k in range(1, n + 1):
         zn = z0 + (target - z0) * (k / n)
-        cy, cyp = step(a, z, derivatives_at(a, z, cy, cyp, N), zn - z)
+        cy, cyp = step(a, z, derivatives_at(a, z, cy, cyp), zn - z)
         z = zn
     assert abs(y - cy) < 1e-11 * abs(cy)
     assert abs(yp - cyp) < 1e-11 * abs(cyp)
@@ -194,8 +192,8 @@ def test_propagate_polyline():
     y0, y1 = 1.0 + 0.0j, 0.0 + 1.0j
     mid = -4.0 + 7.0j
     target = -2.0 + 9.0j
-    y, yp, logscale = propagate(a, z0, y0, y1, [mid, target], N)
-    yd, ypd = step(a, z0, derivatives_at(a, z0, y0, y1, N), target - z0)
+    y, yp, logscale = propagate(a, z0, y0, y1, [mid, target])
+    yd, ypd = step(a, z0, derivatives_at(a, z0, y0, y1), target - z0)
     scale = math.exp(logscale)
     assert abs(y * scale - yd) < 1e-11 * abs(yd)
     assert abs(yp * scale - ypd) < 1e-11 * abs(ypd)
@@ -225,9 +223,9 @@ def test_step_batch_matches_step():
     for a, z0, y0, y1, h in [*(_step_corpus(rng, 40) for _ in range(20)),
                              vanishing_tail]:
         yb, ypb, ok = step_batch(a, np.array(z0), np.array(y0),
-                                 np.array(y1), np.array(h), N)
+                                 np.array(y1), np.array(h))
         for i, (z, u, up, d) in enumerate(zip(z0, y0, y1, h)):
-            c = derivatives_at(a, z, u, up, N)
+            c = derivatives_at(a, z, u, up)
             # the first try of step_once, on the plain-loop oracle
             y, yp, tail = _loop_taylor_eval(c, d)
             scale = max(abs(y), abs(d) * abs(yp), 1e-300)
@@ -251,12 +249,12 @@ def test_step_batch_broadcasts_scalar_data():
     a = 2.3
     z0 = np.array([-5.0 + 4.0j, -20.0 + 30.0j, -1.0 + 0.5j])
     h = np.array([0.1 - 0.2j, 0.05j, 0.0])
-    y, yp, ok = step_batch(a, z0, 0j, 1.0 + 0j, h, N)
+    y, yp, ok = step_batch(a, z0, 0j, 1.0 + 0j, h)
     assert ok.all()
     assert y[2] == 0 and yp[2] == 1
     for i in range(2):
         z = complex(z0[i])
-        ys, yps = step(a, z, derivatives_at(a, z, 0j, 1.0 + 0j, N),
+        ys, yps = step(a, z, derivatives_at(a, z, 0j, 1.0 + 0j),
                        complex(h[i]))
         assert abs(y[i] - ys) <= 1e-13 * abs(ys)
         assert abs(yp[i] - yps) <= 1e-13 * abs(yps)
@@ -269,18 +267,18 @@ def test_step_batch_accepts_steps_over_h_max():
     z0 = np.array([-10.0 + 10.0j, 0.5j, -30.0 + 2.0j])
     hm = np.array([h_max(a, z) for z in z0.tolist()])
     h = np.concatenate((hm, hm * (1.0 + 1e-12), 3.0 * hm)) * 1j
-    y, yp, ok = step_batch(a, np.tile(z0, 3), 0j, 0j, h, N)
+    y, yp, ok = step_batch(a, np.tile(z0, 3), 0j, 0j, h)
     assert ok.all()
     for i, z in enumerate(np.tile(z0, 3).tolist()):
-        c = derivatives_at(a, z, 0j, 0j, N)
+        c = derivatives_at(a, z, 0j, 0j)
         assert (y[i], yp[i]) == step(a, z, c, complex(h[i])) == (0j, 0j)
 
 
-def _out_of_place_step_batch(a, z0, y0, y1, h, order):
+def _out_of_place_step_batch(a, z0, y0, y1, h):
     """step_batch with its Horner sums built out of place, a new array
     per term: the same ufunc calls in the same order as the in-place
     sums, so the results must be identical to the bit."""
-    n = order + 1
+    n = TAYLOR_ORDER + 1
     with np.errstate(over="ignore", invalid="ignore"):
         c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
         y = c[n]
@@ -304,8 +302,8 @@ def test_step_batch_in_place_matches_out_of_place(a, L):
     # test rejects included
     z = np.array([r.z for r in run_chain(a, L)])
     anchor = np.concatenate((z[1:2], z[:-1]))
-    got = step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor, N)
-    want = _out_of_place_step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor, N)
+    got = step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor)
+    want = _out_of_place_step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w, strict=True)
     assert 1 <= np.count_nonzero(~got[2]) < len(z)
@@ -425,11 +423,6 @@ def test_step_once_is_plain_bisection():
     for depth in range(_taylor_py.MAX_SPLIT_DEPTH + 1):
         assert depths[depth, True] >= 5, depths
     assert depths[_taylor_py.MAX_SPLIT_DEPTH, False] >= 5, depths
-
-
-def test_order_validation():
-    with pytest.raises(ValueError):
-        derivatives_at(1.0, 0.0, 1.0, 0.0, 2)
 
 
 def test_kernel_selected():
