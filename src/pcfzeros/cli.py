@@ -72,9 +72,9 @@ def _json_report(a, L, zeros) -> str:
         "L": L,
         "zeros": [
             {"index": r.index,
-             "re": float(_fmt(r.z.real)), "im": float(_fmt(r.z.imag)),
+             "re": r.z.real, "im": r.z.imag,
              "est_rel_error": None if r.est_rel_error != r.est_rel_error
-             else float(_fmt(r.est_rel_error)),
+             else r.est_rel_error,
              "iterations": r.inner_iterations}
             for r in zeros
         ],

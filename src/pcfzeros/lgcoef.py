@@ -116,12 +116,11 @@ def build_tables(S: int, tilde: bool = False) -> list[Poly]:
         for j in range(1, s // 2 + 1):
             prod = poly_mul(dF[j - 1], dF[s - j - 1])
             conv = poly_add(conv, poly_scale(prod, 1 if 2 * j == s else 2, 1))
-        if conv[0]:
-            term = poly_add(term, poly_scale(
-                poly_integral_from(poly_mul(_W, conv), s % 2), sign, 2))
+        term = poly_add(term, poly_scale(
+            poly_integral_from(poly_mul(_W, conv), s % 2), sign, 2))
         F.append(term)
         dF.append(poly_diff(term))
-    return F[:S]
+    return F
 
 
 @dataclass(frozen=True)

@@ -212,28 +212,26 @@ def _in_lg_region(a: float, z: complex) -> bool:
     sign of a: u = 2|a| >= lgeval.U_MIN, and the zhat the route evaluates
     at (z/sqrt(2u) if a > 0 and -i conj(z)/sqrt(2u) if a < 0) in the
     closed second quadrant, off the imaginary axis (the segment [0, i]
-    and the cut above i) and outside a disk around zhat = i."""
+    and the cut above i) and outside a disk around zhat = i.  For a > 0
+    the gate Re z < -LG_GATE, Im z > LG_GATE puts zhat inside the open
+    quadrant; for a < 0, Re zhat = -Im z/sqrt(2u) <= 0 holds already."""
     u = 2.0 * abs(a)
     if u < lgeval.U_MIN:
         return False
     s = math.sqrt(2.0 * u)
     y = z.imag
     if a > 0.0:
-        if abs(z.real) <= LG_GATE or y <= LG_GATE:
-            return False
-        zhat = complex(z.real / s, y / s)
-        r_turning = 0.35
-    else:
-        zhat = complex(-y / s, -z.real / s)
-        # near the origin the expansions lose accuracy at moderate u (1e-5
-        # at a=-30.2 for |zhat| < 0.6), while the Taylor path there is
-        # short; with that, the wider disk also covers the imaginary zhat
-        # axis up to 1.5i, where the oscillatory real-z segment takes over
-        if abs(zhat) < 0.6:
-            return False
-        r_turning = 0.5
-    return (zhat.real <= 1e-12 and zhat.imag >= -1e-12
-            and abs(zhat.real) >= 1e-13 and abs(zhat - 1j) >= r_turning)
+        return (z.real < -LG_GATE and y > LG_GATE
+                and abs(complex(z.real / s, y / s) - 1j) >= 0.35)
+    zhat = complex(-y / s, -z.real / s)
+    # near the origin the expansions lose accuracy at moderate u (1e-5
+    # at a=-30.2 for |zhat| < 0.6), while the Taylor path there is
+    # short; with that, the wider disk also covers the imaginary zhat
+    # axis up to 1.5i, where the oscillatory real-z segment takes over
+    if abs(zhat) < 0.6:
+        return False
+    return (zhat.imag >= -1e-12 and abs(zhat.real) >= 1e-13
+            and abs(zhat - 1j) >= 0.5)
 
 
 def _evaluate_lg(a: float, z: complex) -> PcfValue:
@@ -288,9 +286,6 @@ def _evaluate_hermite(a: float, z: complex) -> PcfValue:
 
 def _evaluate_taylor(a: float, z: complex) -> PcfValue:
     (m0, m1), e = origin_values_scaled(a)
-    if abs(z) < 1e-300:
-        return PcfValue(ScaledValue.make(m0, e), ScaledValue.make(m1, e),
-                        "origin-series")
     y, yp, logscale = taylor.propagate(a, 0j, m0, m1, _path_waypoints(a, z))
     return PcfValue(ScaledValue.make(y, e + logscale),
                     ScaledValue.make(yp, e + logscale), "origin-series")

@@ -51,8 +51,6 @@ class ScaledValue(NamedTuple):
 
     def __mul__(self, other) -> "ScaledValue":
         if isinstance(other, ScaledValue):
-            if self.is_zero or other.is_zero:
-                return ScaledValue(0j, 0.0)
             return ScaledValue.make(self.mantissa * other.mantissa,
                                     self.exponent + other.exponent)
         return ScaledValue.make(self.mantissa * other, self.exponent)
@@ -61,10 +59,6 @@ class ScaledValue(NamedTuple):
 
     def __truediv__(self, other) -> "ScaledValue":
         if isinstance(other, ScaledValue):
-            if other.is_zero:
-                raise ZeroDivisionError("division by zero ScaledValue")
-            if self.is_zero:
-                return ScaledValue(0j, 0.0)
             return ScaledValue.make(self.mantissa / other.mantissa,
                                     self.exponent - other.exponent)
         return ScaledValue.make(self.mantissa / other, self.exponent)

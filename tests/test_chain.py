@@ -181,6 +181,14 @@ def test_run_chain_rejects_domain_over_zero_cap(monkeypatch):
         run_chain(1.0, 7926.0)
 
 
+def test_walk_stops_at_the_zero_cap(monkeypatch):
+    # a walk whose end rule never holds raises once it holds MAX_ZEROS
+    z0 = run_chain(-1.7, 12.0)[0].z
+    monkeypatch.setattr(chain, "MAX_ZEROS", 3)
+    with pytest.raises(ConvergenceError, match="zero cap exceeded"):
+        chain._walk(-1.7, z0, -1, lambda z: False)
+
+
 @pytest.mark.parametrize("a", [0.0, -0.05, -0.3])
 def test_run_chain_small_a_ends_at_the_turning_point(a):
     # these strings end off the real axis, next to the turning point

@@ -111,7 +111,8 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
 
 def test_table_mode(tmp_path, capsys):
     table = tmp_path / "cases.txt"
-    table.write_text("-1.7 12\n2.3 10\n")
+    # blank lines and '#' lines are skipped
+    table.write_text("# a L\n-1.7 12\n\n   \n  # 2.3 50\n2.3 10\n")
     code, out, err = run(["--table", str(table)], capsys)
     assert code == 0
     lines = out.strip().split("\n")
@@ -120,6 +121,14 @@ def test_table_mode(tmp_path, capsys):
     assert first[0] == "-1.7" and int(first[2]) == 23
     second = lines[2].split(",")
     assert int(second[2]) == 16
+    assert len(lines) == 3 and err == ""
+
+
+def test_unreadable_table_exits_1(tmp_path, capsys):
+    code, out, err = run(["--table", str(tmp_path / "missing.txt")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pcfzeros: cannot read table file: ")
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -24,6 +24,8 @@ import pytest
 from pcfzeros import _taylor_py, taylor
 from pcfzeros.chain import run_chain, verify_zeros
 from pcfzeros.errors import StepFailureError
+from pcfzeros.pcf import PcfValue, evaluate, origin_values_scaled
+from pcfzeros.scaled import ScaledValue
 from test_taylor import _kernel_corpus, _loop_verdict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -220,3 +222,17 @@ def test_chain_agreement(compiled, use_kernel, a, L):
     want = _records(a, L)
     use_kernel(compiled)
     assert _records(a, L) == want
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_evaluate_at_the_origin_is_the_origin_data(request, use_kernel,
+                                                    kernel):
+    # the origin route takes no step to z = 0 of either sign
+    use_kernel(request.getfixturevalue("compiled") if kernel == "c"
+               else _taylor_py)
+    for a in (-30.2, -1.7, 0.3, 2.3, 20.5):
+        (m0, m1), e = origin_values_scaled(a)
+        want = PcfValue(ScaledValue.make(m0, e), ScaledValue.make(m1, e),
+                        "origin-series")
+        for z in (0, -0j):
+            assert repr(evaluate(a, z)) == repr(want), (a, z)

@@ -73,6 +73,55 @@ def test_evaluate_against_mpmath_moderate():
         assert abs(up - rup) < 1e-11 * abs(rup), (a, z)
 
 
+# Points where `evaluate` answers, without raising, with a value error
+# over 1e-13: route, and the error measured against mpmath
+_KNOWN_WRONG = [
+    *[(a, -28.0 + 31.0j, "origin", err) for a, err in (
+        (17.5, 5.8e-2), (14.02, 1.9e-1), (10.0, 2.0e-5), (5.0, 1.0e-10),
+        (2.3, 2.4e-13))],
+    *[(a, -31.0 + 28.0j, "origin", err) for a, err in (
+        (-5.3, 3.5e-10), (-11.1, 1.5e-4), (-14.02, 1.2e-1))],
+    (-1.7, -37.0 + 10.0j, "origin", 3.4e-13),
+    (18.5, -15.0 + 21.0j, "origin", 2.0e-6),
+    (20.5, -15.0 + 21.0j, "origin", 6.7e-5),
+    (31.78, -15.0 + 23.0j, "origin", 3.6e-2),
+    (39.92, -15.0 + 23.0j, "origin", 6.8),
+    (39.92, -9.0 + 19.0j, "origin", 5.3e-6),
+    (-18.2, -7.0 + 4.0j, "LG", 2.0e-10),
+    (-30.2, -7.0 + 4.0j, "LG", 1.6e-13),
+    (-18.2, -4.713 + 2.402j, "LG", 2.4e-8),
+]
+_RIGHT = [(20.0, -40.0 + 35.0j), (-30.2, -20.0 + 12.0j),   # LG
+          (2.3, -5.0 + 5.0j), (-1.7, -10.0 + 8.0j),         # origin
+          (0.3, -3.0 + 0.5j),
+          (-2.5, -3.0 + 4.0j), (-100.5, -10.0 + 5.0j)]      # Hermite
+
+
+@pytest.mark.parametrize("a, z", [*_RIGHT, *(
+    pytest.param(a, z, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"{route} route, value error {err:.1e}"))
+    for a, z, route, err in _KNOWN_WRONG)])
+@pytest.mark.filterwarnings("ignore::pcfzeros.errors.TruncationWarning")
+def test_value_error_against_mpmath(a, z):
+    # value error max(|U - U*|, |U' - U'*|/|z|) / max(|U*|, |U'*|/|z|),
+    # with U* = mpmath.pcfu and U'* its mpmath.diff at 30 digits; a
+    # typed refusal is an answer too
+    try:
+        v = evaluate(a, z)
+    except RegionError:
+        return
+    with mpmath.workdps(30):
+        w = mpmath.mpc(z)
+        ru = mpmath.pcfu(a, w)
+        rup = mpmath.diff(lambda t: mpmath.pcfu(a, t), w)
+        got = [mpmath.mpc(s.mantissa) * mpmath.exp(s.exponent)
+               for s in (v.U, v.Uprime)]
+        err = (max(abs(got[0] - ru), abs(got[1] - rup) / abs(w))
+               / max(abs(ru), abs(rup) / abs(w)))
+    assert err <= 1e-13, (a, z, v.method, float(err))
+
+
 def test_taylor_and_lg_routes_agree():
     a, z = 20.0, -20.0 + 20.0j
     vt = pcf._evaluate_taylor(a, z)

@@ -28,6 +28,10 @@ def test_zero_handling():
     assert z.is_zero
     assert z.to_complex() == 0.0
     assert (z + ScaledValue.make(2.0)).to_complex() == 2.0
+    # a zero product or quotient is the zero of `make`
+    x = ScaledValue.make(1.3 - 0.7j, 2.0)
+    for v in (z * x, x * z, z / x):
+        assert repr(v) == repr(ScaledValue(0j, 0.0))
 
 
 def test_arithmetic_matches_complex():
