@@ -6,13 +6,16 @@ results, since the prefactors overflow doubles long before the series
 lose accuracy:
 
 - :func:`parameter` computes, once per u, every constant that does not
-  depend on the point: sqrt(2u), the anchor sums, the quarter-pi
+  depend on the point: sqrt(2u), the anchor sums, the coefficient sums
+  folded into even and odd polynomials (:func:`_fold`), the quarter-pi
   phases, the log prefactor and the gamma factor of the
   negative-parameter route;
 - :func:`point` maps z to zhat and computes the geometry in
   double-double precision and, for each coefficient family, the three
-  truncated sums the expansions are built from; it does not check the
-  region, which is the caller's choice (`pcf._in_lg_region`);
+  sums the expansions are built from: the even-order and odd-order sums
+  from their folds, each with its own truncation warning, and the
+  odd-order anchor sum of the parameter; it does not check the region,
+  which is the caller's choice (`pcf._in_lg_region`);
 - :func:`eval_pair`, the oscillatory cosine/sine forms of U(u/2, z) and
   U'(u/2, z), with the scaling and the large phase carried in
   double-double precision;
@@ -48,7 +51,8 @@ _PI_LO = 1.2246467991473532e-16  # pi - math.pi, the tail of the double
 
 def _truncated_sum(coeffs, u: float, start: int) -> complex:
     """sum c_s / u^s over s = start, start+2, ..., with ``coeffs`` the
-    coefficients c_s of those orders in turn.
+    coefficients c_s of those orders in turn; the anchor sums of
+    :func:`parameter` are its only sums.
 
     Stops early once a term is below 1e-16 of the partial sum.  Each sum
     enters U as an exponent or a phase, so the size of the last retained
@@ -73,13 +77,63 @@ def _truncated_sum(coeffs, u: float, start: int) -> complex:
     return total
 
 
-def _sum_beta(tables: LGCoeffTables, u: float, beta: complex, tilde: bool,
-              start: int) -> complex:
-    """sum F_s(beta) / u^s over every other order from ``start``, with F
-    the base family or, with ``tilde``, the tilde family."""
-    return _truncated_sum(
-        (tables.eval(s, beta, tilde) for s in range(start, tables.S + 1, 2)),
-        u, start)
+# one coefficient sum as (start, u^start, middle, last); see _fold
+Fold = tuple[int, float, tuple[float, ...], tuple[float, ...]]
+
+
+def _fold(tables: LGCoeffTables, u: float, tilde: bool, start: int) -> Fold:
+    """The sum of F_s(beta)/u^s over s = start, start+2, ..., S' (S' the
+    last order <= S of that parity), with F the base family or, with
+    ``tilde``, the tilde family, in three parts:
+
+    - the first order, left to `LGCoeffTables.eval` at each point and
+      divided by u^start, as the sum always took it: near beta = +-1 it
+      carries the cancellation of the factor (beta^2 - 1)^2;
+    - the middle orders, folded into one polynomial in beta^2 whose
+      coefficients are the correctly rounded sums of c_{s,j}/u^s;
+    - the last order alone, c_{S',j}/u^S', also in beta^2: its size is
+      the sum's truncation estimate.
+
+    F_s has the parity of s (its coefficients off that parity are
+    exactly 0), so only every other coefficient enters, and an odd sum
+    multiplies both polynomials by beta.  Returns (start, u^start,
+    middle, last), each polynomial highest power first.
+    """
+    coeffs = tables.Etilde_float if tilde else tables.E_float
+    orders = range(start, tables.S + 1, 2)
+    rows = [(u ** s, coeffs[s - 1][start % 2::2]) for s in orders]
+    middle = [math.fsum(c[k] / upow for upow, c in rows[1:-1] if k < len(c))
+              for k in range(len(rows[-2][1]))]
+    upow, c = rows[-1]
+    return (start, rows[0][0], tuple(reversed(middle)),
+            tuple(x / upow for x in reversed(c)))
+
+
+def _folded_sum(tables: LGCoeffTables, tilde: bool, fold: Fold,
+                beta: complex, b2: complex) -> complex:
+    """The sum of `fold` at beta, with b2 = beta^2: the first order,
+    then the middle and the last orders by one Horner pass each.
+
+    The last order's size is the truncation estimate.  Each sum enters
+    U as an exponent or a phase, so that size is the relative error it
+    leaves in U; warns if it exceeds 1e-13 (approaching the divergent
+    tail of the asymptotic series).
+    """
+    start, upow, middle, last = fold
+    m = t = 0j
+    for c in middle:
+        m = m * b2 + c
+    for c in last:
+        t = t * b2 + c
+    if start % 2:
+        m *= beta
+        t *= beta
+    total = tables.eval(start, beta, tilde) / upow + m + t
+    size = abs(t)
+    if size > 1e-13:
+        warnings.warn(f"asymptotic sum truncated at a term of size {size:.2e}",
+                      TruncationWarning, stacklevel=2)
+    return total
 
 
 def _sum_anchor(tables: LGCoeffTables, u: float, tilde: bool) -> float:
@@ -94,6 +148,9 @@ class LGParameter(NamedTuple):
     point; see :func:`parameter`."""
     u: float
     tables: LGCoeffTables
+    # per family, base then tilde: the even-order and the odd-order
+    # sums of F_s(beta)/u^s as `_fold` makes them
+    folds: tuple[tuple[Fold, Fold], tuple[Fold, Fold]]
     s2u: tuple[float, float]      # sqrt(2u) as a double-double
     anchors: tuple[float, float]  # odd-order anchor sums, base then tilde
     qpi: tuple[float, float]      # (u+1)*pi/4 as a double-double
@@ -127,8 +184,10 @@ def parameter(u: float) -> LGParameter:
     inv_gamma = ScaledValue.make(
         -1j * cmath.exp(0.25j * math.pi * (u + 1.0)) / gamma_ratio(u, tables),
         0.5 * u * (math.log(0.5 * u) - 1.0))
+    folds = tuple((_fold(tables, u, tilde, 2), _fold(tables, u, tilde, 1))
+                  for tilde in (False, True))
     return LGParameter(
-        u, tables, _dd.dd_sqrt((2.0 * u, 0.0)), anchors, qpi,
+        u, tables, folds, _dd.dd_sqrt((2.0 * u, 0.0)), anchors, qpi,
         (2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1]),
          -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1])),
         (log_pref - lq, log_pref + lq), inv_gamma,
@@ -184,14 +243,18 @@ class LGPoint(NamedTuple):
 def point(par: LGParameter, z: complex) -> LGPoint:
     """The geometry of :func:`_geometry_dd` and the coefficient sums at
     the physical argument z = sqrt(2u)*zhat, computed once for both
-    evaluators.  Unchecked precondition: u >= U_MIN, and zhat in the
-    closed second quadrant, off the imaginary axis and clear of the
-    turning point i, as `pcf._in_lg_region` admits."""
+    evaluators: per family, the even-order and odd-order sums from the
+    folds of :func:`parameter` (:func:`_folded_sum`, each of which may
+    warn) and the odd-order anchor sum.  Unchecked precondition:
+    u >= U_MIN, and zhat in the closed second quadrant, off the
+    imaginary axis and clear of the turning point i, as
+    `pcf._in_lg_region` admits."""
     beta, phi, quarter = _geometry_dd(par, z)
+    b2 = beta * beta
     sums = []
-    for tilde in (False, True):
-        s_odd = _sum_beta(par.tables, par.u, beta, tilde, 1)
-        sums.append((_sum_beta(par.tables, par.u, beta, tilde, 2),
+    for tilde, (even, odd) in zip((False, True), par.folds):
+        s_odd = _folded_sum(par.tables, tilde, odd, beta, b2)
+        sums.append((_folded_sum(par.tables, tilde, even, beta, b2),
                      s_odd if tilde else -s_odd,
                      par.anchors[tilde]))
     return LGPoint(par, phi, quarter, tuple(sums))

@@ -181,6 +181,23 @@ def test_run_chain_rejects_domain_over_zero_cap(monkeypatch):
         run_chain(1.0, 7926.0)
 
 
+class _Stepped(Exception):
+    pass
+
+
+def test_accepted_box_reaches_the_origin_route(monkeypatch):
+    # a box past the count table that the zero cap admits: its first-zero
+    # refinement evaluates at |z| ~ sqrt(2) L by the origin route, about
+    # 1.3M Taylor steps, inside the evaluation region; the first
+    # evaluation gets as far as stepping (stubbed), not to a RegionError
+    def stepped(*args):
+        raise _Stepped
+    monkeypatch.setattr(taylor, "propagate", stepped)
+    assert max_zero_index(2.3, 2000.0) <= MAX_ZEROS
+    with pytest.raises(_Stepped):
+        run_chain(2.3, 2000.0)
+
+
 def test_walk_stops_at_the_zero_cap(monkeypatch):
     # a walk whose end rule never holds raises once it holds MAX_ZEROS
     z0 = run_chain(-1.7, 12.0)[0].z

@@ -197,6 +197,72 @@ def test_three_sums_add_to_the_full_order_sum():
     assert n >= 80
 
 
+def test_coefficients_have_the_parity_of_their_order():
+    # the folds of `parameter` keep every other coefficient of F_s, those
+    # of the parity of s, and treat the rest as zero; they are exactly 0
+    for tilde in (False, True):
+        for s, (nums, _) in enumerate(build_tables(TABLES.S, tilde), start=1):
+            assert len(nums) == 3 * s + 1, (tilde, s)
+            assert all(n == 0 for n in nums[1 - s % 2::2]), (tilde, s)
+
+
+def _sum_oracle(u, beta, tilde, start):
+    """The per-order loop the folds replaced: sum F_s(beta)/u^s over
+    every other order s from ``start``, one `LGCoeffTables.eval` per
+    order, stopping once a term is below 1e-16 of the partial sum.
+    Returns the sum and whether the loop warned: its last retained term
+    above 1e-13."""
+    total = 0j
+    last = 0.0
+    upow = u ** start
+    for s in range(start, TABLES.S + 1, 2):
+        term = TABLES.eval(s, beta, tilde) / upow
+        total += term
+        last = abs(term)
+        if last < 1e-16 * max(abs(total), 1e-300):
+            last = 0.0
+            break
+        upow *= u ** 2
+    return total, last > 1e-13
+
+
+def test_folded_sums_match_the_per_order_loop():
+    # on LG points of both signs of a: a grid of zhat, and a ring around
+    # the turning point just outside the excluded disks, where the sums
+    # warn; each sum within 1e-15 of its family's sums' size, and as many
+    # warnings at each point as the loop gives
+    n = warned = 0
+    for u in (36.0, 40.0, 60.4, 100.0):
+        s2 = math.sqrt(2.0 * u)
+        zhats = [complex(-0.3 * i, 0.3 * j)
+                 for i in range(1, 11) for j in range(11)]
+        zhats += [1j + r * cmath.exp(1j * math.pi * k / 16)
+                  for r in (0.36, 0.4, 0.45, 0.52, 0.6) for k in range(8, 25)]
+        for zhat in zhats:
+            z = s2 * zhat
+            if not (pcf._in_lg_region(0.5 * u, z) or pcf._in_lg_region(
+                    -0.5 * u, complex(-z.imag, -z.real))):
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", lgeval.TruncationWarning)
+                pt = point(parameter(u), z)
+            beta = _geometry_dd(parameter(u), z)[0]
+            want_warnings = 0
+            for tilde in (False, True):
+                s_even, w_even = _sum_oracle(u, beta, tilde, 2)
+                s_odd, w_odd = _sum_oracle(u, beta, tilde, 1)
+                want_warnings += w_even + w_odd
+                got = pt.sums[tilde]
+                size = sum(abs(x) for x in got)
+                assert abs(got[0] - s_even) <= 1e-15 * size, (u, zhat, tilde)
+                assert abs(got[1] - (s_odd if tilde else -s_odd)) <= (
+                    1e-15 * size), (u, zhat, tilde)
+            assert len(caught) == want_warnings, (u, zhat)
+            n += 1
+            warned += want_warnings > 0
+    assert n >= 400 and warned >= 20, (n, warned)
+
+
 @pytest.mark.filterwarnings("ignore::pcfzeros.errors.TruncationWarning")
 def test_negative_route_takes_one_point(monkeypatch):
     # one geometry and one set of sums serve both expansions, and one
@@ -220,7 +286,9 @@ def test_negative_route_takes_one_point(monkeypatch):
         evals.clear()
         pcf._evaluate_lg_neg(-30.2, z)
         assert len(geometries) == 1
-        assert len(evals) <= 2 * TABLES.S
+        # the first order of each family's even and odd sums; the other
+        # orders come from the folds of the parameter record
+        assert len(evals) == 4
         if i == 0:
             first = len(anchor_sums)
     assert first > 0 and len(anchor_sums) == first
@@ -241,6 +309,9 @@ def _parameter_oracle(u, S):
     return lgeval.LGParameter(
         u=u,
         tables=tables,
+        # no per-point expression to compare: the folds are held to the
+        # per-order loop by test_folded_sums_match_the_per_order_loop
+        folds=None,
         s2u=_dd.dd_sqrt((2.0 * u, 0.0)),
         anchors=(lgeval._sum_anchor(tables, u, False),
                  lgeval._sum_anchor(tables, u, True)),
@@ -257,7 +328,7 @@ def _parameter_oracle(u, S):
 def test_parameter_matches_the_per_point_expressions():
     # caching changes no bit of any constant
     for u in (36.0, 40.0, 60.4, 4000.0):
-        assert parameter(u) == _parameter_oracle(u, S), u
+        assert parameter(u)._replace(folds=None) == _parameter_oracle(u, S), u
         assert parameter(u) is parameter(u)
 
 
