@@ -128,24 +128,13 @@ class LGCoeffTables:
     """Immutable coefficient tables up to truncation order S, in floats.
 
     `E_float[s-1]` / `Etilde_float[s-1]` hold the coefficients of the
-    order-s polynomials of the base and tilde families, and `E_at_m1`,
-    `Etilde_at_p1` the constant anchors E_s(-1), Et_s(1), each the
-    correctly rounded float of the exact rational, so evaluation never
-    touches the integer polynomials.
+    order-s polynomials of the base and tilde families in ascending
+    powers, each the correctly rounded float of the exact rational, so
+    evaluation never touches the integer polynomials.
     """
     S: int
     E_float: tuple[tuple[float, ...], ...]
     Etilde_float: tuple[tuple[float, ...], ...]
-    E_at_m1: tuple[float, ...]
-    Etilde_at_p1: tuple[float, ...]
-
-    def eval(self, s: int, x: complex, tilde: bool) -> complex:
-        """E_s(x), or Et_s(x) with ``tilde``, in double precision, s = 1..S."""
-        acc = 0j
-        coeffs = (self.Etilde_float if tilde else self.E_float)[s - 1]
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
 
 
 @lru_cache(maxsize=8)
@@ -156,6 +145,4 @@ def make_tables(S: int) -> LGCoeffTables:
         S=S,
         E_float=tuple(tuple(n / d for n in nums) for nums, d in E),
         Etilde_float=tuple(tuple(n / d for n in nums) for nums, d in Et),
-        E_at_m1=tuple(_horner(nums, -1) / d for nums, d in E),
-        Etilde_at_p1=tuple(_horner(nums, 1) / d for nums, d in Et),
     )

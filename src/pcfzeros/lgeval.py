@@ -1,4 +1,8 @@
-"""Liouville-Green asymptotic evaluation for large positive parameter.
+"""Liouville-Green asymptotic evaluation of U(u/2, z) for large u.
+
+The parameter is u = 2|a|: `pcf` evaluates U(a, z) from these
+expansions for a > 0, and for a < 0 from the two solutions at u = -2a
+and the gamma factor of :func:`parameter` (`pcf._evaluate_lg_neg`).
 
 One step per parameter, one per point and one evaluator per solution,
 each evaluator returning the pair (U, U') as :class:`ScaledValue`
@@ -6,16 +10,17 @@ results, since the prefactors overflow doubles long before the series
 lose accuracy:
 
 - :func:`parameter` computes, once per u, every constant that does not
-  depend on the point: sqrt(2u), the anchor sums, the coefficient sums
-  folded into even and odd polynomials (:func:`_fold`), the quarter-pi
-  phases, the log prefactor and the gamma factor of the
-  negative-parameter route;
+  depend on the point: sqrt(2u), the coefficient sums folded into even
+  and odd polynomials (:func:`_fold`), the anchor sums as the odd folds
+  at their anchors, the quarter-pi phases, the log prefactor and the
+  gamma factor of the a < 0 route;
 - :func:`point` maps z to zhat and computes the geometry in
   double-double precision and, for each coefficient family, the three
   sums the expansions are built from: the even-order and odd-order sums
-  from their folds, each with its own truncation warning, and the
-  odd-order anchor sum of the parameter; it does not check the region,
-  which is the caller's choice (`pcf._in_lg_region`);
+  from their folds (:func:`_folded_sum`, the one sum of this module and
+  the one place it warns of truncation), and the odd-order anchor sum
+  of the parameter; it does not check the region, which is the
+  caller's choice (`pcf._in_lg_region`);
 - :func:`eval_pair`, the oscillatory cosine/sine forms of U(u/2, z) and
   U'(u/2, z), with the scaling and the large phase carried in
   double-double precision;
@@ -24,7 +29,7 @@ lose accuracy:
   the same double-double phase.
 
 Both work in the scaled variable ``zhat`` (the physical argument is
-z = sqrt(2u)*zhat with u = 2a).  Branch conventions: the square root
+z = sqrt(2u)*zhat).  Branch conventions: the square root
 w = sqrt(zhat^2 + 1) is principal, which has positive real part
 everywhere off the cuts zhat = +/- i*y, 1 <= y < inf; the LG variable
 uses the principal inverse hyperbolic sine, whose cuts coincide with
@@ -49,36 +54,9 @@ U_MIN = 36.0          # smallest parameter the expansions are trusted at
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, the tail of the double
 
 
-def _truncated_sum(coeffs, u: float, start: int) -> complex:
-    """sum c_s / u^s over s = start, start+2, ..., with ``coeffs`` the
-    coefficients c_s of those orders in turn; the anchor sums of
-    :func:`parameter` are its only sums.
-
-    Stops early once a term is below 1e-16 of the partial sum.  Each sum
-    enters U as an exponent or a phase, so the size of the last retained
-    term is the relative error it leaves in U; warns if that exceeds
-    1e-13 (approaching the divergent tail of the asymptotic series).
-    """
-    total = 0j
-    last = 0.0
-    upow = u ** start
-    ustep = u ** 2
-    for c in coeffs:
-        term = c / upow
-        total += term
-        last = abs(term)
-        if last < 1e-16 * max(abs(total), 1e-300):
-            last = 0.0
-            break
-        upow *= ustep
-    if last > 1e-13:
-        warnings.warn(f"asymptotic sum truncated at a term of size {last:.2e}",
-                      TruncationWarning, stacklevel=3)
-    return total
-
-
-# one coefficient sum as (start, u^start, middle, last); see _fold
-Fold = tuple[int, float, tuple[float, ...], tuple[float, ...]]
+# one coefficient sum as (start, u^start, first, middle, last); see _fold
+Fold = tuple[int, float, tuple[float, ...], tuple[float, ...],
+             tuple[float, ...]]
 
 
 def _fold(tables: LGCoeffTables, u: float, tilde: bool, start: int) -> Fold:
@@ -86,18 +64,19 @@ def _fold(tables: LGCoeffTables, u: float, tilde: bool, start: int) -> Fold:
     last order <= S of that parity), with F the base family or, with
     ``tilde``, the tilde family, in three parts:
 
-    - the first order, left to `LGCoeffTables.eval` at each point and
-      divided by u^start, as the sum always took it: near beta = +-1 it
-      carries the cancellation of the factor (beta^2 - 1)^2;
+    - the first order, all its coefficients, evaluated in beta at each
+      point and divided by u^start: near beta = +-1 it carries the
+      cancellation of the factor (beta^2 - 1)^2;
     - the middle orders, folded into one polynomial in beta^2 whose
       coefficients are the correctly rounded sums of c_{s,j}/u^s;
     - the last order alone, c_{S',j}/u^S', also in beta^2: its size is
       the sum's truncation estimate.
 
     F_s has the parity of s (its coefficients off that parity are
-    exactly 0), so only every other coefficient enters, and an odd sum
-    multiplies both polynomials by beta.  Returns (start, u^start,
-    middle, last), each polynomial highest power first.
+    exactly 0), so only every other coefficient of the middle and the
+    last orders enters, and an odd sum multiplies both their polynomials
+    by beta.  Returns (start, u^start, first, middle, last), each
+    polynomial highest power first.
     """
     coeffs = tables.Etilde_float if tilde else tables.E_float
     orders = range(start, tables.S + 1, 2)
@@ -105,22 +84,24 @@ def _fold(tables: LGCoeffTables, u: float, tilde: bool, start: int) -> Fold:
     middle = [math.fsum(c[k] / upow for upow, c in rows[1:-1] if k < len(c))
               for k in range(len(rows[-2][1]))]
     upow, c = rows[-1]
-    return (start, rows[0][0], tuple(reversed(middle)),
-            tuple(x / upow for x in reversed(c)))
+    return (start, rows[0][0], tuple(reversed(coeffs[start - 1])),
+            tuple(reversed(middle)), tuple(x / upow for x in reversed(c)))
 
 
-def _folded_sum(tables: LGCoeffTables, tilde: bool, fold: Fold,
-                beta: complex, b2: complex) -> complex:
-    """The sum of `fold` at beta, with b2 = beta^2: the first order,
-    then the middle and the last orders by one Horner pass each.
+def _folded_sum(fold: Fold, beta: complex, b2: complex) -> complex:
+    """The sum of `fold` at beta, with b2 = beta^2: the first order by a
+    Horner pass in beta, divided by u^start, then the middle and the
+    last orders by one Horner pass in b2 each.
 
     The last order's size is the truncation estimate.  Each sum enters
     U as an exponent or a phase, so that size is the relative error it
     leaves in U; warns if it exceeds 1e-13 (approaching the divergent
     tail of the asymptotic series).
     """
-    start, upow, middle, last = fold
-    m = t = 0j
+    start, upow, first, middle, last = fold
+    f = m = t = 0j
+    for c in first:
+        f = f * beta + c
     for c in middle:
         m = m * b2 + c
     for c in last:
@@ -128,7 +109,7 @@ def _folded_sum(tables: LGCoeffTables, tilde: bool, fold: Fold,
     if start % 2:
         m *= beta
         t *= beta
-    total = tables.eval(start, beta, tilde) / upow + m + t
+    total = f / upow + m + t
     size = abs(t)
     if size > 1e-13:
         warnings.warn(f"asymptotic sum truncated at a term of size {size:.2e}",
@@ -136,23 +117,15 @@ def _folded_sum(tables: LGCoeffTables, tilde: bool, fold: Fold,
     return total
 
 
-def _sum_anchor(tables: LGCoeffTables, u: float, tilde: bool) -> float:
-    """sum F_s(anchor) / u^s over odd s, at the anchor -1 of the base
-    family or +1 of the tilde family."""
-    anchors = tables.Etilde_at_p1 if tilde else tables.E_at_m1
-    return _truncated_sum(anchors[0::2], u, 1).real
-
-
 class LGParameter(NamedTuple):
     """What the expansions share at one parameter u, whatever the
     point; see :func:`parameter`."""
     u: float
-    tables: LGCoeffTables
     # per family, base then tilde: the even-order and the odd-order
     # sums of F_s(beta)/u^s as `_fold` makes them
     folds: tuple[tuple[Fold, Fold], tuple[Fold, Fold]]
     s2u: tuple[float, float]      # sqrt(2u) as a double-double
-    anchors: tuple[float, float]  # odd-order anchor sums, base then tilde
+    anchors: tuple[float, float]  # odd sums at beta = -1 (base), +1 (tilde)
     qpi: tuple[float, float]      # (u+1)*pi/4 as a double-double
     # cosine-form, then sine-form, factor of the oscillatory mantissa
     osc: tuple[complex, complex]
@@ -169,12 +142,18 @@ def parameter(u: float) -> LGParameter:
     truncation order `config.LG_ORDER`, computed once for all the points
     at that parameter.
 
-    At that order the anchor sums never warn: their last term is
-    1.5e-17 at u = U_MIN and falls as u grows, so caching them loses no
-    TruncationWarning.
+    The anchor sums are the odd folds at the anchors: F_s has the
+    parity of s, so there they are the sum of F_s(anchor)/u^s over odd
+    s, rounding aside.  They never warn at that order: their last term
+    is 1.5e-17 at u = U_MIN and falls as u grows, so caching them loses
+    no TruncationWarning.  The gamma factor of the a < 0 route is
+    sqrt(2 pi)/Gamma(u/2 + 1/2) * (u/2e)^(u/2) = exp(2 * anchors[0]).
     """
     tables = make_tables(LG_ORDER)
-    anchors = (_sum_anchor(tables, u, False), _sum_anchor(tables, u, True))
+    folds = tuple((_fold(tables, u, tilde, 2), _fold(tables, u, tilde, 1))
+                  for tilde in (False, True))
+    anchors = tuple(_folded_sum(odd, x, 1.0).real
+                    for (_, odd), x in zip(folds, (-1.0, 1.0)))
     qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
     qpm = _dd.dd_mul_d((math.pi, _PI_LO), -0.25 * (u - 1.0))
     lq = 0.25 * math.log(2.0 * u)
@@ -182,12 +161,11 @@ def parameter(u: float) -> LGParameter:
     # 1/gamma = -i e^{(u/4+1/4) pi i} Gamma(u/2+1/2) / sqrt(2 pi), with
     # the Gamma expressed through its scaled asymptotic ratio
     inv_gamma = ScaledValue.make(
-        -1j * cmath.exp(0.25j * math.pi * (u + 1.0)) / gamma_ratio(u, tables),
+        -1j * cmath.exp(0.25j * math.pi * (u + 1.0))
+        / math.exp(2.0 * anchors[0]),
         0.5 * u * (math.log(0.5 * u) - 1.0))
-    folds = tuple((_fold(tables, u, tilde, 2), _fold(tables, u, tilde, 1))
-                  for tilde in (False, True))
     return LGParameter(
-        u, tables, folds, _dd.dd_sqrt((2.0 * u, 0.0)), anchors, qpi,
+        u, folds, _dd.dd_sqrt((2.0 * u, 0.0)), anchors, qpi,
         (2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1]),
          -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1])),
         (log_pref - lq, log_pref + lq), inv_gamma,
@@ -253,8 +231,8 @@ def point(par: LGParameter, z: complex) -> LGPoint:
     b2 = beta * beta
     sums = []
     for tilde, (even, odd) in zip((False, True), par.folds):
-        s_odd = _folded_sum(par.tables, tilde, odd, beta, b2)
-        sums.append((_folded_sum(par.tables, tilde, even, beta, b2),
+        s_odd = _folded_sum(odd, beta, b2)
+        sums.append((_folded_sum(even, beta, b2),
                      s_odd if tilde else -s_odd,
                      par.anchors[tilde]))
     return LGPoint(par, phi, quarter, tuple(sums))
@@ -321,10 +299,3 @@ def eval_pair_negarg(pt: LGPoint) -> tuple[ScaledValue, ScaledValue]:
     the signed odd-order sum plus the odd-order anchor sum.
     """
     return _recessive(pt, tilde=False), _recessive(pt, tilde=True)
-
-
-def gamma_ratio(u: float, tables: LGCoeffTables) -> float:
-    """Series approximation of sqrt(2 pi)/Gamma(u/2 + 1/2) * (u/2e)^(u/2),
-    from the base-family odd anchors at -1 (the tilde-family anchors at
-    +1 target the same ratio)."""
-    return math.exp(2.0 * _sum_anchor(tables, u, False))

@@ -14,9 +14,8 @@ from scipy.special import gammaln
 
 from pcfzeros import taylor
 from pcfzeros.chain import fixed_point_T, run_chain, verify_zeros
-from pcfzeros.config import LG_ORDER
-from pcfzeros.lgcoef import build_tables, make_tables
-from pcfzeros.lgeval import _sum_anchor, gamma_ratio
+from pcfzeros.lgcoef import build_tables
+from pcfzeros.lgeval import parameter
 from pcfzeros.pcf import evaluate
 
 TABLE = [
@@ -170,14 +169,15 @@ def test_criterion_05_coefficient_tables():
 def test_criterion_06_gamma_ratio():
     worst_o = 0.0
     worst_v = 0.0
-    tables = make_tables(LG_ORDER)
     for u in (36.0, 40.0, 80.0, 200.0):
         want = math.exp(0.5 * math.log(2.0 * math.pi)
                         - gammaln(u / 2.0 + 0.5)
                         + (u / 2.0) * (math.log(u / 2.0) - 1.0))
-        g1 = gamma_ratio(u, tables)
-        # the tilde-family anchors at +1 target the same ratio
-        g2 = math.exp(2.0 * _sum_anchor(tables, u, True))
+        # the gamma factor of the a < 0 route, from the base-family anchor
+        # sum at -1; the tilde-family one at +1 targets the same ratio
+        anchors = parameter(u).anchors
+        g1 = math.exp(2.0 * anchors[0])
+        g2 = math.exp(2.0 * anchors[1])
         worst_o = max(worst_o, abs(g1 - want) / want, abs(g2 - want) / want)
         worst_v = max(worst_v, abs(g1 - g2) / want)
     ok = worst_o < 1e-12 and worst_v < 1e-12

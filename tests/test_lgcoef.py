@@ -1,4 +1,4 @@
-"""Coefficient tables: independent symbolic oracle, parity, anchors."""
+"""Coefficient tables: independent symbolic oracle, parity, unit points."""
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -7,6 +7,7 @@ import sympy as sp
 
 from pcfzeros import lgcoef
 from pcfzeros.lgcoef import make_tables
+from pcfzeros.lgeval import _folded_sum
 
 ORACLE_S = 12
 FULL_S = 12
@@ -71,19 +72,13 @@ def test_tilde_family_matches_symbolic_oracle():
 
 
 def test_float_tables_match_symbolic_oracle():
-    # the four float tuples the evaluators read, from the oracle's exact
+    # the two float tables the evaluators read, from the oracle's exact
     # coefficients, equal make_tables' float for float
     t = make_tables(ORACLE_S)
     E = [_as_fractions(c) for c in _oracle(tilde=False)]
     Et = [_as_fractions(c) for c in _oracle(tilde=True)]
-
-    def at(p, x):
-        return float(sum(c * x ** k for k, c in enumerate(p)))
-
     assert t.E_float == tuple(tuple(float(c) for c in p) for p in E)
     assert t.Etilde_float == tuple(tuple(float(c) for c in p) for p in Et)
-    assert t.E_at_m1 == tuple(at(p, -1) for p in E)
-    assert t.Etilde_at_p1 == tuple(at(p, 1) for p in Et)
 
 
 def test_parity():
@@ -115,12 +110,6 @@ def test_tables_are_cached_and_consistent():
     for fam, fam_float in ((E, t1.E_float), (Et, t1.Etilde_float)):
         for p_exact, p_float in zip(fam, fam_float, strict=True):
             assert [float(c) for c in p_exact] == list(p_float)
-    # anchors were evaluated at the right points
-    for s in range(1, 13):
-        assert t1.E_at_m1[s - 1] == float(
-            poly_eval_exact(E[s - 1], Fraction(-1)))
-        assert t1.Etilde_at_p1[s - 1] == float(
-            poly_eval_exact(Et[s - 1], Fraction(1)))
 
 
 def test_integer_form_is_reduced():
@@ -134,15 +123,19 @@ def test_integer_form_is_reduced():
 
 
 def test_eval_matches_exact_evaluation():
+    # the first order of a fold, evaluated by `_folded_sum`'s Horner pass
+    # in beta: here a fold of order s alone, with u^s = 1
     t = make_tables(8)
     x = Fraction(3, 7)
     for tilde in (False, True):
         fam = build_tables(8, tilde)
+        coeffs = t.Etilde_float if tilde else t.E_float
         for s in range(1, 9):
             exact = float(poly_eval_exact(list(fam[s - 1]), x))
             # errors scale with the coefficient magnitudes, not the value
             scale = sum(abs(float(c)) * float(x) ** k
                         for k, c in enumerate(fam[s - 1]))
-            got = t.eval(s, float(x), tilde)
+            fold = (s, 1.0, tuple(reversed(coeffs[s - 1])), (), ())
+            got = _folded_sum(fold, float(x), float(x) ** 2)
             assert abs(got - exact) < 1e-14 * max(1.0, scale)
 

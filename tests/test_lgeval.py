@@ -10,15 +10,31 @@ from scipy.special import gammaln
 import pcfzeros.lgeval as lgeval
 from pcfzeros import _dd, pcf
 from pcfzeros.config import LG_ORDER
-from pcfzeros.lgcoef import LGCoeffTables, build_tables, make_tables
+from pcfzeros.lgcoef import build_tables, make_tables
 from pcfzeros.lgeval import (_geometry_dd, eval_pair, eval_pair_negarg,
-                             gamma_ratio, parameter, point)
+                             parameter, point)
 from pcfzeros.scaled import ScaledValue
 
 mpmath = pytest.importorskip("mpmath")
 
 S = LG_ORDER
 TABLES = make_tables(S)
+
+
+def _eval(s, x, tilde):
+    """F_s(x), the order-s polynomial of the base family or, with
+    ``tilde``, the tilde family, in double precision by Horner's rule."""
+    coeffs = (TABLES.Etilde_float if tilde else TABLES.E_float)[s - 1]
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _exact(s, x, tilde):
+    """F_s(x) as an exact Fraction, from the integer polynomials."""
+    nums, den = build_tables(S, tilde)[s - 1]
+    return sum(Fraction(n) * x ** k for k, n in enumerate(nums)) / den
 
 
 def _geometry_at(u, zhat):
@@ -96,16 +112,32 @@ def test_check_region_rejections():
 
 
 def test_gamma_ratio_against_log_gamma():
-    # oracle: ln gr = 0.5 ln(2 pi) - lnGamma(u/2 + 1/2) + (u/2)(ln(u/2) - 1)
+    # the gamma factor of the a < 0 route is exp(2 * anchors[0]); oracle:
+    # ln gr = 0.5 ln(2 pi) - lnGamma(u/2 + 1/2) + (u/2)(ln(u/2) - 1)
     for u in (36.0, 40.0, 80.0, 200.0):
         want = math.exp(0.5 * math.log(2.0 * math.pi)
                         - gammaln(u / 2.0 + 0.5)
                         + (u / 2.0) * (math.log(u / 2.0) - 1.0))
-        got = gamma_ratio(u, TABLES)
+        anchors = parameter(u).anchors
+        got = math.exp(2.0 * anchors[0])
         assert abs(got - want) < 1e-12 * want, f"u={u}"
-        # the tilde-family anchors at +1 give the same ratio
-        got_t = math.exp(2.0 * lgeval._sum_anchor(TABLES, u, True))
+        # the tilde-family anchor sum at +1 gives the same ratio
+        got_t = math.exp(2.0 * anchors[1])
         assert abs(got - got_t) < 1e-12 * want, f"u={u} variants"
+
+
+def test_anchor_sums_match_the_exact_rationals():
+    # the anchor sums are the odd folds evaluated at the anchors, -1 for
+    # the base family and +1 for the tilde family; they equal the exact
+    # sum of F_s(anchor)/u^s over odd s <= S to 1e-15 relative, about
+    # 1e-18 of U, whose exponent they enter
+    for u in (36.0, 36.4, 40.0, 60.4, 100.0, 1e3, 4000.0, 1e6, 4e7):
+        uf = Fraction(u)
+        for tilde, x in ((False, -1), (True, 1)):
+            want = sum(_exact(s, Fraction(x), tilde) / uf ** s
+                       for s in range(1, S + 1, 2))
+            got = Fraction(parameter(u).anchors[tilde])
+            assert abs(got - want) <= Fraction(1e-15) * abs(want), (u, tilde)
 
 
 def test_eval_U_matches_mpmath():
@@ -154,13 +186,13 @@ def test_negated_argument_variant():
         assert err < tol and err_p < tol, (u, zhat, err, err_p)
 
 
-def _full_sum_loop(tables, u, beta, tilde):
+def _full_sum_loop(u, beta, tilde):
     """sum over s = 1..S of sgn^s (F_s(beta) - F_s(-1)) / u^s, sgn = -1
     for the base family and +1 for the tilde family, term by term."""
     sgn = 1.0 if tilde else -1.0
     total = 0j
-    for s in range(1, tables.S + 1):
-        term = tables.eval(s, beta, tilde) - tables.eval(s, -1.0, tilde)
+    for s in range(1, S + 1):
+        term = _eval(s, beta, tilde) - _eval(s, -1.0, tilde)
         total += sgn ** s * term / u ** s
     return total
 
@@ -169,11 +201,10 @@ def _full_sum_loop(tables, u, beta, tilde):
 def test_three_sums_add_to_the_full_order_sum():
     # eval_pair_negarg takes its full-order sums as the three sums of
     # `point` added; this rests on the parities of the anchors
-    for s in range(2, TABLES.S + 1, 2):
-        assert TABLES.E_at_m1[s - 1] == 0.0
-        assert TABLES.Etilde_at_p1[s - 1] == 0.0
-    for s, (nums, den) in enumerate(build_tables(TABLES.S, tilde=True),
-                                    start=1):
+    for s in range(2, S + 1, 2):
+        assert _exact(s, Fraction(-1), False) == 0
+        assert _exact(s, Fraction(1), True) == 0
+    for s, (nums, den) in enumerate(build_tables(S, tilde=True), start=1):
         if s % 2:
             p = [Fraction(n, den) for n in nums]
             assert sum(c * (-1) ** k for k, c in enumerate(p)) == -sum(p)
@@ -189,7 +220,7 @@ def test_three_sums_add_to_the_full_order_sum():
                 pt = point(parameter(u), z)
                 beta = _geometry_dd(parameter(u), z)[0]
                 for tilde in (False, True):
-                    want = _full_sum_loop(TABLES, u, beta, tilde)
+                    want = _full_sum_loop(u, beta, tilde)
                     size = sum(abs(x) for x in pt.sums[tilde])
                     assert abs(sum(pt.sums[tilde]) - want) <= 1e-15 * size, (
                         u, re, im, tilde)
@@ -208,15 +239,15 @@ def test_coefficients_have_the_parity_of_their_order():
 
 def _sum_oracle(u, beta, tilde, start):
     """The per-order loop the folds replaced: sum F_s(beta)/u^s over
-    every other order s from ``start``, one `LGCoeffTables.eval` per
-    order, stopping once a term is below 1e-16 of the partial sum.
+    every other order s from ``start``, one Horner pass per order,
+    stopping once a term is below 1e-16 of the partial sum.
     Returns the sum and whether the loop warned: its last retained term
     above 1e-13."""
     total = 0j
     last = 0.0
     upow = u ** start
     for s in range(start, TABLES.S + 1, 2):
-        term = TABLES.eval(s, beta, tilde) / upow
+        term = _eval(s, beta, tilde) / upow
         total += term
         last = abs(term)
         if last < 1e-16 * max(abs(total), 1e-300):
@@ -268,30 +299,22 @@ def test_negative_route_takes_one_point(monkeypatch):
     # one geometry and one set of sums serve both expansions, and one
     # parameter record, with its anchor sums, serves every point at that u
     geometries = []
-    evals = []
-    anchor_sums = []
+    sums = []
     geometry = lgeval._geometry_dd
-    table_eval = LGCoeffTables.eval
-    sum_anchor = lgeval._sum_anchor
+    folded_sum = lgeval._folded_sum
     monkeypatch.setattr(lgeval, "_geometry_dd",
                         lambda *args: geometries.append(1) or geometry(*args))
-    monkeypatch.setattr(LGCoeffTables, "eval",
-                        lambda *args: evals.append(1) or table_eval(*args))
-    monkeypatch.setattr(
-        lgeval, "_sum_anchor",
-        lambda *args: anchor_sums.append(1) or sum_anchor(*args))
+    monkeypatch.setattr(lgeval, "_folded_sum",
+                        lambda *args: sums.append(1) or folded_sum(*args))
     parameter.cache_clear()
     for i, z in enumerate((-12.0 + 20.0j, -25.0 + 5.0j, -3.0 + 28.0j)):
         geometries.clear()
-        evals.clear()
+        sums.clear()
         pcf._evaluate_lg_neg(-30.2, z)
         assert len(geometries) == 1
-        # the first order of each family's even and odd sums; the other
-        # orders come from the folds of the parameter record
-        assert len(evals) == 4
-        if i == 0:
-            first = len(anchor_sums)
-    assert first > 0 and len(anchor_sums) == first
+        # each family's even and odd sums, and at the first point the
+        # parameter record's two anchor sums, which no later point repeats
+        assert len(sums) == (6 if i == 0 else 4), i
     assert parameter.cache_info().misses == 1
     parameter.cache_clear()
 
@@ -300,21 +323,22 @@ def _parameter_oracle(u, S):
     """The constants of `parameter`, each written out as the expression
     the evaluators would compute at every point."""
     tables = make_tables(S)
+    odd = [lgeval._fold(tables, u, tilde, 1) for tilde in (False, True)]
+    anchors = (lgeval._folded_sum(odd[0], -1.0, 1.0).real,
+               lgeval._folded_sum(odd[1], 1.0, 1.0).real)
     pi_dd = (math.pi, lgeval._PI_LO)
     qpi = _dd.dd_mul_d(pi_dd, 0.25 * (u + 1.0))
     qpm = _dd.dd_mul_d(pi_dd, -0.25 * (u - 1.0))
     log_pref = 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
     lq = 0.25 * math.log(2.0 * u)
-    gr = math.exp(2.0 * lgeval._sum_anchor(tables, u, False))
+    gr = math.exp(2.0 * anchors[0])
     return lgeval.LGParameter(
         u=u,
-        tables=tables,
         # no per-point expression to compare: the folds are held to the
         # per-order loop by test_folded_sums_match_the_per_order_loop
         folds=None,
         s2u=_dd.dd_sqrt((2.0 * u, 0.0)),
-        anchors=(lgeval._sum_anchor(tables, u, False),
-                 lgeval._sum_anchor(tables, u, True)),
+        anchors=anchors,
         qpi=qpi,
         osc=(2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1]),
              -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1])),
@@ -338,9 +362,10 @@ def test_anchor_sums_never_warn():
     # they give none on the LG route.  Their terms |F_s(anchor)|/u^s fall
     # as u grows, and the last one, the only one the sums can warn on, is
     # 1.5e-17 at U_MIN (the one before it 2.1e-15), far below 1e-13
-    for anchors in (TABLES.E_at_m1, TABLES.Etilde_at_p1):
-        odd = anchors[0::2]
-        assert abs(odd[-1]) / lgeval.U_MIN ** (2 * len(odd) - 1) < 2e-17
+    last = S - 1 + S % 2
+    for tilde, x in ((False, -1), (True, 1)):
+        assert abs(_exact(last, Fraction(x), tilde)) / (
+            Fraction(lgeval.U_MIN) ** last) < Fraction(2e-17)
     parameter.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error", lgeval.TruncationWarning)
