@@ -63,19 +63,16 @@ def fixed_point_T(a: float, z: complex, Q: complex) -> complex:
     return z - cmath.atan(arg) / w
 
 
-def _too_many_zeros(a: float, L: float) -> ValueError:
-    return ValueError(f"a={a}, L={L} holds more than {MAX_ZEROS} zeros")
-
-
 def _string_index(a: float, L: float) -> float:
     """Real index x of the string zero at the corner -L + iL, from the
     first-term zero asymptotics i z^2/2 = (2x + 1/2 - |a|) pi: the
     corner gives i z^2/2 = L^2, so x = (L^2/pi - 1/2 + |a|)/2.  Raises
-    the ValueError of a box past MAX_ZEROS where x overflows to inf, as
-    L*L does for a large finite L."""
+    the zero cap's ValueError for a box whose `max_zero_index`, floor(x),
+    would exceed MAX_ZEROS, that is where x >= MAX_ZEROS + 1; this takes
+    in an x that overflows to inf, as L*L does for a large finite L."""
     x = (L * L / math.pi - 0.5 + abs(a)) / 2.0
-    if math.isinf(x):
-        raise _too_many_zeros(a, L)
+    if x >= MAX_ZEROS + 1:
+        raise ValueError(f"a={a}, L={L} holds more than {MAX_ZEROS} zeros")
     return x
 
 
@@ -84,7 +81,8 @@ def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
 
     Rounds the corner's string index to pick the index m, then maps the
     phase tau_m of that zero back to the z-plane, z ~ e^{3 pi i/4}
-    sqrt(2 tau_m).
+    sqrt(2 tau_m).  Raises ValueError for L <= 2 and then, from
+    `_string_index`, for a box past the zero cap.
     """
     if L <= 2.0:
         raise ValueError("L must exceed 2")
@@ -178,7 +176,8 @@ def max_zero_index(a: float, L: float) -> int:
     corner's string index rounded down.
 
     At most this many zeros are reported, the innermost ones, even when
-    the box admits a few more beyond the corner.
+    the box admits a few more beyond the corner.  An index past
+    MAX_ZEROS raises the zero cap's ValueError (`_string_index`).
     """
     return max(0, math.floor(_string_index(a, L)))
 
@@ -232,18 +231,15 @@ def run_chain(a: float, L: float) -> list[ZeroRecord]:
     to the string's end: its first zero within DELTA of the terminal
     axis, or its last one next to the turning point.  Real zeros inward
     of that end (a < 0) lie in the domain but are not reported.
-    L must exceed 2: a non-finite a or L, L <= 2, or a domain whose
-    `max_zero_index` exceeds MAX_ZEROS raises ValueError before any zero
-    is computed."""
+    A non-finite a or L raises ValueError and a Hermite a
+    HermiteParameterError; then `first_zero_estimate` raises ValueError
+    for L <= 2 and for a domain past the zero cap.  All of these come
+    before any zero is computed."""
     if not (math.isfinite(a) and math.isfinite(L)):
         raise ValueError(f"a={a} and L={L} must be finite")
     if is_hermite(a):
         raise HermiteParameterError(
             f"a={a} is a Hermite case -k+1/2; the zero strings degenerate")
-    if L <= 2.0:
-        raise ValueError("L must exceed 2")
-    if max_zero_index(a, L) > MAX_ZEROS:
-        raise _too_many_zeros(a, L)
 
     _, z_est = first_zero_estimate(a, L)
     z0, first_iters, _ = refine_first_zero(a, z_est)

@@ -87,28 +87,24 @@ _W: Poly = ([1, 0, -2, 0, 1], 1)
 def build_tables(S: int, tilde: bool = False) -> list[Poly]:
     """Polynomials of one family for s = 1..S.
 
-    The base family (function expansions) is seeded with the printed
-    closed forms E_1 = (5 b^3 - 6 b)/24 and E_2 = (1/16) (b^2-1)^2 (5 b^2 - 2),
-    the tilde family (derivative expansions, ``tilde=True``) with
-    Et_1 = (7 b^3 - 6 b)/24 and Et_2 = (1/16) (b^2-1)^2 (2 - 7 b^2).
-    Higher orders come from the recurrence
+    Each family is seeded with its printed first order alone: the base
+    family (function expansions) with E_1 = (5 b^3 - 6 b)/24, the tilde
+    family (derivative expansions, ``tilde=True``) with
+    Et_1 = (7 b^3 - 6 b)/24.  Every higher order comes from the recurrence
         F_{s+1} = +-(1/2) (b^2-1)^2 F_s' +- (1/2) Int_{sigma(s)}^{b} (p^2-1)^2
                   sum_{j=1}^{s-1} F_j'(p) F_{s-j}'(p) dp,
     with the upper signs for the base family and the lower ones for the
     tilde family, and the lower limit sigma(s) = 1 for s odd, 0 for s
-    even.
+    even.  At s = 1 the sum is empty, so F_2 = +-(1/2) (b^2-1)^2 F_1',
+    which is the printed E_2 = (1/16) (b^2-1)^2 (5 b^2 - 2) and
+    Et_2 = (1/16) (b^2-1)^2 (2 - 7 b^2).
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    if tilde:
-        sign, c3, inner = -1, 7, [2, 0, -7]
-    else:
-        sign, c3, inner = 1, 5, [-2, 0, 5]
+    sign, c3 = (-1, 7) if tilde else (1, 5)
     F: list[Poly] = [([0, -6, 0, c3], 24)]
-    if S >= 2:
-        F.append(poly_mul(_W, (inner, 16)))
-    dF = [poly_diff(p) for p in F]
-    for s in range(2, S):
+    dF = [poly_diff(F[0])]
+    for s in range(1, S):
         # builds F_{s+1} (index s in the 0-based list)
         term = poly_scale(poly_mul(_W, dF[s - 1]), sign, 2)
         # the convolution is symmetric in j <-> s - j: each pair once, doubled

@@ -1,6 +1,7 @@
 """Zero chains: seeding, refinement, walking, verification."""
 import cmath
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -107,13 +108,26 @@ def test_max_zero_index():
     assert max_zero_index(-1.7, 12.0) > 20
 
 
-@pytest.mark.parametrize("L", [1e200, math.inf])
-def test_index_overflow_raises_the_cap_error(L):
-    # L*L overflows to inf; each entry point raises run_chain's ValueError
-    # instead of an OverflowError from round or floor
+# the first double L at a = 0 whose corner string index reaches
+# MAX_ZEROS + 1, so that floor of it exceeds the cap
+_L_PAST_CAP = 7926.655090627919
+
+
+@pytest.mark.parametrize("a, L", [
+    pytest.param(-1.7, 1e200, id="1e+200"),
+    pytest.param(-1.7, math.inf, id="inf"),
+    pytest.param(0.0, _L_PAST_CAP, id="first-past-cap")])
+def test_index_overflow_raises_the_cap_error(a, L):
+    # each entry point raises run_chain's ValueError, also where L*L
+    # overflows to inf, instead of an OverflowError from round or floor
     for f in (first_zero_estimate, max_zero_index):
         with pytest.raises(ValueError, match=str(MAX_ZEROS)):
-            f(-1.7, L)
+            f(a, L)
+    if L == _L_PAST_CAP:
+        # the L just below is at the cap and gets through both
+        below = math.nextafter(L, 0.0)
+        assert max_zero_index(a, below) == MAX_ZEROS
+        assert first_zero_estimate(a, below)[0] == MAX_ZEROS + 1
 
 
 def test_run_chain_counts():
@@ -169,7 +183,8 @@ def test_run_chain_rejects_domain_over_zero_cap(monkeypatch):
     # refinement alone would integrate out to |z| ~ 1.4e5
     monkeypatch.setattr(chain, "refine_first_zero", _refinement_must_not_run)
     for a, L in ((1.0, 1e5), (-1.7, 1e5), (20.5, 7927.0), (-1e18, 10.0)):
-        assert max_zero_index(a, L) > MAX_ZEROS
+        with pytest.raises(ValueError, match=str(MAX_ZEROS)):
+            max_zero_index(a, L)
         with pytest.raises(ValueError, match=str(MAX_ZEROS)):
             run_chain(a, L)
     # L*L overflows to inf here; the check still raises its ValueError
@@ -179,6 +194,27 @@ def test_run_chain_rejects_domain_over_zero_cap(monkeypatch):
     assert max_zero_index(1.0, 7926.0) <= MAX_ZEROS
     with pytest.raises(AssertionError, match="refine_first_zero ran"):
         run_chain(1.0, 7926.0)
+
+
+@pytest.mark.parametrize("a, L, exc, message", [
+    (math.nan, 10.0, ValueError, "a=nan and L=10.0 must be finite"),
+    (-2.5, 10.0, HermiteParameterError,
+     "a=-2.5 is a Hermite case -k+1/2; the zero strings degenerate"),
+    (1.0, 2.0, ValueError, "L must exceed 2"),
+    # past the zero cap too, but L is checked first
+    (1e8, 1.5, ValueError, "L must exceed 2"),
+    (0.0, 8000.0, ValueError,
+     f"a=0.0, L=8000.0 holds more than {MAX_ZEROS} zeros"),
+    (-1.7, 1e200, ValueError,
+     f"a=-1.7, L=1e+200 holds more than {MAX_ZEROS} zeros")])
+def test_run_chain_input_errors(a, L, exc, message, monkeypatch):
+    # each invalid input raises its own type and message, in this order
+    # of checks, before any zero is refined
+    monkeypatch.setattr(chain, "refine_first_zero", _refinement_must_not_run)
+    with pytest.raises(exc) as info:
+        run_chain(a, L)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 class _Stepped(Exception):
@@ -235,6 +271,54 @@ def test_count_never_drops_as_the_box_grows(a):
             want = complex(mpmath.findroot(lambda t: mpmath.pcfu(a, t),
                                            mpmath.mpc(rec.z)))
             assert abs(rec.z - want) <= 1e-13 * abs(want), (a, rec)
+
+
+# the first, middle and last three zeros of four table rows are held to
+# 1e-13 of their mpmath polish; the chain's count of each row fixes
+# which zeros those are
+_GATE_ROWS = {(-1.7, 60.0): 573, (2.3, 50.0): 398, (20.5, 10.0): 21,
+              (-30.2, 12.0): 32}
+# mpmath distances of the zeros over the bound: all of 20.5/10, whose
+# first zero refines on wrong origin-route values and carries its error
+# down the chain, and the last three of two long rows, from error that
+# builds up hop by hop toward the string's end
+_GATE_OVER = {
+    (20.5, 10.0, 0): 5.0e-12, (20.5, 10.0, 1): 5.2e-12,
+    (20.5, 10.0, 2): 5.4e-12, (20.5, 10.0, 9): 7.7e-12,
+    (20.5, 10.0, 10): 8.2e-12, (20.5, 10.0, 11): 8.8e-12,
+    (20.5, 10.0, 18): 1.8e-11, (20.5, 10.0, 19): 2.3e-11,
+    (20.5, 10.0, 20): 3.2e-11,
+    (2.3, 50.0, 395): 8.7e-13, (2.3, 50.0, 396): 1.2e-12,
+    (2.3, 50.0, 397): 2.2e-12,
+    (-1.7, 60.0, 570): 3.7e-13, (-1.7, 60.0, 571): 6.5e-13,
+    (-1.7, 60.0, 572): 3.5e-12}
+
+
+def _gate_params():
+    for (a, L), n in _GATE_ROWS.items():
+        m = n // 2
+        for k in (0, 1, 2, m - 1, m, m + 1, n - 3, n - 2, n - 1):
+            dist = _GATE_OVER.get((a, L, k))
+            marks = () if dist is None else pytest.mark.xfail(
+                strict=True, raises=AssertionError,
+                reason=f"mpmath distance {dist:.1e}")
+            yield pytest.param(a, L, k, marks=marks, id=f"{a}/{L:g}-{k}")
+
+
+@functools.lru_cache(maxsize=len(_GATE_ROWS))
+def _row_zeros(a, L):
+    return tuple(rec.z for rec in run_chain(a, L))
+
+
+@pytest.mark.parametrize("a, L, k", list(_gate_params()))
+def test_zeros_against_mpmath(a, L, k):
+    # relative distance to mpmath.findroot on mpmath.pcfu at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    z = _row_zeros(a, L)[k]
+    with mpmath.workdps(30):
+        want = complex(mpmath.findroot(lambda t: mpmath.pcfu(a, t),
+                                       mpmath.mpc(z)))
+    assert abs(z - want) <= 1e-13 * abs(want), (z, want)
 
 
 @pytest.mark.parametrize("a", [2.3, 0.0, -1.7, -30.2])

@@ -71,6 +71,16 @@ def test_tilde_family_matches_symbolic_oracle():
         assert list(ours[s]) == _as_fractions(theirs[s]), f"Et_{s+1} differs"
 
 
+def test_second_order_is_the_printed_closed_form():
+    # the recurrence's s = 1 step gives the printed second orders,
+    # E_2 = (1/16) (b^2-1)^2 (5 b^2 - 2) = (5 b^6 - 12 b^4 + 9 b^2 - 2)/16
+    # and Et_2 = (1/16) (b^2-1)^2 (2 - 7 b^2)
+    #          = (-7 b^6 + 16 b^4 - 11 b^2 + 2)/16
+    assert lgcoef.build_tables(2)[1] == ([-2, 0, 9, 0, -12, 0, 5], 16)
+    assert lgcoef.build_tables(2, tilde=True)[1] == (
+        [2, 0, -11, 0, 16, 0, -7], 16)
+
+
 def test_float_tables_match_symbolic_oracle():
     # the two float tables the evaluators read, from the oracle's exact
     # coefficients, equal make_tables' float for float

@@ -176,7 +176,8 @@ def test_modulus_bound(monkeypatch):
         with pytest.raises(RegionError):
             evaluate(1.0, z)
     assert evaluate(1.0, cmath.rect(Z_MAX * (1.0 - 1e-12), 3.0)) == "taylor"
-    assert max_zero_index(0.0, Z_MAX / math.sqrt(2.0)) > MAX_ZEROS
+    with pytest.raises(ValueError, match=str(MAX_ZEROS)):
+        max_zero_index(0.0, Z_MAX / math.sqrt(2.0))
 
 
 def test_neg_parameter_near_origin_takes_taylor():
