@@ -12,8 +12,8 @@ lose accuracy:
 - :func:`parameter` computes, once per u, every constant that does not
   depend on the point: sqrt(2u), the coefficient sums folded into even
   and odd polynomials (:func:`_fold`), the anchor sums as the odd folds
-  at their anchors, the quarter-pi phases, the log prefactor and the
-  gamma factor of the a < 0 route;
+  at their anchors, ph^2 with ph = e^{-i(u+1)pi/4}, the log prefactor
+  and the gamma factor of the a < 0 route;
 - :func:`point` maps z to zhat and computes the geometry in
   double-double precision and, for each coefficient family, the three
   sums the expansions are built from: the even-order and odd-order sums
@@ -126,14 +126,11 @@ class LGParameter(NamedTuple):
     folds: tuple[tuple[Fold, Fold], tuple[Fold, Fold]]
     s2u: tuple[float, float]      # sqrt(2u) as a double-double
     anchors: tuple[float, float]  # odd sums at beta = -1 (base), +1 (tilde)
-    qpi: tuple[float, float]      # (u+1)*pi/4 as a double-double
-    # cosine-form, then sine-form, factor of the oscillatory mantissa
-    osc: tuple[complex, complex]
+    ph2: complex                  # ph^2, with ph = e^{-i(u+1)pi/4}
     # log of (2e/u)^(u/4) / (2u)^(1/4), the prefactor of the U forms,
     # then of (2e/u)^(u/4) * (2u)^(1/4), that of the U' forms
     e: tuple[float, float]
     inv_gamma: ScaledValue        # the factor 1/gamma of the a < 0 route
-    rot: complex                  # e^{-i pi u/2}
 
 
 @lru_cache(maxsize=64)
@@ -148,28 +145,29 @@ def parameter(u: float) -> LGParameter:
     is 1.5e-17 at u = U_MIN and falls as u grows, so caching them loses
     no TruncationWarning.  The gamma factor of the a < 0 route is
     sqrt(2 pi)/Gamma(u/2 + 1/2) * (u/2e)^(u/2) = exp(2 * anchors[0]).
+
+    Every phase of both routes is a power of ph = e^{-i(u+1)pi/4}, taken
+    once from the double-double (u+1)pi/4: ph^2, and conj(ph) in 1/gamma.
     """
     tables = make_tables(LG_ORDER)
     folds = tuple((_fold(tables, u, tilde, 2), _fold(tables, u, tilde, 1))
                   for tilde in (False, True))
     anchors = tuple(_folded_sum(odd, x, 1.0).real
                     for (_, odd), x in zip(folds, (-1.0, 1.0)))
-    qpi = _dd.dd_mul_d((math.pi, _PI_LO), 0.25 * (u + 1.0))
-    qpm = _dd.dd_mul_d((math.pi, _PI_LO), -0.25 * (u - 1.0))
+    # (u+1)pi/4 as u*pi/4 + pi/4, since u + 1 itself may round
+    qpi = _dd.dd_add(_dd.dd_mul_d((math.pi, _PI_LO), 0.25 * u),
+                     (0.25 * math.pi, 0.25 * _PI_LO))
+    ph = cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1])
     lq = 0.25 * math.log(2.0 * u)
     log_pref = 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
     # 1/gamma = -i e^{(u/4+1/4) pi i} Gamma(u/2+1/2) / sqrt(2 pi), with
     # the Gamma expressed through its scaled asymptotic ratio
     inv_gamma = ScaledValue.make(
-        -1j * cmath.exp(0.25j * math.pi * (u + 1.0))
-        / math.exp(2.0 * anchors[0]),
+        -1j * ph.conjugate() / math.exp(2.0 * anchors[0]),
         0.5 * u * (math.log(0.5 * u) - 1.0))
     return LGParameter(
-        u, folds, _dd.dd_sqrt((2.0 * u, 0.0)), anchors, qpi,
-        (2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1]),
-         -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1])),
-        (log_pref - lq, log_pref + lq), inv_gamma,
-        cmath.exp(-0.5j * math.pi * u))
+        u, folds, _dd.dd_sqrt((2.0 * u, 0.0)), anchors, ph * ph,
+        (log_pref - lq, log_pref + lq), inv_gamma)
 
 
 def _geometry_dd(par: LGParameter, z: complex):
@@ -195,17 +193,16 @@ def _geometry_dd(par: LGParameter, z: complex):
     return beta, phi, quarter
 
 
-def _scaled_trig_dd(xr, xim, sine: bool):
-    """cos(x), or sin(x) with ``sine``, as (mantissa, exponent) with x
-    given as dd (real, imag); safe for large |Im x|."""
+def _scaled_exp_pair(xr, xim):
+    """e^{ix} and e^{-ix} as (cp, cm, m), e^{+-ix} = (cp, cm) * e^m, with
+    x given as dd (real, imag); safe for large |Im x|."""
     t, tl = xim
     m = abs(t)
     cp = (cmath.exp(1j * xr[0]) * cmath.exp(complex(-tl, xr[1]))
           * math.exp(-t - m))
     cm = (cmath.exp(-1j * xr[0]) * cmath.exp(complex(tl, -xr[1]))
           * math.exp(t - m))
-    mant = (cp - cm) / 2j if sine else 0.5 * (cp + cm)
-    return mant, m
+    return cp, cm, m
 
 
 class LGPoint(NamedTuple):
@@ -239,22 +236,23 @@ def point(par: LGParameter, z: complex) -> LGPoint:
 
 
 def _oscillatory(pt: LGPoint, tilde: bool) -> ScaledValue:
-    """U from the cosine form or, with ``tilde``, U' from the sine form."""
+    """U from the cosine form or, with ``tilde``, U' from the sine form,
+    each with its quarter period from ph^2: with x = i*u*xi + i*s_odd,
+    2 ph cos(x + (u+1)pi/4) = e^{ix} + ph^2 e^{-ix} and
+    -i ph sin(x + (u+1)pi/4) = -(e^{ix} - ph^2 e^{-ix})/2."""
     par, phi = pt.par, pt.phi
     s_even, s_odd, s_anchor = pt.sums[tilde]
-    # x = i*u*xi + (u+1)*pi/4 + i*s_odd, assembled in dd (s_odd carries
-    # the sign of its family)
-    xr = _dd.dd_add(_dd.dd_add((-phi[0].imag, -phi[1].imag), par.qpi),
-                    (-s_odd.imag, 0.0))
+    # x assembled in dd (s_odd carries the sign of its family)
+    xr = _dd.dd_add((-phi[0].imag, -phi[1].imag), (-s_odd.imag, 0.0))
     xim = _dd.dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
-    trig_m, trig_e = _scaled_trig_dd(xr, xim, sine=tilde)
+    cp, cm, scale = _scaled_exp_pair(xr, xim)
     if tilde:
-        mant = par.osc[1] * pt.quarter
+        mant = -0.5 * (cp - par.ph2 * cm) * pt.quarter
     else:
-        mant = par.osc[0] / pt.quarter
-    mant *= cmath.exp(1j * s_even.imag) * trig_m
+        mant = (cp + par.ph2 * cm) / pt.quarter
+    mant *= cmath.exp(1j * s_even.imag)
     e = (par.e[tilde], 0.0)
-    for term in (s_even.real, s_anchor, trig_e):
+    for term in (s_even.real, s_anchor, scale):
         e = _dd.dd_add(e, (term, 0.0))
     return ScaledValue.make(mant * math.exp(e[1]), e[0])
 

@@ -255,8 +255,8 @@ def _evaluate_lg_neg(a: float, z: complex) -> PcfValue:
     pt = lgeval.point(par, complex(-z.imag, -z.real))
     T1, D1 = (v.conjugate() for v in lgeval.eval_pair(pt))
     T2, D2 = (v.conjugate() for v in lgeval.eval_pair_negarg(pt))
-    U = (T1 + T2 * (1j * par.rot)) * par.inv_gamma
-    Up = (D1 * 1j + D2 * par.rot) * par.inv_gamma
+    U = (T1 - T2 * par.ph2) * par.inv_gamma
+    Up = (D1 * 1j + D2 * (1j * par.ph2)) * par.inv_gamma
     return PcfValue(U, Up, "liouville-green")
 
 

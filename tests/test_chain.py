@@ -321,6 +321,25 @@ def test_zeros_against_mpmath(a, L, k):
     assert abs(z - want) <= 1e-13 * abs(want), (z, want)
 
 
+# the string's real terminal zero, mpmath.findroot on mpmath.pcfu at 30
+# digits, and where the inward walk computes it, below the real axis by
+# more than `_in_domain`'s 1e-9, which drops it (42 and 104 zeros)
+_REAL_ENDS = {(-13.1, 15.0): (-6.289975328817268,
+                              "-6.289975303920777-5.5e-8i"),
+              (-9.66, 25.0): (-6.239646371085284,
+                              "-6.2396491281664375-5.3e-6i")}
+
+
+@pytest.mark.parametrize("a, L", [
+    pytest.param(a, L, id=f"{a}/{L:g}", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"the walk ends at {walk}, against {x}, and it is dropped"))
+    for (a, L), (x, walk) in _REAL_ENDS.items()])
+def test_real_string_end_is_reported(a, L):
+    x = _REAL_ENDS[a, L][0]
+    assert min(abs(rec.z - x) for rec in run_chain(a, L)) <= 1e-13 * abs(x)
+
+
 @pytest.mark.parametrize("a", [2.3, 0.0, -1.7, -30.2])
 def test_near_turning_point(a):
     # the turning point itself, where A vanishes, counts as near; a seed

@@ -326,9 +326,9 @@ def _parameter_oracle(u, S):
     odd = [lgeval._fold(tables, u, tilde, 1) for tilde in (False, True)]
     anchors = (lgeval._folded_sum(odd[0], -1.0, 1.0).real,
                lgeval._folded_sum(odd[1], 1.0, 1.0).real)
-    pi_dd = (math.pi, lgeval._PI_LO)
-    qpi = _dd.dd_mul_d(pi_dd, 0.25 * (u + 1.0))
-    qpm = _dd.dd_mul_d(pi_dd, -0.25 * (u - 1.0))
+    qpi = _dd.dd_add(_dd.dd_mul_d((math.pi, lgeval._PI_LO), 0.25 * u),
+                     (0.25 * math.pi, 0.25 * lgeval._PI_LO))
+    ph = cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1])
     log_pref = 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
     lq = 0.25 * math.log(2.0 * u)
     gr = math.exp(2.0 * anchors[0])
@@ -339,14 +339,11 @@ def _parameter_oracle(u, S):
         folds=None,
         s2u=_dd.dd_sqrt((2.0 * u, 0.0)),
         anchors=anchors,
-        qpi=qpi,
-        osc=(2.0 * cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1]),
-             -cmath.exp(1j * qpm[0]) * cmath.exp(1j * qpm[1])),
+        ph2=ph * ph,
         e=(log_pref - lq, log_pref + lq),
         inv_gamma=ScaledValue.make(
-            -1j * cmath.exp(0.25j * math.pi * (u + 1.0)) / gr,
-            0.5 * u * (math.log(0.5 * u) - 1.0)),
-        rot=cmath.exp(-0.5j * math.pi * u))
+            -1j * ph.conjugate() / gr,
+            0.5 * u * (math.log(0.5 * u) - 1.0)))
 
 
 def test_parameter_matches_the_per_point_expressions():
@@ -354,6 +351,26 @@ def test_parameter_matches_the_per_point_expressions():
     for u in (36.0, 40.0, 60.4, 4000.0):
         assert parameter(u)._replace(folds=None) == _parameter_oracle(u, S), u
         assert parameter(u) is parameter(u)
+
+
+def test_phases_come_from_one_double_double():
+    # ph^2 = e^{-i(u+1)pi/2}, the connection formula's e^{-i pi u/2} =
+    # i ph^2 and the gamma factor's phase -i e^{i(u+1)pi/4} = -i conj(ph)
+    # all come from the one double-double (u+1)pi/4, so none loses
+    # accuracy as u grows; each exponential taken in plain double from
+    # u*pi would be off by about u*eps (1.1e-9 at u = 4e7), and a
+    # double-double of (u+1)*pi/4 off by the rounding of u + 1 at
+    # 1023.37 (1.8e-13)
+    with mpmath.workdps(40):
+        for u in (36.0, 36.4, 60.4, 1000.0, 1023.37, 4000.0, 1e6, 4e7):
+            par = parameter(u)
+            x = mpmath.mpf(u) * mpmath.pi
+            for got, want in (
+                    (par.ph2, mpmath.expj(-(x + mpmath.pi) / 2)),
+                    (1j * par.ph2, mpmath.expj(-x / 2)),
+                    (par.inv_gamma.mantissa,
+                     -1j * mpmath.expj((x + mpmath.pi) / 4))):
+                assert abs(got - want) <= 4.4e-16, (u, got, want)
 
 
 def test_anchor_sums_never_warn():
