@@ -4,10 +4,9 @@ The parameter is u = 2|a|: `pcf` evaluates U(a, z) from these
 expansions for a > 0, and for a < 0 from the two solutions at u = -2a
 and the gamma factor of :func:`parameter` (`pcf._evaluate_lg_neg`).
 
-One step per parameter, one per point and one evaluator per solution,
-each evaluator returning the pair (U, U') as :class:`ScaledValue`
-results, since the prefactors overflow doubles long before the series
-lose accuracy:
+Three steps, one per parameter, one per point and one evaluator, which
+returns the pair (U, U') as :class:`ScaledValue` results, since the
+prefactors overflow doubles long before the series lose accuracy:
 
 - :func:`parameter` computes, once per u, every constant that does not
   depend on the point: sqrt(2u), the coefficient sums folded into even
@@ -21,14 +20,14 @@ lose accuracy:
   the one place it warns of truncation), and the odd-order anchor sum
   of the parameter; it does not check the region, which is the
   caller's choice (`pcf._in_lg_region`);
-- :func:`eval_pair`, the oscillatory cosine/sine forms of U(u/2, z) and
-  U'(u/2, z), with the scaling and the large phase carried in
-  double-double precision;
-- :func:`eval_pair_negarg`, the single-exponential forms at the negated
-  argument -z, where the solution is recessive, from the same sums and
-  the same double-double phase.
+- :func:`eval_pair`, the cosine and sine forms of U(u/2, z) and
+  U'(u/2, z), each written as two exponentials, e^{ix} + c e^{-ix},
+  with the scaling and the large phase carried in double-double
+  precision.  Both signs of a take this one form and differ only in the
+  coefficient c: ph^2 for a > 0, and ph^2 - conj(ph^2) for the
+  connection formula of the a < 0 route.
 
-Both work in the scaled variable ``zhat`` (the physical argument is
+The forms work in the scaled variable ``zhat`` (the physical argument is
 z = sqrt(2u)*zhat).  Branch conventions: the square root
 w = sqrt(zhat^2 + 1) is principal, which has positive real part
 everywhere off the cuts zhat = +/- i*y, 1 <= y < inf; the LG variable
@@ -235,9 +234,12 @@ def point(par: LGParameter, z: complex) -> LGPoint:
     return LGPoint(par, phi, quarter, tuple(sums))
 
 
-def _oscillatory(pt: LGPoint, tilde: bool) -> ScaledValue:
-    """U from the cosine form or, with ``tilde``, U' from the sine form,
-    each with its quarter period from ph^2: with x = i*u*xi + i*s_odd,
+def _oscillatory(pt: LGPoint, tilde: bool, c: complex) -> ScaledValue:
+    """The e^{ix} half plus c times the e^{-ix} half of the cosine form
+    of U or, with ``tilde``, of the sine form of U', with
+    x = i*u*xi + i*s_odd: (e^{ix} + c e^{-ix})/quarter and
+    -(e^{ix} - c e^{-ix})/2 * quarter, times the common prefactor.  At
+    c = ph^2 they are U(u/2, z) and U'(u/2, z), since
     2 ph cos(x + (u+1)pi/4) = e^{ix} + ph^2 e^{-ix} and
     -i ph sin(x + (u+1)pi/4) = -(e^{ix} - ph^2 e^{-ix})/2."""
     par, phi = pt.par, pt.phi
@@ -247,9 +249,9 @@ def _oscillatory(pt: LGPoint, tilde: bool) -> ScaledValue:
     xim = _dd.dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
     cp, cm, scale = _scaled_exp_pair(xr, xim)
     if tilde:
-        mant = -0.5 * (cp - par.ph2 * cm) * pt.quarter
+        mant = -0.5 * (cp - c * cm) * pt.quarter
     else:
-        mant = (cp + par.ph2 * cm) / pt.quarter
+        mant = (cp + c * cm) / pt.quarter
     mant *= cmath.exp(1j * s_even.imag)
     e = (par.e[tilde], 0.0)
     for term in (s_even.real, s_anchor, scale):
@@ -257,43 +259,14 @@ def _oscillatory(pt: LGPoint, tilde: bool) -> ScaledValue:
     return ScaledValue.make(mant * math.exp(e[1]), e[0])
 
 
-def _recessive(pt: LGPoint, tilde: bool) -> ScaledValue:
-    """U at the negated argument from the single-exponential form or,
-    with ``tilde``, U' there."""
-    f = sum(pt.sums[tilde])
-    # phase u*Im xi + Im f and scale u*Re xi + Re f, assembled in dd
-    ph = _dd.dd_add((pt.phi[0].imag, pt.phi[1].imag), (f.imag, 0.0))
-    mant = cmath.exp(1j * ph[0]) * cmath.exp(1j * ph[1])
-    if tilde:
-        mant *= -0.5 * pt.quarter
-    else:
-        mant /= pt.quarter
-    e = _dd.dd_add(_dd.dd_add((pt.par.e[tilde], 0.0),
-                              (pt.phi[0].real, pt.phi[1].real)),
-                   (f.real, 0.0))
-    return ScaledValue.make(mant * math.exp(e[1]), e[0])
-
-
-def eval_pair(pt: LGPoint) -> tuple[ScaledValue, ScaledValue]:
-    """U(u/2, z) and U'(u/2, z) at the point of :func:`point`, via the
-    cosine- and sine-form expansions.
+def eval_pair(pt: LGPoint, c: complex) -> tuple[ScaledValue, ScaledValue]:
+    """The cosine and sine forms of :func:`_oscillatory` at the point of
+    :func:`point`, with c the coefficient of their e^{-ix} halves:
+    c = ph^2 (`LGParameter.ph2`) gives U(u/2, z) and U'(u/2, z), and
+    `pcf._evaluate_lg_neg` passes ph^2 - conj(ph^2) for the a < 0 route.
 
     The scaling z -> zhat = z/sqrt(2u) and the large phase u*xi are
     carried in double-double precision, which keeps the relative
     accuracy near 1e-14 even when the phase reaches a few thousand.
     """
-    return _oscillatory(pt, tilde=False), _oscillatory(pt, tilde=True)
-
-
-def eval_pair_negarg(pt: LGPoint) -> tuple[ScaledValue, ScaledValue]:
-    """U(u/2, -z) and U'(u/2, -z) at the point z of :func:`point`, the
-    solution recessive as zhat -> -inf.
-
-    Each form needs the full-order sum over s = 1..S of
-    sgn^s (F_s(beta) - F_s(-1)) / u^s, with sgn = -1 for the base
-    family and +1 for the tilde family.  It is exactly the family's
-    three sums of :func:`point` added: F_s(+-1) = 0 at even s for both
-    families, and Et_s(-1) = -Et_s(1) at odd s, so the odd orders give
-    the signed odd-order sum plus the odd-order anchor sum.
-    """
-    return _recessive(pt, tilde=False), _recessive(pt, tilde=True)
+    return _oscillatory(pt, False, c), _oscillatory(pt, True, c)

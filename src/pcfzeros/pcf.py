@@ -5,9 +5,11 @@ Two routes: origin-anchored Taylor-ODE integration along a path that
 follows the level lines of Re z^2 (where forward integration stays well
 conditioned, see _path_waypoints), and the Liouville-Green expansions
 for large |a| away from the axes.  At the Hermite parameters
-a = -n - 1/2 both fail (U is recessive along the integration path and
-the negative-parameter expansions degenerate), and the closed form
-U = e^{-z^2/4} He_n(z) is used instead.
+a = -n - 1/2 both fail, and the closed form U = e^{-z^2/4} He_n(z) is
+used instead: U is recessive along the integration path, and the
+negative-parameter expansions, which hold near a Hermite a, need there
+a coefficient that is 0 but keeps about 1e-30 of rounding, against a
+term e^92 times U at a = -20.5, z = -21+3i (5e27 off there).
 """
 from __future__ import annotations
 
@@ -236,28 +238,31 @@ def _in_lg_region(a: float, z: complex) -> bool:
 
 def _evaluate_lg(a: float, z: complex) -> PcfValue:
     par = lgeval.parameter(2.0 * a)
-    U, Up = lgeval.eval_pair(lgeval.point(par, z))
+    U, Up = lgeval.eval_pair(lgeval.point(par, z), par.ph2)
     return PcfValue(U, Up, "liouville-green")
 
 
 def _evaluate_lg_neg(a: float, z: complex) -> PcfValue:
     """U(a,z), U'(a,z) for large negative a from the positive-parameter
-    expansions through the parameter-connection relation.
+    expansions through the connection formula (DLMF 12.2.18).
 
-    With u = -2a, the relation expressing U(u/2, i w) through
-    U(u/2, -i w) and U(-u/2, w) is solved for the last term; both
-    right-hand values map to the same hatted variable in the second
-    quadrant, where the oscillatory and single-exponential expansions
-    apply respectively, from one `lgeval.point`.  The factors that
-    depend on u alone come from `lgeval.parameter`.
+    With u = -2a and w = -i conj(z) it reads
+    U(a, z) = conj(U(u/2, w) - conj(ph^2) U(u/2, -w)) / gamma, the
+    factors of u alone from `lgeval.parameter`.  U(u/2, -w) is the
+    e^{-ix} half Q of the cosine form U(u/2, w) = P + ph^2 Q (its
+    expansion sums sgn^s (F_s(beta) - F_s(-1))/u^s over all s, which by
+    the parities of F_s at +-1 is the three sums of `lgeval.point`
+    added), so U(a, z) = conj(P + c Q)/gamma with c = ph^2 - conj(ph^2),
+    and U'(a, z) = i conj(P' + c Q')/gamma from the sine form.  Near a
+    Hermite a, c is small and comes from one exact subtraction: two
+    terms of size |Q| that cancel to |c Q| would leave their rounding,
+    about 1e-16 |Q|, in a U much smaller than Q.
     """
     par = lgeval.parameter(-2.0 * a)
     pt = lgeval.point(par, complex(-z.imag, -z.real))
-    T1, D1 = (v.conjugate() for v in lgeval.eval_pair(pt))
-    T2, D2 = (v.conjugate() for v in lgeval.eval_pair_negarg(pt))
-    U = (T1 - T2 * par.ph2) * par.inv_gamma
-    Up = (D1 * 1j + D2 * (1j * par.ph2)) * par.inv_gamma
-    return PcfValue(U, Up, "liouville-green")
+    U, Up = (v.conjugate() * par.inv_gamma
+             for v in lgeval.eval_pair(pt, par.ph2 - par.ph2.conjugate()))
+    return PcfValue(U, Up * 1j, "liouville-green")
 
 
 def _evaluate_hermite(a: float, z: complex) -> PcfValue:

@@ -11,8 +11,7 @@ import pcfzeros.lgeval as lgeval
 from pcfzeros import _dd, pcf
 from pcfzeros.config import LG_ORDER
 from pcfzeros.lgcoef import build_tables, make_tables
-from pcfzeros.lgeval import (_geometry_dd, eval_pair, eval_pair_negarg,
-                             parameter, point)
+from pcfzeros.lgeval import _geometry_dd, eval_pair, parameter, point
 from pcfzeros.scaled import ScaledValue
 
 mpmath = pytest.importorskip("mpmath")
@@ -141,14 +140,15 @@ def test_anchor_sums_match_the_exact_rationals():
 
 
 def test_eval_U_matches_mpmath():
-    # eval_pair(point)[0] computes U(u/2, z) in scaled form
+    # eval_pair(point, ph^2)[0] computes U(u/2, z) in scaled form
     u = 40.0
     a = u / 2.0
+    par = parameter(u)
     for zhat in (-0.8 + 0.9j, -1.5 + 0.3j, -0.3 + 1.6j):
         z = math.sqrt(2.0 * u) * zhat
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", lgeval.TruncationWarning)
-            got = eval_pair(point(parameter(u), z))[0].to_complex()
+            got = eval_pair(point(par, z), par.ph2)[0].to_complex()
         want = complex(mpmath.pcfu(a, complex(z)))
         assert abs(got - want) < 1e-11 * abs(want), f"zhat={zhat}"
 
@@ -158,31 +158,34 @@ def test_eval_Uprime_matches_mpmath_derivative():
     a = u / 2.0
     zhat = -1.0 + 0.8j
     z = math.sqrt(2.0 * u) * zhat
+    par = parameter(u)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", lgeval.TruncationWarning)
-        got = eval_pair(point(parameter(u), z))[1].to_complex()
+        got = eval_pair(point(par, z), par.ph2)[1].to_complex()
     want = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), complex(z)))
     assert abs(got - want) < 1e-11 * abs(want)
 
 
 @pytest.mark.filterwarnings("ignore::pcfzeros.errors.TruncationWarning")
 def test_negated_argument_variant():
-    # the companion solution, recessive in the opposite direction; at
-    # |zhat| of a few the phase u*xi is in the thousands, which plain
+    # the a < 0 route at a = -u/2 takes the LG point w = sqrt(2u)*zhat,
+    # with z = -i conj(w), and needs the e^{-ix} half there, the
+    # companion solution U(u/2, -w) recessive in the opposite direction;
+    # at |zhat| of a few the phase u*xi is in the thousands, which plain
     # doubles carry only to about 1e-13
     for u, zhat, tol in ((40.0, -1.0 + 1.0j, 1e-11),
                          (100.0, -2.0 + 2.0j, 5e-14),
                          (100.0, -4.0 + 4.0j, 5e-14)):
-        a = u / 2.0
-        z = math.sqrt(2.0 * u) * zhat
-        U, Up = eval_pair_negarg(point(parameter(u), z))
+        a = -u / 2.0
+        w = math.sqrt(2.0 * u) * zhat
+        v = pcf._evaluate_lg_neg(a, -1j * w.conjugate())
         with mpmath.workdps(30):
-            t = mpmath.mpc(-z.real, -z.imag)
+            t = mpmath.mpc(-1j * w.conjugate())
             want = complex(mpmath.pcfu(a, t))
             # U'(a, t) = (t/2) U(a, t) - U(a-1, t)
             want_p = complex(t / 2 * mpmath.pcfu(a, t) - mpmath.pcfu(a - 1, t))
-        err = abs(U.to_complex() - want) / abs(want)
-        err_p = abs(Up.to_complex() - want_p) / abs(want_p)
+        err = abs(v.U.to_complex() - want) / abs(want)
+        err_p = abs(v.Uprime.to_complex() - want_p) / abs(want_p)
         assert err < tol and err_p < tol, (u, zhat, err, err_p)
 
 
@@ -199,7 +202,8 @@ def _full_sum_loop(u, beta, tilde):
 
 @pytest.mark.filterwarnings("ignore::pcfzeros.errors.TruncationWarning")
 def test_three_sums_add_to_the_full_order_sum():
-    # eval_pair_negarg takes its full-order sums as the three sums of
+    # the e^{-ix} half of the cosine and sine forms, which the a < 0
+    # route needs, takes its full-order sums as the three sums of
     # `point` added; this rests on the parities of the anchors
     for s in range(2, S + 1, 2):
         assert _exact(s, Fraction(-1), False) == 0
@@ -393,8 +397,9 @@ def test_anchor_sums_never_warn():
 def test_scaled_output_survives_extreme_parameters():
     # the raw function value overflows doubles here; the scaled form must not
     u = 4000.0
-    for sv in eval_pair(point(parameter(u),
-                              math.sqrt(2.0 * u) * (-1.0 + 1.0j))):
+    par = parameter(u)
+    for sv in eval_pair(point(par, math.sqrt(2.0 * u) * (-1.0 + 1.0j)),
+                        par.ph2):
         assert math.isfinite(abs(sv.mantissa))
         assert math.isfinite(sv.exponent)
         assert not sv.is_zero

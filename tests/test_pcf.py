@@ -90,8 +90,20 @@ _KNOWN_WRONG = [
     (-18.2, -7.0 + 4.0j, "LG", 2.0e-10),
     (-30.2, -7.0 + 4.0j, "LG", 1.6e-13),
     (-18.2, -4.713 + 2.402j, "LG", 2.4e-8),
+    # at a = -n - 1/2 + d, U = -sin(pi a) U(a, -z) + pi V(a, -z)/Gamma(1/2
+    # + a) (DLMF 12.2.15), and the V term, of order d, dominates U here:
+    # the origin route loses it, and the closed form, which is_hermite
+    # takes for |d| < 1e-12, drops it
+    (-2.499999999, -15.0 + 3.0j, "origin", 2.1e-8),
+    (-4.499999999, -15.0 + 3.0j, "origin", 7.7e-8),
+    (-2.4999999999995, -15.0 + 3.0j, "Hermite", 1.0),
+    (-2.4999999999995, -6.0 + 5.0j, "Hermite", 1.6e-12),
 ]
+# LG points off a Hermite a by more than is_hermite's 1e-12
+_NEAR_HERMITE = [(-20.4999, -21.0 + 9.0j), (-30.499999, -21.0 + 3.0j),
+                 (-20.499999999998, -21.0 + 3.0j)]
 _RIGHT = [(20.0, -40.0 + 35.0j), (-30.2, -20.0 + 12.0j),   # LG
+          *_NEAR_HERMITE,
           (2.3, -5.0 + 5.0j), (-1.7, -10.0 + 8.0j),         # origin
           (0.3, -3.0 + 0.5j),
           (-2.5, -3.0 + 4.0j), (-100.5, -10.0 + 5.0j)]      # Hermite
@@ -107,6 +119,8 @@ def test_value_error_against_mpmath(a, z):
     # value error max(|U - U*|, |U' - U'*|/|z|) / max(|U*|, |U'*|/|z|),
     # with U* = mpmath.pcfu and U'* its mpmath.diff at 30 digits; a
     # typed refusal is an answer too
+    if (a, z) in _NEAR_HERMITE:
+        assert pcf._in_lg_region(a, z) and not pcf.is_hermite(a)
     try:
         v = evaluate(a, z)
     except RegionError:
@@ -141,9 +155,10 @@ def test_neg_parameter_lg_route_agrees_with_taylor():
 
 
 def test_neg_parameter_lg_route_carries_the_recessive_term():
-    # at this point the recessive term of the connection formula, from
-    # eval_pair_negarg, is as large as the oscillatory one for U and for
-    # U' (about 1e-21 of it at the point of the test above)
+    # at this point the recessive term of the connection formula, the
+    # e^{-ix} half of the cosine and sine forms, is as large as the
+    # oscillatory one for U and for U' (about 1e-21 of it at the point
+    # of the test above)
     a, z = -30.2, -25.0 + 6.0j
     v = evaluate(a, z)
     assert v.method == "liouville-green"
