@@ -8,7 +8,10 @@ fourth-order fixed-point loop, `_refine`, refines every seed with U/U'
 from absolute values for the first zero (`_absolute_quotient`), and
 for the others from a Taylor expansion at the previous zero, where the
 values are (0, 1) (`_propagated_quotient`); `verify_zeros` checks the
-zeros through the same two quotients.
+zeros through the same two quotients.  A hop from the displacement
+seed mostly takes one quotient: its first step already puts the
+method's own error term, |z| d^4/24 for a step d, below the unit
+roundoff, and the loop stops there without a confirming step.
 """
 from __future__ import annotations
 
@@ -99,18 +102,30 @@ def _refine(a: float, z0: complex, quotient, budget: int, what: str,
             floor: float):
     """The fourth-order fixed-point loop: apply `fixed_point_T` with
     U/U' from quotient(z) until the relative step is at most EPS, or has
-    stalled on the quotient's rounding-noise floor (below floor, 0 for a
-    quotient without one, and above a quarter of the step before),
-    within budget iterations.  Returns (z, iterations, deltas)."""
+    stalled on the quotient's rounding-noise floor (below floor and above
+    a quarter of the step before), within budget iterations.
+
+    A quotient without noise (floor 0) may also stop after its first
+    step, of size d = |z1 - z0|, on the method's own error term: to
+    leading order that step leaves z1 off the zero by |A'(z1)| d^4/12 =
+    |z1| d^4/24, and the next term is smaller by a factor of order
+    (|sqrt(A(z1))| d)^2.  So z1 is returned when d^4/24 <= 2^-53, the
+    unit roundoff, and |sqrt(A(z1))| d <= 1/8.  Only the first step
+    qualifies: an iterate that has wandered can take one tiny step
+    without converging.  Returns (z, iterations, deltas)."""
     z = complex(z0)
     deltas: list[float] = []
     for it in range(1, budget + 1):
         znew = fixed_point_T(a, z, quotient(z))
-        delta = abs(znew - z) / abs(z)
+        d = abs(znew - z)
+        delta = d / abs(z)
         deltas.append(delta)
         z = znew
-        if delta <= EPS or (delta < floor and it >= 2
-                            and delta > 0.25 * deltas[-2]):
+        if (delta <= EPS
+                or (it == 1 and not floor and d ** 4 <= 24.0 * 2.0 ** -53
+                    and abs(-0.25 * z * z - a) * d * d <= 1.0 / 64.0)
+                or (delta < floor and it >= 2
+                    and delta > 0.25 * deltas[-2])):
             return z, it, tuple(deltas)
     raise ConvergenceError(f"{what} did not converge from {z0} (a={a})")
 
@@ -157,8 +172,11 @@ def refine_first_zero(a: float, z0: complex):
 def refine_from_previous(a: float, z_prev: complex, seed: complex):
     """One hop of the chain: refine seed with U/U' propagated from the
     previous zero z_prev (`_propagated_quotient`), within
-    MAX_INNER_ITERS iterations and with no stall exit: a hop that stops
-    short of EPS raises.  Returns (z, iterations, deltas)."""
+    MAX_INNER_ITERS iterations and with no stall exit.  The quotient
+    carries no noise floor, so the hop stops after its first step where
+    that step's error term is below the unit roundoff, and otherwise at
+    a step of at most EPS; a hop that reaches neither raises.  Returns
+    (z, iterations, deltas)."""
     return _refine(a, seed, _propagated_quotient(a, z_prev),
                    MAX_INNER_ITERS, "inner iteration", 0.0)
 

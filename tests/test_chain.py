@@ -543,24 +543,37 @@ def test_hop_has_no_stall_exit():
     assert z.real > 0.0
 
 
+def _one_step_rule(a, z1, d):
+    """The hop's stop rule after its first step, of size d, to z1: the
+    fourth-order method's error term |A'(z1)| d^4/12, A' = -z/2, within
+    the unit roundoff of z1, and the phase step |sqrt(A(z1))| d at most
+    1/8, so that the terms after it are negligible."""
+    return (abs(z1) / 2.0 * d ** 4 / 12.0 <= 2.0 ** -53 * abs(z1)
+            and abs(sqrt_A(a, z1)) * d <= 0.125)
+
+
 def test_refine_from_previous_is_fast():
-    # seeding from the displacement of a converged zero takes few steps
+    # seeding from the displacement of a converged zero takes few steps,
+    # and the hop ends on a step of at most EPS or, after its first step,
+    # on that step's error term
     zeros = run_chain(-3.2, 15.0)
     anchor = zeros[1]
     seed = displace(-3.2, anchor.z)
     z, iters, deltas = refine_from_previous(-3.2, anchor.z, seed)
     assert iters <= 6
-    assert deltas[-1] <= EPS
+    assert deltas[-1] <= EPS or (
+        iters == 1 and _one_step_rule(-3.2, z, deltas[0] * abs(seed)))
     # it converged to the neighboring zero, one half-period inward
     assert abs(z - zeros[2].z) < 1e-10 or abs(z - zeros[0].z) < 1e-10
 
 
 def _hop_oracle(a, z_prev, seed, handed_off):
-    """refine_from_previous as first written, on the public pieces: one
-    `taylor.step` and one `fixed_point_T` per iteration.  Appends to
-    handed_off the step of each iteration whose first try the hop must
-    hand to `taylor.step`: one failing the tail test of the plain-loop
-    kernel oracle."""
+    """refine_from_previous on the public pieces: one `taylor.step` and
+    one `fixed_point_T` per iteration, until a step of at most EPS or a
+    first step that meets `_one_step_rule`.  Appends to handed_off the
+    step of each iteration whose first try the hop must hand to
+    `taylor.step`: one failing the tail test of the plain-loop kernel
+    oracle."""
     c = taylor.derivatives_at(a, z_prev, 0j, 1.0 + 0j)
     z = complex(seed)
     deltas = []
@@ -574,9 +587,10 @@ def _hop_oracle(a, z_prev, seed, handed_off):
         znew = fixed_point_T(a, z, y / yp)
         delta = abs(znew - z) / abs(z)
         deltas.append(delta)
+        if delta <= EPS or (it == 1 and _one_step_rule(a, znew,
+                                                      abs(znew - z))):
+            return znew, it, tuple(deltas)
         z = znew
-        if delta <= EPS:
-            return z, it, tuple(deltas)
     raise ConvergenceError(
         f"inner iteration did not converge from {seed} (a={a})")
 
@@ -602,6 +616,7 @@ def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
             return fn(*args)
         return wrapper
     rejected = 0
+    one_step = 0
     for i, z_prev in enumerate(zeros):
         seed = displace(a, z_prev)
         # every fifth hop also from a seed beyond h_max, whose first try
@@ -619,22 +634,113 @@ def test_refine_from_previous_matches_step_oracle(a, L, monkeypatch):
             assert [args[-1] for args in calls] == handed_off, (z_prev, s)
             assert handed_off or s is not far
             rejected += len(handed_off)
+            if len(got) == 3 and got[1] == 1 and got[2][0] > EPS:
+                one_step += 1
     assert rejected >= len(zeros) // 5
+    # the first-step rule, not the EPS test, ends most of these hops
+    assert one_step >= len(zeros) // 2
 
 
 def test_deltas_shrink_quartically_fast():
-    # the hops of the chain: from each zero to the next one inward
-    zeros = [r.z for r in run_chain(-3.2, 15.0)]
-    seen = 0
-    for z_prev, z_next in zip(zeros, zeros[1:]):
-        z, _, deltas = refine_from_previous(-3.2, z_prev,
-                                            displace(-3.2, z_prev))
-        assert z == z_next
-        d = [x for x in deltas if x > 0]
-        if len(d) >= 2 and d[0] > 1e-10:
-            seen += 1
-            assert d[1] < d[0]
-    assert seen > 0
+    # the hops of the chain, from each zero to the next one inward: the
+    # step after a step of size d is that step's error term, |z| d^4/24,
+    # or d^4/24 relative; a hop stops after its first step where that
+    # term is below the unit roundoff, and otherwise iterates to EPS
+    one_step = quartic = 0
+    for a, L in [(-3.2, 15.0), (-1.7, 60.0)]:
+        zeros = [r.z for r in run_chain(a, L)]
+        for z_prev, z_next in zip(zeros, zeros[1:]):
+            seed = displace(a, z_prev)
+            z, iters, deltas = refine_from_previous(a, z_prev, seed)
+            assert z == z_next
+            assert iters == len(deltas)
+            d = deltas[0] * abs(seed)
+            if iters == 1:
+                one_step += deltas[0] > EPS
+                assert deltas[0] <= EPS or _one_step_rule(a, z, d)
+                continue
+            assert deltas[-1] <= EPS
+            predicted = d ** 4 / 24.0
+            if 1e-13 < predicted < 1e-3:
+                quartic += 1
+                assert deltas[1] == pytest.approx(predicted, rel=0.02)
+    assert quartic > 0 and one_step > 0
+
+
+def test_hop_error_constant():
+    # e_1 = C e_0^4 at seeds offset from known zeros, C = |A'(z)|/12 =
+    # |z|/24: offsets d with |sqrt(A)| d = 1/20, away from the string's
+    # end, where the next term of the error series is about 0.25% of it
+    fits = 0
+    for a, L in [(-3.2, 15.0), (20.5, 10.0), (-30.2, 12.0)]:
+        zeros = [r.z for r in run_chain(a, L)]
+        for i in range(1, len(zeros) - 2, 3):
+            z_prev, z = zeros[i - 1], zeros[i]
+            quotient = chain._propagated_quotient(a, z_prev)
+            d = 0.05 / abs(sqrt_A(a, z))
+            for direction in (0.6 + 0.8j, 1j, -1.0):
+                seed = z + d * direction
+                z1 = fixed_point_T(a, seed, quotient(seed))
+                C = abs(z1 - z) / d ** 4
+                assert C == pytest.approx(abs(z) / 24.0, rel=0.02), (a, L, i)
+                fits += 1
+    assert fits >= 30
+
+
+def test_one_step_rule_needs_a_small_phase_step():
+    # the stop decision alone, on a quotient U/U' = z - zs: its first
+    # step is about the seed's offset, 2e-4, whose d^4/24 is below
+    # 2^-53, and the loop stops after it where |sqrt(A)| d <= 1/8
+    # (|zs| = 200) but not where the phase step is larger (|zs| = 2000,
+    # inside Z_MAX), and never for a quotient with a noise floor, as the
+    # first zero's is
+    for r, floor, one_step in ((200.0, 0.0, True), (2000.0, 0.0, False),
+                               (200.0, 3e-8, False)):
+        zs = r * cmath.exp(0.75j * math.pi)
+        _, iters, deltas = chain._refine(2.3, zs + 2e-4, lambda z: z - zs,
+                                         MAX_INNER_ITERS, "test", floor)
+        assert (iters == 1) == one_step, (r, floor, deltas)
+
+
+@pytest.mark.parametrize("a, L", [(-3.2, 15.0), (-1.7, 60.0), (20.5, 50.0),
+                                  (-30.2, 60.0)])
+def test_one_step_hop_is_within_its_error_term(a, L):
+    # each hop's zero against the zero reached by iterating on to a step
+    # of at most EPS: apart by at most the error term |z| d^4/24 of the
+    # hop's last step d, or by rounding
+    zeros = [r.z for r in run_chain(a, L)]
+    for z_prev in zeros[:-1]:
+        seed = displace(a, z_prev)
+        z, iters, deltas = refine_from_previous(a, z_prev, seed)
+        quotient = chain._propagated_quotient(a, z_prev)
+        z_on = z
+        for _ in range(MAX_INNER_ITERS):
+            znew = fixed_point_T(a, z_on, quotient(z_on))
+            delta = abs(znew - z_on) / abs(z_on)
+            z_on = znew
+            if delta <= EPS:
+                break
+        else:
+            pytest.fail(f"no convergence past {z}")
+        d = deltas[-1] * abs(z)
+        bound = max(abs(z) * d ** 4 / 24.0, 4.0 * math.ulp(abs(z)))
+        assert abs(z - z_on) <= bound, (z_prev, iters, abs(z - z_on), bound)
+
+
+@pytest.mark.parametrize("a, L", [(2.3, 20.0), (2.3, 50.0), (2.3, 140.0),
+                                  (20.5, 10.0), (20.5, 50.0), (20.5, 140.0),
+                                  (31.78, 10.0)])
+def test_end_of_string_hop_still_raises(a, L):
+    # past the last zero the hop's iterate wanders over several steps of
+    # 0.1 to 1, then takes one tiny step without converging; the one-step
+    # rule looks at the first step only, so the hop raises and the walk
+    # ends at the turning point
+    z_prev = run_chain(a, L)[-1].z
+    seed = displace(a, z_prev)
+    assert chain._near_turning_point(a, seed)
+    with pytest.raises(ConvergenceError,
+                       match="inner iteration did not converge from"):
+        refine_from_previous(a, z_prev, seed)
 
 
 def test_default_config_records_the_constants():
