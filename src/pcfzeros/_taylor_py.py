@@ -22,18 +22,27 @@ recurrence keeps magnitudes balanced:
     c_{k+2} = [ (z0^2/4 + a) c_k + (z0/2) c_{k-1} + c_{k-2}/4 ]
               / ((k+1)(k+2)),   k >= 0,  c_{-1} = c_{-2} = 0.
 
-The loops are written for the interpreter (running locals instead of
-list indexing, cached divisors, fused Horner sums), but the order of
-every floating-point operation is load-bearing: each expression keeps
-the operand order of the plain loops, ``(q c_k + hz c_{k-1} + c_{k-2}/4)
-/ d`` and one Horner accumulator per sum, so that every result is
-identical to the bit to that of the plain loops, which
+The three hot loops (the recurrence, and the Horner sums of
+`taylor_eval` and `_taylor_eval2`) run as straight-line code for the
+interpreter: for each order n, `_recurrence` and `_horner` write the
+loop out term by term as source, with the unpacked coefficients as
+locals and the divisors and multipliers as literals, compile it once
+with `exec` and cache it, as `dataclasses` builds its methods.  The
+order of every floating-point operation is load-bearing: each line keeps
+the operations of the plain loops in their order, ``(q c_k + hz c_{k-1}
++ c_{k-2}/4) / d`` and one Horner accumulator per sum, so that every
+result is identical to the bit to that of the plain loops, which
 ``tests/test_taylor.py`` keeps as an oracle: the first zero of some
 chains ends on a rounding-noise floor, so another rounding would move
-it, and every zero after it, by more than 1e-13.
+it, and every zero after it, by more than 1e-13.  The one rewrite puts
+the complex operand first in a product with a real constant
+(``c_k * 0.25``, ``c_k * k``): CPython's complex product is symmetric in
+its operands, so the bits are the same, and the call skips the failed
+float or int dispatch.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 TAIL_TOL = 1e-15
@@ -48,37 +57,54 @@ def h_max(a: float, z: complex) -> float:
     return 6.0 / max(abs(z) * 0.5, math.sqrt(abs(a)), 1.0)
 
 
-_DIVISORS: dict[int, tuple[float, ...]] = {}
+def _compile(name: str, args: str, body):
+    """The function `name(args)` whose body is the given lines."""
+    namespace: dict = {}
+    exec(f"def {name}({args}):\n"
+         + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace[name]
 
 
-def _divisors(n: int):
-    """(k+1)(k+2) as floats for k = 2..n-2, the divisors of the
-    recurrence past its first two terms; cached per n."""
-    d = _DIVISORS.get(n)
-    if d is None:
-        d = _DIVISORS[n] = tuple(float((k + 1) * (k + 2))
-                                 for k in range(2, n - 1))
-    return d
+@functools.cache
+def _recurrence(n: int):
+    """`scaled_derivs` at order n as straight-line code, one line per
+    term of the recurrence."""
+    c = ["y0", "y1"] + [f"c{k}" for k in range(2, max(n, 3) + 1)]
+    body = ["q = 0.25 * z0 * z0 + a",
+            "hz = 0.5 * z0",
+            "c2 = q * y0 / 2",
+            "c3 = (q * y1 + hz * y0) / 6"]
+    body += [f"{c[k + 2]} = (q * {c[k]} + hz * {c[k - 1]}"
+             f" + {c[k - 2]} * 0.25) / {float((k + 1) * (k + 2))!r}"
+             for k in range(2, n - 1)]
+    body.append(f"return [{', '.join(c)}]")
+    return _compile(f"scaled_derivs_{len(c) - 1}", "a, z0, y0, y1", body)
+
+
+@functools.cache
+def _horner(n: int, points: int):
+    """The function of c and `points` displacements (h, then h2) that
+    returns (y, y') of the expansion c_0..c_n (n >= 1) at each, as
+    straight-line Horner sums over the unpacked coefficients; the
+    derivative's term k c_k is formed once for all of them."""
+    lanes = ["", "2"][:points]
+    body = [", ".join(f"c{k}" for k in range(n + 1)) + " = c",
+            f"kc = c{n} * {n}"]
+    body += [f"y{s} = c{n}" for s in lanes] + [f"yp{s} = kc" for s in lanes]
+    for k in range(n - 1, 0, -1):
+        body.append(f"kc = c{k} * {k}")
+        for s in lanes:
+            body += [f"y{s} = y{s} * h{s} + c{k}",
+                     f"yp{s} = yp{s} * h{s} + kc"]
+    body.append("return " + ", ".join(f"y{s} * h{s} + c0, yp{s}"
+                                      for s in lanes))
+    return _compile(f"horner_{n}_{points}",
+                    ", ".join(["c"] + [f"h{s}" for s in lanes]), body)
 
 
 def scaled_derivs(a: float, z0: complex, y0: complex, y1: complex, n: int):
     """Scaled derivatives c_0..c_n at z0 (n+1 entries, n >= 3)."""
-    q = 0.25 * z0 * z0 + a
-    hz = 0.5 * z0
-    c2 = q * y0 / 2
-    c3 = (q * y1 + hz * y0) / 6
-    c = [y0, y1, c2, c3]
-    append = c.append
-    # window c[k-2], c[k-1], c[k], c[k+1] of the term c[k+2] to come
-    cm2, cm1, ck, ck1 = y0, y1, c2, c3
-    for d in _divisors(n):
-        t = (q * ck + hz * cm1 + 0.25 * cm2) / d
-        append(t)
-        cm2 = cm1
-        cm1 = ck
-        ck = ck1
-        ck1 = t
-    return c
+    return _recurrence(n)(a, z0, y0, y1)
 
 
 def taylor_eval(c, h: complex):
@@ -90,14 +116,7 @@ def taylor_eval(c, h: complex):
     n = len(c) - 1
     if n < 1:
         raise ValueError("need at least two coefficients")
-    cn = c[n]
-    y = cn
-    yp = n * cn
-    for k in range(n - 1, 0, -1):
-        ck = c[k]
-        y = y * h + ck
-        yp = yp * h + k * ck
-    y = y * h + c[0]
+    y, yp = _horner(n, 1)(c, h)
     return y, yp, _tail_ok(c, h, y, yp)
 
 
@@ -132,21 +151,7 @@ def _tail_ok(c, h, y, yp):
 def _taylor_eval2(c, h: complex, h2: complex):
     """The values of `taylor_eval` at two displacements in one pass over
     c: (y, yprime) at h followed by the same at h2."""
-    n = len(c) - 1
-    cn = c[n]
-    y = y2 = cn
-    yp = yp2 = n * cn
-    for k in range(n - 1, 0, -1):
-        ck = c[k]
-        kc = k * ck
-        y = y * h + ck
-        yp = yp * h + kc
-        y2 = y2 * h2 + ck
-        yp2 = yp2 * h2 + kc
-    c0 = c[0]
-    y = y * h + c0
-    y2 = y2 * h2 + c0
-    return y, yp, y2, yp2
+    return _horner(len(c) - 1, 2)(c, h, h2)
 
 
 def step_once(a: float, z0: complex, c0, h: complex):

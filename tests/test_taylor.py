@@ -169,6 +169,34 @@ def test_step_expands_only_past_its_first_piece(monkeypatch):
     assert rebuilt >= 50
 
 
+def test_polyline_builds_every_step_through_the_module_name(monkeypatch):
+    # each step's expansion is built by a call through the module name
+    # `scaled_derivs`, which the benchmark's tracer replaces to count
+    # builds, and the counting changes no result
+    build, step_once = _taylor_py.scaled_derivs, _taylor_py.step_once
+    built, steps = [], []
+
+    def build_spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def step_spy(a, z0, c, h):
+        steps.append(any(c is b for b in built))
+        return step_once(a, z0, c, h)
+    for a, z0, y0, y1, h in _kernel_corpus(20261023, 40):
+        args = (a, z0, y0, y1, [z0 + h / 4, z0 + h], TAYLOR_ORDER)
+        want = _taylor_py.propagate_polyline(*args)
+        with monkeypatch.context() as m:
+            m.setattr(_taylor_py, "scaled_derivs", build_spy)
+            m.setattr(_taylor_py, "step_once", step_spy)
+            built.clear()
+            steps.clear()
+            got = _taylor_py.propagate_polyline(*args)
+        assert repr(got) == repr(want)
+        assert steps and all(steps)
+        assert len(built) >= len(steps)
+
+
 def test_subdivided_step_matches_many_small_steps():
     # one large step (internally subdivided) vs an explicit fine walk
     a, z0 = 3.0, -6.0 + 5.0j
@@ -407,6 +435,11 @@ def test_scaled_derivs_and_taylor_eval_match_loop_oracle():
             for d in (h, h / 2, 0j):
                 got = _taylor_py.taylor_eval(c, d)
                 assert repr(got) == repr(_loop_verdict(c, d))
+            # step_once's first try and first half-step, in one pass
+            got = _taylor_py._taylor_eval2(c, h, h / 2)
+            want = (*_loop_taylor_eval(c, h)[:2],
+                    *_loop_taylor_eval(c, h / 2)[:2])
+            assert repr(got) == repr(want)
 
 
 def test_step_once_is_plain_bisection():
