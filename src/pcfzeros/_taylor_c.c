@@ -12,7 +12,10 @@
    whose scale is not finite fails the tail test in both.  The tail test
    lives in eval alone: taylor_eval returns its verdict with the values,
    and step and the chain hop (pcfzeros.chain._propagated_quotient) take
-   that verdict as it comes.  step starts from the caller's expansion. */
+   that verdict as it comes.  step starts from the caller's expansion and
+   skips a first try that first_try_fails proves would fail that test; the
+   proof makes the twin's decision, an inf or nan here leaving the try to
+   run where the twin's OverflowError or ZeroDivisionError does. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
@@ -80,6 +83,17 @@ derivs(double a, cplx z0, cplx y0, cplx y1, Py_ssize_t n, cplx *c)
                         (double)((k + 1) * (k + 2)));
 }
 
+/* The tail of a try of the expansion c_0..c_n (n >= 1) at |h| = ah: the
+   larger of the last two terms of the y-sum, as a single term can vanish
+   by parity at symmetric expansion points */
+static inline double
+tail_(const cplx *c, Py_ssize_t n, double ah)
+{
+    double t1 = cabs_(c[n]) * pow(ah, (double)n),
+           t2 = cabs_(c[n - 1]) * pow(ah, (double)(n - 1));
+    return t2 > t1 ? t2 : t1;
+}
+
 /* (y, y') of the expansion c_0..c_n at displacement h, n >= 1, and the
    verdict of the tail criterion of _taylor_py._tail_ok: 1 if the try is
    accepted as it stands */
@@ -93,22 +107,38 @@ eval(const cplx *c, Py_ssize_t n, cplx h, cplx *y, cplx *yp)
     }
     *y = add(mul(s, h), c[0]);
     *yp = sp;
-    /* last two terms: a single term can vanish by parity at symmetric
-       expansion points */
-    double ah = cabs_(h), t1 = cabs_(c[n]) * pow(ah, (double)n),
-           t2 = cabs_(c[n - 1]) * pow(ah, (double)(n - 1)),
-           tail = t2 > t1 ? t2 : t1, m = cabs_(*y), ms = ah * cabs_(sp),
-           bound;
+    double ah = cabs_(h), tail = tail_(c, n, ah), m = cabs_(*y),
+           ms = ah * cabs_(sp), bound;
     m = ms > m ? ms : m;
     bound = TAIL_TOL * (1e-300 > m ? 1e-300 : m);
     return tail <= bound && bound < HUGE_VAL;
 }
 
-/* One step of size h from the expansion c0 = c_0..c_n0 (n0 >= 1) at z0,
-   bisecting up to h/64 on demand; later pieces are expanded afresh into
-   c, ncoef(n0)+1 entries as the twin's scaled_derivs.  Returns 1 with the
-   end values in (*yout, *ypout), or 0 with the values where the last
-   attempt stopped if the tail criterion fails at the smallest subdivision. */
+/* 1 if the try of the expansion c_0..c_n (n >= 1) at z0 for parameter a
+   surely fails eval's tail test at h, decided without evaluating it, as
+   _taylor_py._first_try_fails decides: with r = |h| and
+   kappa^2 = (|z0| + r)^2/4 + |a|, the majorant of the ODE bounds |y| and
+   |h| |y'| of the try by
+   B = max(|c_0| + |c_1|/kappa, r (kappa |c_0| + |c_1|)) e^(kappa r),
+   and the tail exceeds 2 TAIL_TOL max(B, 1e-300). */
+static int
+first_try_fails(double a, cplx z0, const cplx *c, Py_ssize_t n, cplx h)
+{
+    double r = cabs_(h), tail = tail_(c, n, r), s = cabs_(z0) + r,
+           kappa = sqrt(0.25 * s * s + fabs(a)), y0 = cabs_(c[0]),
+           y1 = cabs_(c[1]), b = y0 + y1 / kappa,
+           b1 = r * (kappa * y0 + y1);
+    b = (b1 > b ? b1 : b) * exp(kappa * r);
+    return 2.0 * TAIL_TOL * (1e-300 > b ? 1e-300 : b) < tail
+           && tail < HUGE_VAL;
+}
+
+/* One step of size h from the expansion c0 = c_0..c_n0 (n0 >= 1) at z0
+   for parameter a, or a truncation of it, bisecting up to h/64 on demand;
+   later pieces are expanded afresh into c, ncoef(n0)+1 entries as the
+   twin's scaled_derivs.  Returns 1 with the end values in (*yout,
+   *ypout), or 0 with the values where the last attempt stopped if the
+   tail criterion fails at the smallest subdivision. */
 static int
 step(double a, cplx z0, const cplx *c0, Py_ssize_t n0, cplx h, cplx *c,
      cplx *yout, cplx *ypout)
@@ -117,7 +147,10 @@ step(double a, cplx z0, const cplx *c0, Py_ssize_t n0, cplx h, cplx *c,
     int pieces = 1, i = 0;
     Py_ssize_t n = ncoef(n0);
 
-    for (int depth = 0; depth <= MAX_SPLIT_DEPTH && i < pieces; depth++) {
+    /* a step of h_max rarely passes its first try; where the majorant
+       proves the try fails, the bisection starts at two pieces */
+    for (int depth = first_try_fails(a, z0, c0, n0, h);
+         depth <= MAX_SPLIT_DEPTH && i < pieces; depth++) {
         pieces = 1 << depth;
         hh = depth ? rdiv(h, pieces) : h;
         /* every attempt starts at z0, from the caller's expansion c0 */

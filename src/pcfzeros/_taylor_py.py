@@ -9,7 +9,10 @@ made there too.  Selection happens in `pcfzeros.taylor` at import time.
 `scaled_derivs` returns.  The tail criterion `_tail_ok` is the one home
 of the step rule: `step_once` applies it to each try, and `taylor_eval`
 returns its verdict with the values, which the chain hop
-(`pcfzeros.chain._propagated_quotient`) takes as it comes.
+(`pcfzeros.chain._propagated_quotient`) takes as it comes.  `step_once`
+skips only a first try that `_first_try_fails` proves the rule rejects,
+in constant time from a majorant of the ODE, so every Horner sum of a
+step goes through `taylor_eval`.
 `taylor.step_batch` runs `scaled_derivs` on numpy arrays, whose complex
 products and complex/float quotients can round differently from
 CPython's, so the batch matches this kernel's first try to rounding,
@@ -22,23 +25,22 @@ recurrence keeps magnitudes balanced:
     c_{k+2} = [ (z0^2/4 + a) c_k + (z0/2) c_{k-1} + c_{k-2}/4 ]
               / ((k+1)(k+2)),   k >= 0,  c_{-1} = c_{-2} = 0.
 
-The three hot loops (the recurrence, and the Horner sums of
-`taylor_eval` and `_taylor_eval2`) run as straight-line code for the
-interpreter: for each order n, `_recurrence` and `_horner` write the
-loop out term by term as source, with the unpacked coefficients as
-locals and the divisors and multipliers as literals, compile it once
-with `exec` and cache it, as `dataclasses` builds its methods.  The
-order of every floating-point operation is load-bearing: each line keeps
-the operations of the plain loops in their order, ``(q c_k + hz c_{k-1}
-+ c_{k-2}/4) / d`` and one Horner accumulator per sum, so that every
-result is identical to the bit to that of the plain loops, which
-``tests/test_taylor.py`` keeps as an oracle: the first zero of some
-chains ends on a rounding-noise floor, so another rounding would move
-it, and every zero after it, by more than 1e-13.  The one rewrite puts
-the complex operand first in a product with a real constant
-(``c_k * 0.25``, ``c_k * k``): CPython's complex product is symmetric in
-its operands, so the bits are the same, and the call skips the failed
-float or int dispatch.
+The two hot loops (the recurrence, and the Horner sums of
+`taylor_eval`) run as straight-line code for the interpreter: for each
+order n, `_recurrence` and `_horner` write the loop out term by term as
+source, with the unpacked coefficients as locals and the divisors and
+multipliers as literals, compile it once with `exec` and cache it, as
+`dataclasses` builds its methods.  The order of every floating-point
+operation is load-bearing: each line keeps the operations of the plain
+loops in their order, ``(q c_k + hz c_{k-1} + c_{k-2}/4) / d`` and one
+Horner accumulator per sum, so that every result is identical to the
+bit to that of the plain loops, which ``tests/test_taylor.py`` keeps as
+an oracle: the first zero of some chains ends on a rounding-noise floor,
+so another rounding would move it, and every zero after it, by more than
+1e-13.  The one rewrite puts the complex operand first in a product with
+a real constant (``c_k * 0.25``, ``c_k * k``): CPython's complex product
+is symmetric in its operands, so the bits are the same, and the call
+skips the failed float or int dispatch.
 """
 from __future__ import annotations
 
@@ -82,24 +84,20 @@ def _recurrence(n: int):
 
 
 @functools.cache
-def _horner(n: int, points: int):
-    """The function of c and `points` displacements (h, then h2) that
-    returns (y, y') of the expansion c_0..c_n (n >= 1) at each, as
-    straight-line Horner sums over the unpacked coefficients; the
-    derivative's term k c_k is formed once for all of them."""
-    lanes = ["", "2"][:points]
+def _horner(n: int):
+    """The function of c and h that returns (y, y') of the expansion
+    c_0..c_n (n >= 1) at displacement h, as straight-line Horner sums over
+    the unpacked coefficients."""
     body = [", ".join(f"c{k}" for k in range(n + 1)) + " = c",
-            f"kc = c{n} * {n}"]
-    body += [f"y{s} = c{n}" for s in lanes] + [f"yp{s} = kc" for s in lanes]
+            f"kc = c{n} * {n}",
+            f"y = c{n}",
+            "yp = kc"]
     for k in range(n - 1, 0, -1):
-        body.append(f"kc = c{k} * {k}")
-        for s in lanes:
-            body += [f"y{s} = y{s} * h{s} + c{k}",
-                     f"yp{s} = yp{s} * h{s} + kc"]
-    body.append("return " + ", ".join(f"y{s} * h{s} + c0, yp{s}"
-                                      for s in lanes))
-    return _compile(f"horner_{n}_{points}",
-                    ", ".join(["c"] + [f"h{s}" for s in lanes]), body)
+        body += [f"kc = c{k} * {k}",
+                 f"y = y * h + c{k}",
+                 "yp = yp * h + kc"]
+    body.append("return y * h + c0, yp")
+    return _compile(f"horner_{n}", "c, h", body)
 
 
 def scaled_derivs(a: float, z0: complex, y0: complex, y1: complex, n: int):
@@ -116,7 +114,7 @@ def taylor_eval(c, h: complex):
     n = len(c) - 1
     if n < 1:
         raise ValueError("need at least two coefficients")
-    y, yp = _horner(n, 1)(c, h)
+    y, yp = _horner(n)(c, h)
     return y, yp, _tail_ok(c, h, y, yp)
 
 
@@ -148,15 +146,44 @@ def _tail_ok(c, h, y, yp):
     return tail <= bound < math.inf
 
 
-def _taylor_eval2(c, h: complex, h2: complex):
-    """The values of `taylor_eval` at two displacements in one pass over
-    c: (y, yprime) at h followed by the same at h2."""
-    return _horner(len(c) - 1, 2)(c, h, h2)
+def _first_try_fails(a: float, z0: complex, c, h: complex) -> bool:
+    """True if the try of c at h surely fails the tail test of `_tail_ok`,
+    decided in constant time without evaluating it; c is the expansion
+    c_0..c_n at z0 for parameter a, or a truncation of it.
+
+    The ODE's majorant Y'' = ((|z0| + t)^2/4 + |a|) Y, Y(0) = |c_0|,
+    Y'(0) = |c_1| has Taylor coefficients Y_k >= |c_k|, so |y| and |h| |y'|
+    of the try are at most Y(r) and r Y'(r), r = |h|.  On [0, r] the
+    factor is at most kappa^2 = (|z0| + r)^2/4 + |a|, and comparison with
+    Y'' = kappa^2 Y bounds both by
+
+        B = max(|c_0| + |c_1|/kappa, r (kappa |c_0| + |c_1|)) e^(kappa r).
+
+    The try fails if its tail, computed as `_tail_ok` computes it, exceeds
+    2 TAIL_TOL max(B, 1e-300); the factor 2 covers the rounding of the
+    expansion, the sums and the test.  An overflow, a zero division or a
+    nan leaves the try uncertified, as the compiled kernel's inf and nan
+    do, so both kernels decide alike.
+    """
+    n = len(c) - 1
+    try:
+        r = abs(h)
+        tail = max(abs(c[n]) * r ** n, abs(c[n - 1]) * r ** (n - 1))
+        s = abs(z0) + r
+        kappa = math.sqrt(0.25 * s * s + abs(a))
+        y0, y1 = abs(c[0]), abs(c[1])
+        b = (max(y0 + y1 / kappa, r * (kappa * y0 + y1))
+             * math.exp(kappa * r))
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return 2.0 * TAIL_TOL * max(b, 1e-300) < tail < math.inf
 
 
 def step_once(a: float, z0: complex, c0, h: complex):
     """One step of size h from the expansion c0 = c_0..c_n at z0, bisecting
     up to h/64 on demand; later pieces are expanded afresh to the same n.
+    c0 must be the expansion at z0 for parameter a (`scaled_derivs`), or a
+    truncation of it: the bound that skips a doomed first try assumes it.
 
     Returns (y, yprime, ok); ok is False if the tail criterion still
     fails at the smallest subdivision.
@@ -164,25 +191,19 @@ def step_once(a: float, z0: complex, c0, h: complex):
     n = len(c0) - 1
     if n < 1:
         raise ValueError("need at least two coefficients")
-    # a step of h_max rarely passes on its first try, so the first
-    # half-step of the bisection is evaluated in the same pass
-    y, yp, yh, yph = _taylor_eval2(c0, h, h / 2)
-    if _tail_ok(c0, h, y, yp):
-        return y, yp, True
-    pieces = 1
-    for depth in range(1, MAX_SPLIT_DEPTH + 1):
-        pieces *= 2
-        hh = h / pieces
-        # every subdivision starts at z0, from the caller's expansion
+    # a step of h_max rarely passes its first try; where the majorant
+    # proves the try fails, the bisection starts at two pieces
+    first = 1 if _first_try_fails(a, z0, c0, h) else 0
+    for depth in range(first, MAX_SPLIT_DEPTH + 1):
+        pieces = 1 << depth
+        hh = h / pieces if depth else h
+        # every attempt starts at z0, from the caller's expansion
         zc, yc, ypc = z0, c0[0], c0[1]
         c = c0
         for piece in range(pieces):
             if piece:
                 c = scaled_derivs(a, zc, yc, ypc, n)
-            if depth == 1 and not piece:
-                y, yp, ok = yh, yph, _tail_ok(c0, hh, yh, yph)
-            else:
-                y, yp, ok = taylor_eval(c, hh)
+            y, yp, ok = taylor_eval(c, hh)
             if not ok:
                 break
             zc += hh

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pcfzeros import _taylor_py, taylor
+from pcfzeros import _taylor_py, pcf, taylor
 from pcfzeros._taylor_py import TAIL_TOL
 from pcfzeros.chain import run_chain
 from pcfzeros.config import TAYLOR_ORDER
@@ -435,16 +435,11 @@ def test_scaled_derivs_and_taylor_eval_match_loop_oracle():
             for d in (h, h / 2, 0j):
                 got = _taylor_py.taylor_eval(c, d)
                 assert repr(got) == repr(_loop_verdict(c, d))
-            # step_once's first try and first half-step, in one pass
-            got = _taylor_py._taylor_eval2(c, h, h / 2)
-            want = (*_loop_taylor_eval(c, h)[:2],
-                    *_loop_taylor_eval(c, h / 2)[:2])
-            assert repr(got) == repr(want)
 
 
 def test_step_once_is_plain_bisection():
-    # the fast paths (shared first expansion, first two evaluations in
-    # one pass) must not change a single bit
+    # the fast paths (shared first expansion, a first try skipped where
+    # the majorant proves it fails) must not change a single bit
     depths = Counter()
     for a, z0, y0, y1, h in _kernel_corpus(20261019, 600):
         *want, depth = _bisecting_step(a, z0, y0, y1, h, 30)
@@ -456,6 +451,54 @@ def test_step_once_is_plain_bisection():
     for depth in range(_taylor_py.MAX_SPLIT_DEPTH + 1):
         assert depths[depth, True] >= 5, depths
     assert depths[_taylor_py.MAX_SPLIT_DEPTH, False] >= 5, depths
+
+
+def _origin_path_steps(monkeypatch, a, z):
+    """(z0, c0, h) of every `step_once` call of the origin route's
+    propagation to z, on the pure-Python kernel."""
+    step_once, steps = _taylor_py.step_once, []
+
+    def spy(a, z0, c, h):
+        steps.append((z0, c, h))
+        return step_once(a, z0, c, h)
+    (m0, m1), _ = pcf.origin_values_scaled(a)
+    with monkeypatch.context() as m:
+        m.setattr(_taylor_py, "step_once", spy)
+        ok = _taylor_py.propagate_polyline(
+            a, 0j, m0, m1, pcf._path_waypoints(a, z), TAYLOR_ORDER)[3]
+    assert ok
+    return steps
+
+
+def test_first_try_certificate_is_sound(monkeypatch):
+    # wherever the majorant proves that a try fails, it fails: over the
+    # corpus at orders 3-41 and truncations of their expansions, at every
+    # subdivision depth, and over every step of a long origin path
+    fails = _taylor_py._first_try_fails
+    seen = Counter()
+    for a, z0, y0, y1, h in _kernel_corpus(20261024, 200):
+        for n in (3, 4, 5, 17, 31, 41):
+            c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
+            for k in sorted({2, 3, 4, max(2, n // 2), n + 1}):
+                for j in range(0, 12, 2):
+                    d = h * 2.0 ** -j
+                    ok = _taylor_py.taylor_eval(c[:k], d)[2]
+                    proven = fails(a, z0, c[:k], d)
+                    assert not (ok and proven), (a, z0, k, d)
+                    seen["ok" if ok else "proven" if proven else "open"] += 1
+    assert seen["ok"] >= 1000 and seen["proven"] >= 10000, seen
+    # a step of h_max on the origin route almost never passes its first
+    # try, and the majorant proves nearly every such failure
+    a = -1.7
+    full = Counter()
+    for z0, c, h in _origin_path_steps(monkeypatch, a, -150.0 + 200.0j):
+        ok = _taylor_py.taylor_eval(c, h)[2]
+        proven = fails(a, z0, c, h)
+        assert not (ok and proven), (z0, h)
+        if abs(h) >= 0.999 * h_max(a, z0):
+            full["ok" if ok else "proven" if proven else "open"] += 1
+    assert full["proven"] >= 0.95 * (full["proven"] + full["open"]) > 2000, \
+        full
 
 
 def test_kernel_selected():
