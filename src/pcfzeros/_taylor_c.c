@@ -55,6 +55,7 @@ rdiv(cplx a, double x)
               (a.imag - a.real * ratio) / denom);
 }
 
+/* _taylor_py.h_max, which taylor exports for both kernels */
 static double
 h_max_(double a, cplx z)
 {
@@ -234,16 +235,6 @@ unpack(PyObject *const *args, Py_ssize_t nargs, const char *name,
 }
 
 static PyObject *
-py_h_max(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    double a;
-    cplx z;
-    if (!unpack(args, nargs, "h_max", "dD", &a, &z))
-        return NULL;
-    return PyFloat_FromDouble(h_max_(a, z));
-}
-
-static PyObject *
 py_scaled_derivs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     double a;
@@ -347,8 +338,6 @@ py_propagate_polyline(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef methods[] = {
-    {"h_max", (PyCFunction)py_h_max, METH_FASTCALL,
-     "Largest trusted step size at expansion point z."},
     {"scaled_derivs", (PyCFunction)py_scaled_derivs, METH_FASTCALL,
      "Scaled derivatives c_0..c_n at z0 (n+1 entries, n >= 3)."},
     {"taylor_eval", (PyCFunction)py_taylor_eval, METH_FASTCALL,

@@ -4,28 +4,27 @@ The parameter is u = 2|a|: `pcf` evaluates U(a, z) from these
 expansions for a > 0, and for a < 0 from the two solutions at u = -2a
 and the gamma factor of :func:`parameter` (`pcf._evaluate_lg_neg`).
 
-Three steps, one per parameter, one per point and one evaluator, which
-returns the pair (U, U') as :class:`ScaledValue` results, since the
-prefactors overflow doubles long before the series lose accuracy:
+Two steps, one per parameter and one per point, which returns the
+pair (U, U') as :class:`ScaledValue` results, since the prefactors
+overflow doubles long before the series lose accuracy:
 
 - :func:`parameter` computes, once per u, every constant that does not
   depend on the point: sqrt(2u), the coefficient sums folded into even
   and odd polynomials (:func:`_fold`), the anchor sums as the odd folds
   at their anchors, ph^2 with ph = e^{-i(u+1)pi/4}, the log prefactor
   and the gamma factor of the a < 0 route;
-- :func:`point` maps z to zhat and computes the geometry in
-  double-double precision and, for each coefficient family, the three
-  sums the expansions are built from: the even-order and odd-order sums
-  from their folds (:func:`_folded_sum`, the one sum of this module and
-  the one place it warns of truncation), and the odd-order anchor sum
-  of the parameter; it does not check the region, which is the
-  caller's choice (`pcf._in_lg_region`);
-- :func:`eval_pair`, the cosine and sine forms of U(u/2, z) and
-  U'(u/2, z), each written as two exponentials, e^{ix} + c e^{-ix},
-  with the scaling and the large phase carried in double-double
-  precision.  Both signs of a take this one form and differ only in the
-  coefficient c: ph^2 for a > 0, and ph^2 - conj(ph^2) for the
-  connection formula of the a < 0 route.
+- :func:`pair` maps z to zhat, computes the geometry in double-double
+  precision (:func:`_geometry_dd`) and, for each coefficient family,
+  the even-order and odd-order sums from their folds
+  (:func:`_folded_sum`, the one sum of this module and the one place
+  it warns of truncation), and from them and the anchor sum the cosine
+  and sine forms of U(u/2, z) and U'(u/2, z), each written as two
+  exponentials, e^{ix} + c e^{-ix}, with the scaling and the large
+  phase carried in double-double precision.  Both signs of a take this
+  one form and differ only in the coefficient c: ph^2 for a > 0, and
+  ph^2 - conj(ph^2) for the connection formula of the a < 0 route.  It
+  does not check the region, which is the caller's choice
+  (`pcf._in_lg_region`).
 
 The forms work in the scaled variable ``zhat`` (the physical argument is
 z = sqrt(2u)*zhat).  Branch conventions: the square root
@@ -204,69 +203,41 @@ def _scaled_exp_pair(xr, xim):
     return cp, cm, m
 
 
-class LGPoint(NamedTuple):
-    """What the expansions at one point share; see :func:`point`."""
-    par: LGParameter
-    phi: tuple[complex, complex]  # u*xi as a double-double (hi, lo) pair
-    quarter: complex              # (1 + zhat^2)^(1/4)
-    # per family, base then tilde: the even-order sum, the odd-order
-    # sum (negated for the base family) and the odd-order anchor sum
-    sums: tuple[tuple[complex, complex, float], ...]
-
-
-def point(par: LGParameter, z: complex) -> LGPoint:
-    """The geometry of :func:`_geometry_dd` and the coefficient sums at
-    the physical argument z = sqrt(2u)*zhat, computed once for both
-    evaluators: per family, the even-order and odd-order sums from the
+def pair(par: LGParameter, z: complex,
+         c: complex) -> tuple[ScaledValue, ScaledValue]:
+    """U(u/2, z) and U'(u/2, z) at z = sqrt(2u)*zhat, as the cosine and
+    sine forms (e^{ix} + c e^{-ix})/quarter and
+    -(e^{ix} - c e^{-ix})/2 * quarter times the common prefactor, with
+    quarter = (1 + zhat^2)^(1/4), x = i*u*xi + i*s_odd, and per family
+    (base for U, tilde for U') the even-order and odd-order sums of the
     folds of :func:`parameter` (:func:`_folded_sum`, each of which may
-    warn) and the odd-order anchor sum.  Unchecked precondition:
-    u >= U_MIN, and zhat in the closed second quadrant, off the
-    imaginary axis and clear of the turning point i, as
+    warn; s_odd negated for the base family) and its anchor sum.  At
+    c = ph^2 (`LGParameter.ph2`) they are U and U', since
+    2 ph cos(x + (u+1)pi/4) = e^{ix} + ph^2 e^{-ix} and
+    -i ph sin(x + (u+1)pi/4) = -(e^{ix} - ph^2 e^{-ix})/2;
+    `pcf._evaluate_lg_neg` passes ph^2 - conj(ph^2).  Unchecked
+    precondition: u >= U_MIN, and zhat in the closed second quadrant,
+    off the imaginary axis and clear of the turning point i, as
     `pcf._in_lg_region` admits."""
     beta, phi, quarter = _geometry_dd(par, z)
     b2 = beta * beta
-    sums = []
+    forms = []
     for tilde, (even, odd) in zip((False, True), par.folds):
         s_odd = _folded_sum(odd, beta, b2)
-        sums.append((_folded_sum(even, beta, b2),
-                     s_odd if tilde else -s_odd,
-                     par.anchors[tilde]))
-    return LGPoint(par, phi, quarter, tuple(sums))
-
-
-def _oscillatory(pt: LGPoint, tilde: bool, c: complex) -> ScaledValue:
-    """The e^{ix} half plus c times the e^{-ix} half of the cosine form
-    of U or, with ``tilde``, of the sine form of U', with
-    x = i*u*xi + i*s_odd: (e^{ix} + c e^{-ix})/quarter and
-    -(e^{ix} - c e^{-ix})/2 * quarter, times the common prefactor.  At
-    c = ph^2 they are U(u/2, z) and U'(u/2, z), since
-    2 ph cos(x + (u+1)pi/4) = e^{ix} + ph^2 e^{-ix} and
-    -i ph sin(x + (u+1)pi/4) = -(e^{ix} - ph^2 e^{-ix})/2."""
-    par, phi = pt.par, pt.phi
-    s_even, s_odd, s_anchor = pt.sums[tilde]
-    # x assembled in dd (s_odd carries the sign of its family)
-    xr = _dd.dd_add((-phi[0].imag, -phi[1].imag), (-s_odd.imag, 0.0))
-    xim = _dd.dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
-    cp, cm, scale = _scaled_exp_pair(xr, xim)
-    if tilde:
-        mant = -0.5 * (cp - c * cm) * pt.quarter
-    else:
-        mant = (cp + c * cm) / pt.quarter
-    mant *= cmath.exp(1j * s_even.imag)
-    e = (par.e[tilde], 0.0)
-    for term in (s_even.real, s_anchor, scale):
-        e = _dd.dd_add(e, (term, 0.0))
-    return ScaledValue.make(mant * math.exp(e[1]), e[0])
-
-
-def eval_pair(pt: LGPoint, c: complex) -> tuple[ScaledValue, ScaledValue]:
-    """The cosine and sine forms of :func:`_oscillatory` at the point of
-    :func:`point`, with c the coefficient of their e^{-ix} halves:
-    c = ph^2 (`LGParameter.ph2`) gives U(u/2, z) and U'(u/2, z), and
-    `pcf._evaluate_lg_neg` passes ph^2 - conj(ph^2) for the a < 0 route.
-
-    The scaling z -> zhat = z/sqrt(2u) and the large phase u*xi are
-    carried in double-double precision, which keeps the relative
-    accuracy near 1e-14 even when the phase reaches a few thousand.
-    """
-    return _oscillatory(pt, False, c), _oscillatory(pt, True, c)
+        s_even = _folded_sum(even, beta, b2)
+        if not tilde:
+            s_odd = -s_odd
+        # x assembled in dd
+        xr = _dd.dd_add((-phi[0].imag, -phi[1].imag), (-s_odd.imag, 0.0))
+        xim = _dd.dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
+        cp, cm, scale = _scaled_exp_pair(xr, xim)
+        if tilde:
+            mant = -0.5 * (cp - c * cm) * quarter
+        else:
+            mant = (cp + c * cm) / quarter
+        mant *= cmath.exp(1j * s_even.imag)
+        e = (par.e[tilde], 0.0)
+        for term in (s_even.real, par.anchors[tilde], scale):
+            e = _dd.dd_add(e, (term, 0.0))
+        forms.append(ScaledValue.make(mant * math.exp(e[1]), e[0]))
+    return forms[0], forms[1]

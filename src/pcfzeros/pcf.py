@@ -238,7 +238,7 @@ def _in_lg_region(a: float, z: complex) -> bool:
 
 def _evaluate_lg(a: float, z: complex) -> PcfValue:
     par = lgeval.parameter(2.0 * a)
-    U, Up = lgeval.eval_pair(lgeval.point(par, z), par.ph2)
+    U, Up = lgeval.pair(par, z, par.ph2)
     return PcfValue(U, Up, "liouville-green")
 
 
@@ -251,17 +251,17 @@ def _evaluate_lg_neg(a: float, z: complex) -> PcfValue:
     factors of u alone from `lgeval.parameter`.  U(u/2, -w) is the
     e^{-ix} half Q of the cosine form U(u/2, w) = P + ph^2 Q (its
     expansion sums sgn^s (F_s(beta) - F_s(-1))/u^s over all s, which by
-    the parities of F_s at +-1 is the three sums of `lgeval.point`
-    added), so U(a, z) = conj(P + c Q)/gamma with c = ph^2 - conj(ph^2),
-    and U'(a, z) = i conj(P' + c Q')/gamma from the sine form.  Near a
-    Hermite a, c is small and comes from one exact subtraction: two
-    terms of size |Q| that cancel to |c Q| would leave their rounding,
-    about 1e-16 |Q|, in a U much smaller than Q.
+    the parities of F_s at +-1 is the even, odd and anchor sums of
+    `lgeval.pair` added), so U(a, z) = conj(P + c Q)/gamma with
+    c = ph^2 - conj(ph^2), and U'(a, z) = i conj(P' + c Q')/gamma from
+    the sine form.  Near a Hermite a, c is small and comes from one
+    exact subtraction: two terms of size |Q| that cancel to |c Q| would
+    leave their rounding, about 1e-16 |Q|, in a U much smaller than Q.
     """
     par = lgeval.parameter(-2.0 * a)
-    pt = lgeval.point(par, complex(-z.imag, -z.real))
     U, Up = (v.conjugate() * par.inv_gamma
-             for v in lgeval.eval_pair(pt, par.ph2 - par.ph2.conjugate()))
+             for v in lgeval.pair(par, complex(-z.imag, -z.real),
+                                  par.ph2 - par.ph2.conjugate()))
     return PcfValue(U, Up * 1j, "liouville-green")
 
 

@@ -19,7 +19,9 @@ except ImportError:
     kernel = _taylor_py
 
 KERNEL = kernel.KERNEL
-h_max = kernel.h_max
+# the compiled kernel keeps its own copy for its polyline loop and
+# exports only the entry points a loop calls; both round alike
+h_max = _taylor_py.h_max
 
 
 def derivatives_at(a: float, z0: complex, y0: complex,

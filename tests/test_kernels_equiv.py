@@ -73,7 +73,6 @@ def use_kernel(monkeypatch):
     `pcf`) to the given kernel module until the test ends."""
     def swap(kernel):
         monkeypatch.setattr(taylor, "kernel", kernel)
-        monkeypatch.setattr(taylor, "h_max", kernel.h_max)
         monkeypatch.setattr(taylor, "KERNEL", kernel.KERNEL)
     return swap
 
@@ -112,7 +111,6 @@ def test_entry_points_bit_for_bit(compiled):
     # the corpus of test_taylor's bisection test: every subdivision
     # depth 0..6 is reached, and some steps fail at depth 6
     for i, (a, z0, y0, y1, h) in enumerate(_kernel_corpus(20261019, 600)):
-        same("h_max", a, z0)
         c = same("scaled_derivs", a, z0, y0, y1, 31)
         for d in (h, h / 2, 0j):
             # values and the verdict of the tail test, as on the oracle

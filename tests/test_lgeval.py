@@ -11,7 +11,7 @@ import pcfzeros.lgeval as lgeval
 from pcfzeros import _dd, pcf
 from pcfzeros.config import LG_ORDER
 from pcfzeros.lgcoef import build_tables, make_tables
-from pcfzeros.lgeval import _geometry_dd, eval_pair, parameter, point
+from pcfzeros.lgeval import _geometry_dd, pair, parameter
 from pcfzeros.scaled import ScaledValue
 
 mpmath = pytest.importorskip("mpmath")
@@ -140,7 +140,7 @@ def test_anchor_sums_match_the_exact_rationals():
 
 
 def test_eval_U_matches_mpmath():
-    # eval_pair(point, ph^2)[0] computes U(u/2, z) in scaled form
+    # pair(par, z, ph^2)[0] computes U(u/2, z) in scaled form
     u = 40.0
     a = u / 2.0
     par = parameter(u)
@@ -148,7 +148,7 @@ def test_eval_U_matches_mpmath():
         z = math.sqrt(2.0 * u) * zhat
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", lgeval.TruncationWarning)
-            got = eval_pair(point(par, z), par.ph2)[0].to_complex()
+            got = pair(par, z, par.ph2)[0].to_complex()
         want = complex(mpmath.pcfu(a, complex(z)))
         assert abs(got - want) < 1e-11 * abs(want), f"zhat={zhat}"
 
@@ -161,7 +161,7 @@ def test_eval_Uprime_matches_mpmath_derivative():
     par = parameter(u)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", lgeval.TruncationWarning)
-        got = eval_pair(point(par, z), par.ph2)[1].to_complex()
+        got = pair(par, z, par.ph2)[1].to_complex()
     want = complex(mpmath.diff(lambda t: mpmath.pcfu(a, t), complex(z)))
     assert abs(got - want) < 1e-11 * abs(want)
 
@@ -189,6 +189,21 @@ def test_negated_argument_variant():
         assert err < tol and err_p < tol, (u, zhat, err, err_p)
 
 
+def _sums(u, z):
+    """Per family, base then tilde, the three sums `pair` builds its
+    forms from at z: the even-order sum, the odd-order sum (negated for
+    the base family) and the odd-order anchor sum."""
+    par = parameter(u)
+    beta = _geometry_dd(par, z)[0]
+    b2 = beta * beta
+    sums = []
+    for tilde, (even, odd) in zip((False, True), par.folds):
+        s_odd = lgeval._folded_sum(odd, beta, b2)
+        sums.append((lgeval._folded_sum(even, beta, b2),
+                     s_odd if tilde else -s_odd, par.anchors[tilde]))
+    return sums
+
+
 def _full_sum_loop(u, beta, tilde):
     """sum over s = 1..S of sgn^s (F_s(beta) - F_s(-1)) / u^s, sgn = -1
     for the base family and +1 for the tilde family, term by term."""
@@ -204,7 +219,7 @@ def _full_sum_loop(u, beta, tilde):
 def test_three_sums_add_to_the_full_order_sum():
     # the e^{-ix} half of the cosine and sine forms, which the a < 0
     # route needs, takes its full-order sums as the three sums of
-    # `point` added; this rests on the parities of the anchors
+    # `pair` added; this rests on the parities of the anchors
     for s in range(2, S + 1, 2):
         assert _exact(s, Fraction(-1), False) == 0
         assert _exact(s, Fraction(1), True) == 0
@@ -221,12 +236,12 @@ def test_three_sums_add_to_the_full_order_sum():
                 z = math.sqrt(2.0 * u) * complex(re, im)
                 if not pcf._in_lg_region(-0.5 * u, complex(-z.imag, -z.real)):
                     continue
-                pt = point(parameter(u), z)
+                sums = _sums(u, z)
                 beta = _geometry_dd(parameter(u), z)[0]
                 for tilde in (False, True):
                     want = _full_sum_loop(u, beta, tilde)
-                    size = sum(abs(x) for x in pt.sums[tilde])
-                    assert abs(sum(pt.sums[tilde]) - want) <= 1e-15 * size, (
+                    size = sum(abs(x) for x in sums[tilde])
+                    assert abs(sum(sums[tilde]) - want) <= 1e-15 * size, (
                         u, re, im, tilde)
                 n += 1
     assert n >= 80
@@ -280,14 +295,14 @@ def test_folded_sums_match_the_per_order_loop():
                 continue
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", lgeval.TruncationWarning)
-                pt = point(parameter(u), z)
+                sums = _sums(u, z)
             beta = _geometry_dd(parameter(u), z)[0]
             want_warnings = 0
             for tilde in (False, True):
                 s_even, w_even = _sum_oracle(u, beta, tilde, 2)
                 s_odd, w_odd = _sum_oracle(u, beta, tilde, 1)
                 want_warnings += w_even + w_odd
-                got = pt.sums[tilde]
+                got = sums[tilde]
                 size = sum(abs(x) for x in got)
                 assert abs(got[0] - s_even) <= 1e-15 * size, (u, zhat, tilde)
                 assert abs(got[1] - (s_odd if tilde else -s_odd)) <= (
@@ -398,8 +413,7 @@ def test_scaled_output_survives_extreme_parameters():
     # the raw function value overflows doubles here; the scaled form must not
     u = 4000.0
     par = parameter(u)
-    for sv in eval_pair(point(par, math.sqrt(2.0 * u) * (-1.0 + 1.0j)),
-                        par.ph2):
+    for sv in pair(par, math.sqrt(2.0 * u) * (-1.0 + 1.0j), par.ph2):
         assert math.isfinite(abs(sv.mantissa))
         assert math.isfinite(sv.exponent)
         assert not sv.is_zero
@@ -409,8 +423,9 @@ def test_truncated_sum_warning():
     # just outside the excluded disk around the turning point the series
     # degrades and must warn
     u = 36.0
+    par = parameter(u)
     with pytest.warns(lgeval.TruncationWarning):
-        point(parameter(u), math.sqrt(2.0 * u) * (-0.3 + 1.2j))
+        pair(par, math.sqrt(2.0 * u) * (-0.3 + 1.2j), par.ph2)
     # the last retained terms reach 3e-10 here (the value is 2.4e-8 off);
     # they depend on the point, so a second call at the same a, which
     # finds its parameter record cached, warns again
@@ -433,3 +448,86 @@ def test_truncation_warning_measures_the_last_term():
             want = mpmath.pcfu(-30.2, z)
             got = mpmath.mpc(v.U.mantissa) * mpmath.exp(v.U.exponent)
             assert abs(got - want) < 1e-13 * abs(want), z
+
+
+# log U(a, z) and log U'(a, z) at z = sqrt(4|a|) zhat to 40 digits, as
+# (real, imaginary) pairs, from
+#     mpmath.mp.dps = 40
+#     z = mpmath.mpc(math.sqrt(4.0 * abs(a)) * zhat)
+#     u = mpmath.pcfu(a, z)
+#     refs = mpmath.log(u), mpmath.log(z / 2 * u - mpmath.pcfu(a - 1, z))
+# with U'(a, z) = (z/2) U(a, z) - U(a-1, z); mpmath.pcfu takes up to
+# tens of seconds per call at this |a|.  The a > 0 point at
+# zhat = -0.3+1.6i is left out: Re z = -13.4 is within LG_GATE.
+_LARGE_A_LOGS = [
+    (500.7, -1.2 + 1.1j,
+     ("-347.3462017194847591928819372295486190666",
+      "1.110384969859916459796056434363176349882"),
+     ("-343.7037906012990075045053836966988983731",
+      "-2.598737442195478010740609733202383243479")),
+    (500.7, -2.0 + 1.1j,
+     ("1106.053020702812434989735373527363212685",
+      "-0.8468239288510276430117599684938921937453"),
+     ("1110.040519934087837689410132804065539446",
+      "1.864840063859010360993157791461942272988")),
+    (500.7, -2.0 + 1.7j,
+     ("329.9260162535660735312053074319903939877",
+      "2.722669757172040208278515406363053085449"),
+     ("334.0154373667915801428021786775246134249",
+      "-1.05394838553588496869276269474718172537")),
+    (500.7, -1.0 + 0.8j,
+     ("-393.8333689237702801273175373191887943052",
+      "1.056125761779267795696410065304053501178"),
+     ("-390.3545898612897430959953024243959598913",
+      "-2.518740989646340668915812417408049295198")),
+    (-500.7, -1.2 + 1.1j,
+     ("2030.069548156304430938730061364143093739",
+      "-2.031726009377341506495864007205067840172"),
+     ("2033.683271617818887242850620216748111277",
+      "-2.958862192799499527102936602707232150468")),
+    (-500.7, -2.0 + 1.1j,
+     ("1696.159235858031288291209697119266686237",
+      "-1.979276075711686481953697159043330126377"),
+     ("1700.046297260881579289228597088807647032",
+      "0.5699982721035749733291234141406440578772")),
+    (-500.7, -2.0 + 1.7j,
+     ("1827.129697706379141662632031870424793462",
+      "2.923551056817532150780659679043665223607"),
+     ("1831.196223810653871351139071722652297101",
+      "2.146314203261600370957002541385240930019")),
+    (-500.7, -0.3 + 1.6j,
+     ("3402.242127530676671735686520300782936889",
+      "0.9269997811447062928597280000248238618305"),
+     ("3405.990530088214959897929887616057242149",
+      "-0.508817572948179993206920104499611079088")),
+    (-500.7, -1.0 + 0.8j,
+     ("1842.173557970727648901129350697720860752",
+      "-1.188547301620593521539655147272233651955"),
+     ("1845.553490290691585163861019681308394994",
+      "-2.163978941822232957051307064500037856402")),
+]
+
+
+def test_large_a_error_is_the_exponent_resolution():
+    # the LG route's error against mpmath grows with |a| past 1e-13,
+    # since a ScaledValue carries |U| in its double exponent E alone
+    # (the mantissa has modulus 1): half an ulp of E is 1.14e-13 of U
+    # once |E| >= 1024.  The expansions are accurate beyond that: with
+    # r the computed value over the reference, the phase error |arg r|
+    # stays below 2.3e-14 and the modulus error |log|r|| within
+    # 1.54 ulp(E) at |E| up to 3406
+    with mpmath.workdps(40):
+        for a, zhat, *refs in _LARGE_A_LOGS:
+            v = pcf.evaluate(a, math.sqrt(4.0 * abs(a)) * zhat)
+            assert v.method == "liouville-green", (a, zhat)
+            for got, ref in zip((v.U, v.Uprime), refs):
+                lr = (mpmath.log(got.mantissa) + got.exponent
+                      - mpmath.mpc(*ref))
+                arg = (lr.imag + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi
+                assert abs(arg) <= 3e-14, (a, zhat, arg)
+                assert abs(lr.real) <= 2 * math.ulp(got.exponent) + 3e-14, (
+                    a, zhat, lr.real)
+        # no ScaledValue meets 1e-13 here: the double nearest the exact
+        # log |U| is itself 1.7e-13 off it
+        ref = mpmath.mpf(_LARGE_A_LOGS[-2][2][0])
+        assert abs(ref - float(ref)) > 1e-13

@@ -175,7 +175,7 @@ def test_lg_route_has_no_fallback(monkeypatch):
     # a point the region policy admits is evaluated by LG or not at all
     def refuse(*args):
         raise RegionError("refused")
-    monkeypatch.setattr(lgeval, "point", refuse)
+    monkeypatch.setattr(lgeval, "pair", refuse)
     for a, z in ((20.0, -20.0 + 20.0j), (-30.2, -25.0 + 6.0j)):
         with pytest.raises(RegionError, match="refused"):
             evaluate(a, z)
