@@ -74,10 +74,6 @@ def dd_sqrt(a):
 # complex values: (hi: complex, lo: complex), componentwise double-double
 
 
-def cdd(z: complex):
-    return complex(z), 0j
-
-
 def cdd_add(x, y):
     re = dd_add((x[0].real, x[1].real), (y[0].real, y[1].real))
     im = dd_add((x[0].imag, x[1].imag), (y[0].imag, y[1].imag))
@@ -113,7 +109,7 @@ def cdd_sqrt(x):
     if s == 0:
         return 0j, 0j
     # r = x - s^2, a small complex; correction r / (2 s)
-    r = cdd_add(x, cdd_mul_d(cdd_mul(cdd(s), cdd(s)), -1.0))
+    r = cdd_add(x, cdd_mul_d(cdd_mul((s, 0j), (s, 0j)), -1.0))
     corr = (r[0] + r[1]) / (2.0 * s)
     return s, corr
 

@@ -12,22 +12,14 @@ from .errors import HermiteParameterError, PcfZerosError
 CSV_HEADER = "index,re,im,est_rel_error,iterations"
 
 
-class _Parser(argparse.ArgumentParser):
-    # argument errors must map to exit code 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="pcfzeros",
-                description="Complex zeros of the parabolic cylinder "
-                            "function U(a,z) in the second quadrant.")
+    p = argparse.ArgumentParser(
+        prog="pcfzeros", description="Complex zeros of the parabolic "
+        "cylinder function U(a,z) in the second quadrant.")
     p.add_argument("--a", type=float, help="parameter a (real)")
     p.add_argument("--L", type=float, help="domain size L")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -129,7 +121,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help, and 2 on a usage error: here 1
+        return 0 if exc.code == 0 else 1
 
     if args.table is not None:
         # a table line gives its own a and L, and the mode writes counts

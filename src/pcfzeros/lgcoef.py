@@ -12,15 +12,17 @@ denominator): its coefficients in ascending powers are n / denominator
 for n in numerators, over one positive common denominator, reduced so
 that no integer greater than 1 divides the denominator and every
 numerator.  A coefficient's float is n / denominator, which Python
-rounds correctly, as it rounds float(Fraction(n, denominator)).
+rounds correctly, as it rounds float(Fraction(n, denominator)); the
+evaluators read only these floats, the pair (base, tilde) of tables of
+:func:`make_tables`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 Poly = tuple[list[int], int]
+Table = tuple[tuple[float, ...], ...]  # one family's floats, order by order
 
 
 def _reduce(nums: list[int], den: int) -> Poly:
@@ -119,26 +121,9 @@ def build_tables(S: int, tilde: bool = False) -> list[Poly]:
     return F
 
 
-@dataclass(frozen=True)
-class LGCoeffTables:
-    """Immutable coefficient tables up to truncation order S, in floats.
-
-    `E_float[s-1]` / `Etilde_float[s-1]` hold the coefficients of the
-    order-s polynomials of the base and tilde families in ascending
-    powers, each the correctly rounded float of the exact rational, so
-    evaluation never touches the integer polynomials.
-    """
-    S: int
-    E_float: tuple[tuple[float, ...], ...]
-    Etilde_float: tuple[tuple[float, ...], ...]
-
-
 @lru_cache(maxsize=8)
-def make_tables(S: int) -> LGCoeffTables:
-    E = build_tables(S)
-    Et = build_tables(S, tilde=True)
-    return LGCoeffTables(
-        S=S,
-        E_float=tuple(tuple(n / d for n in nums) for nums, d in E),
-        Etilde_float=tuple(tuple(n / d for n in nums) for nums, d in Et),
-    )
+def make_tables(S: int) -> tuple[Table, Table]:
+    """The base and the tilde family for s = 1..S as a pair of float
+    tables, entry s-1 of each the order-s coefficients, ascending."""
+    return tuple(tuple(tuple(n / d for n in nums) for nums, d in
+                       build_tables(S, tilde)) for tilde in (False, True))

@@ -44,7 +44,7 @@ from typing import NamedTuple
 from . import _dd
 from .config import LG_ORDER
 from .errors import TruncationWarning
-from .lgcoef import LGCoeffTables, make_tables
+from .lgcoef import Table, make_tables
 from .scaled import ScaledValue
 
 U_MIN = 36.0          # smallest parameter the expansions are trusted at
@@ -57,10 +57,10 @@ Fold = tuple[int, float, tuple[float, ...], tuple[float, ...],
              tuple[float, ...]]
 
 
-def _fold(tables: LGCoeffTables, u: float, tilde: bool, start: int) -> Fold:
+def _fold(coeffs: Table, u: float, start: int) -> Fold:
     """The sum of F_s(beta)/u^s over s = start, start+2, ..., S' (S' the
-    last order <= S of that parity), with F the base family or, with
-    ``tilde``, the tilde family, in three parts:
+    last order <= S = len(coeffs) of that parity), with F the family of
+    ``coeffs``, one of the pair `lgcoef.make_tables` returns, in three parts:
 
     - the first order, all its coefficients, evaluated in beta at each
       point and divided by u^start: near beta = +-1 it carries the
@@ -76,8 +76,7 @@ def _fold(tables: LGCoeffTables, u: float, tilde: bool, start: int) -> Fold:
     by beta.  Returns (start, u^start, first, middle, last), each
     polynomial highest power first.
     """
-    coeffs = tables.Etilde_float if tilde else tables.E_float
-    orders = range(start, tables.S + 1, 2)
+    orders = range(start, len(coeffs) + 1, 2)
     rows = [(u ** s, coeffs[s - 1][start % 2::2]) for s in orders]
     middle = [math.fsum(c[k] / upow for upow, c in rows[1:-1] if k < len(c))
               for k in range(len(rows[-2][1]))]
@@ -147,9 +146,8 @@ def parameter(u: float) -> LGParameter:
     Every phase of both routes is a power of ph = e^{-i(u+1)pi/4}, taken
     once from the double-double (u+1)pi/4: ph^2, and conj(ph) in 1/gamma.
     """
-    tables = make_tables(LG_ORDER)
-    folds = tuple((_fold(tables, u, tilde, 2), _fold(tables, u, tilde, 1))
-                  for tilde in (False, True))
+    folds = tuple((_fold(c, u, 2), _fold(c, u, 1))
+                  for c in make_tables(LG_ORDER))
     anchors = tuple(_folded_sum(odd, x, 1.0).real
                     for (_, odd), x in zip(folds, (-1.0, 1.0)))
     # (u+1)pi/4 as u*pi/4 + pi/4, since u + 1 itself may round

@@ -77,6 +77,19 @@ def test_bad_flag_exits_1(capsys):
     assert code == 1
 
 
+def test_argparse_exits_map_to_0_and_1(capsys):
+    # argparse exits 0 after --help and 2 on a usage error; main returns
+    # 0 and 1, and leaves argparse's text as it is
+    code, out, err = run(["--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: pcfzeros") and err == ""
+    code, out, err = run(["--a", "x", "--L", "10"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: pcfzeros")
+    assert "pcfzeros: error: argument --a: invalid float value: 'x'" in err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "1e-13"), ("--delta", "1e-4"), ("--taylor-order", "30"),
     ("--lg-order", "12")])

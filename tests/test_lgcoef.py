@@ -87,8 +87,8 @@ def test_float_tables_match_symbolic_oracle():
     t = make_tables(ORACLE_S)
     E = [_as_fractions(c) for c in _oracle(tilde=False)]
     Et = [_as_fractions(c) for c in _oracle(tilde=True)]
-    assert t.E_float == tuple(tuple(float(c) for c in p) for p in E)
-    assert t.Etilde_float == tuple(tuple(float(c) for c in p) for p in Et)
+    assert t[0] == tuple(tuple(float(c) for c in p) for p in E)
+    assert t[1] == tuple(tuple(float(c) for c in p) for p in Et)
 
 
 def test_parity():
@@ -113,11 +113,11 @@ def test_tables_are_cached_and_consistent():
     t1 = make_tables(12)
     t2 = make_tables(12)
     assert t1 is t2
-    assert t1.S == 12
+    assert [len(fam_float) for fam_float in t1] == [12, 12]
     E = build_tables(12)
     Et = build_tables(12, tilde=True)
     # float copies agree with the exact coefficients
-    for fam, fam_float in ((E, t1.E_float), (Et, t1.Etilde_float)):
+    for fam, fam_float in ((E, t1[0]), (Et, t1[1])):
         for p_exact, p_float in zip(fam, fam_float, strict=True):
             assert [float(c) for c in p_exact] == list(p_float)
 
@@ -139,7 +139,7 @@ def test_eval_matches_exact_evaluation():
     x = Fraction(3, 7)
     for tilde in (False, True):
         fam = build_tables(8, tilde)
-        coeffs = t.Etilde_float if tilde else t.E_float
+        coeffs = t[tilde]
         for s in range(1, 9):
             exact = float(poly_eval_exact(list(fam[s - 1]), x))
             # errors scale with the coefficient magnitudes, not the value

@@ -23,7 +23,7 @@ TABLES = make_tables(S)
 def _eval(s, x, tilde):
     """F_s(x), the order-s polynomial of the base family or, with
     ``tilde``, the tilde family, in double precision by Horner's rule."""
-    coeffs = (TABLES.Etilde_float if tilde else TABLES.E_float)[s - 1]
+    coeffs = TABLES[tilde][s - 1]
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -251,7 +251,7 @@ def test_coefficients_have_the_parity_of_their_order():
     # the folds of `parameter` keep every other coefficient of F_s, those
     # of the parity of s, and treat the rest as zero; they are exactly 0
     for tilde in (False, True):
-        for s, (nums, _) in enumerate(build_tables(TABLES.S, tilde), start=1):
+        for s, (nums, _) in enumerate(build_tables(S, tilde), start=1):
             assert len(nums) == 3 * s + 1, (tilde, s)
             assert all(n == 0 for n in nums[1 - s % 2::2]), (tilde, s)
 
@@ -265,7 +265,7 @@ def _sum_oracle(u, beta, tilde, start):
     total = 0j
     last = 0.0
     upow = u ** start
-    for s in range(start, TABLES.S + 1, 2):
+    for s in range(start, S + 1, 2):
         term = _eval(s, beta, tilde) / upow
         total += term
         last = abs(term)
@@ -341,8 +341,7 @@ def test_negative_route_takes_one_point(monkeypatch):
 def _parameter_oracle(u, S):
     """The constants of `parameter`, each written out as the expression
     the evaluators would compute at every point."""
-    tables = make_tables(S)
-    odd = [lgeval._fold(tables, u, tilde, 1) for tilde in (False, True)]
+    odd = [lgeval._fold(c, u, 1) for c in make_tables(S)]
     anchors = (lgeval._folded_sum(odd[0], -1.0, 1.0).real,
                lgeval._folded_sum(odd[1], 1.0, 1.0).real)
     qpi = _dd.dd_add(_dd.dd_mul_d((math.pi, lgeval._PI_LO), 0.25 * u),
@@ -531,3 +530,34 @@ def test_large_a_error_is_the_exponent_resolution():
         # log |U| is itself 1.7e-13 off it
         ref = mpmath.mpf(_LARGE_A_LOGS[-2][2][0])
         assert abs(ref - float(ref)) > 1e-13
+
+
+# log U and log U' as in _LARGE_A_LOGS, by the same snippet (mpmath.pcfu
+# took 8 s per call), at the a > 0 point left out there
+_GATED_LOGS = (
+    500.7, -0.3 + 1.6j,
+    ("-888.7191593184760129955904805110015866307",
+     "-1.615080131912492456666551178622548531056"),
+    ("-885.3299916999943666673008310352786122294",
+     "-2.896393712112693374034053324652871104043"))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "LG_GATE (Re z < -15) sends z = -13.43+71.60i to the origin route, "
+    "1.86e4 relative off mpmath: exponent -878.89 against the true "
+    "log|U| -888.72; pcf._evaluate_lg is 5.0e-14 off there (ROADMAP "
+    "item 2b)"))
+def test_large_a_point_inside_the_gate_holds_the_exponent_resolution():
+    # the value, whichever route serves it, to the modulus bound of
+    # test_large_a_error_is_the_exponent_resolution; the phase to the
+    # 1e-13 target, since the LG route's phase error here is 3.8e-14,
+    # above that test's 3e-14
+    a, zhat, *refs = _GATED_LOGS
+    v = pcf.evaluate(a, math.sqrt(4.0 * abs(a)) * zhat)
+    with mpmath.workdps(40):
+        for got, ref in zip((v.U, v.Uprime), refs):
+            lr = mpmath.log(got.mantissa) + got.exponent - mpmath.mpc(*ref)
+            arg = (lr.imag + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi
+            assert abs(arg) <= 1e-13, arg
+            assert abs(lr.real) <= 2 * math.ulp(got.exponent) + 3e-14, (
+                lr.real)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln, gammasgn
 
+from pcfzeros import chain, pcf
 from pcfzeros.pcf import gamma_sign, log_gamma
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,3 +61,27 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_no_pole_is_reachable(monkeypatch):
+    # log_gamma is +inf at the integers <= 0, where math.lgamma raises
+    # instead (ROADMAP item 9).  The origin values take log_gamma at
+    # 3/4 + a/2 and 1/4 + a/2, whose poles are Hermite parameters, which
+    # evaluate sends to the closed form, and first_zero_estimate takes it
+    # at 1/2 + |a| > 0; so no argument is a pole at, or within 1e-9 of,
+    # a Hermite parameter.  chain imports log_gamma by name
+    args = []
+
+    def recording(x):
+        args.append(x)
+        return log_gamma(x)
+    monkeypatch.setattr(pcf, "log_gamma", recording)
+    monkeypatch.setattr(chain, "log_gamma", recording)
+    for n in range(41):
+        for d in (0.0, 1e-13, -1e-13, 1e-9, -1e-9):
+            a = -n - 0.5 + d
+            for z in (-1.0 + 1.0j, -3.0 + 2.0j):
+                pcf.evaluate(a, z)
+            chain.first_zero_estimate(a, 6.0)
+    assert len(args) > 400
+    assert not [x for x in args if x <= 0.0 and x == math.floor(x)]
