@@ -1,119 +1,111 @@
-"""Minimal double-double arithmetic for phase-critical quantities.
+"""Double-double arithmetic, written out as straight-line source.
 
-A value is a pair (hi, lo) of doubles with hi + lo its unevaluated sum
-and |lo| <= ulp(hi)/2.  Only the handful of operations needed to carry
-a large Liouville-Green phase to ~1e-28 is provided.  Complex values
-are pairs of complex doubles treated componentwise.
+A double-double is a pair (hi, lo) of doubles with hi + lo its
+unevaluated sum and |lo| <= ulp(hi)/2; a complex one is a pair (re, im)
+of them.  :class:`Source` writes the lines of Python that compute
+Dekker's error-free transformations (Dekker 1971, Numer. Math. 18) and
+the double-double operations built from them, on named operands and
+each result in fresh local names, so that a caller composes one
+function from them and compiles it once (`lgeval`): in the interpreter
+the calls of such small routines, not their float operations, would
+take most of the time.  Each operation is written once, here, as the
+float operations of the textbook routine in their order; the one
+saving is that an operand is split once however often it enters a
+product, and a literal operand while the source is written, which
+gives the same bits.
 """
 from __future__ import annotations
 
-import cmath
-import math
-
 _SPLITTER = 134217729.0  # 2**27 + 1
 
-
-def two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+Pair = tuple[str, str]          # a double-double, as (hi, lo) operands
 
 
-def quick_two_sum(a: float, b: float):
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
+class Source:
+    """The body of a straight-line function being written: `lines`,
+    with every intermediate in a fresh local t1, t2, ...  Operands are
+    local names, literals, or negated names."""
 
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self._splits: dict[str, Pair] = {}
 
-def split(a: float):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+    def let(self, expr: str) -> str:
+        """A fresh local bound to the value of expr."""
+        name = f"t{len(self.lines) + 1}"
+        self.lines.append(f"{name} = {expr}")
+        return name
 
+    def two_sum(self, a: str, b: str) -> Pair:
+        """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+        s = self.let(f"{a} + {b}")
+        bb = self.let(f"{s} - {a}")
+        return s, self.let(f"({a} - ({s} - {bb})) + ({b} - {bb})")
 
-def two_prod(a: float, b: float):
-    p = a * b
-    ah, al = split(a)
-    bh, bl = split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    def quick_two_sum(self, a: str, b: str) -> Pair:
+        """two_sum for |a| >= |b|."""
+        s = self.let(f"{a} + {b}")
+        return s, self.let(f"{b} - ({s} - {a})")
 
+    def split(self, a: str) -> Pair:
+        """(hi, lo) with hi + lo = a and each half of 26 bits or fewer."""
+        if a not in self._splits:
+            try:
+                x = float(a)
+            except ValueError:
+                c = self.let(f"{_SPLITTER!r} * {a}")
+                hi = self.let(f"{c} - ({c} - {a})")
+                self._splits[a] = hi, self.let(f"{a} - {hi}")
+            else:
+                c = _SPLITTER * x
+                hi = c - (c - x)
+                self._splits[a] = repr(hi), repr(x - hi)
+        return self._splits[a]
 
-def dd_add(x, y):
-    s, e = two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    return quick_two_sum(s, e)
+    def two_prod(self, a: str, b: str) -> Pair:
+        """(p, e) with p = fl(a b) and p + e = a b exactly."""
+        p = self.let(f"{a} * {b}")
+        ah, al = self.split(a)
+        bh, bl = self.split(b)
+        return p, self.let(f"(({ah} * {bh} - {p}) + {ah} * {bl}"
+                           f" + {al} * {bh}) + {al} * {bl}")
 
+    def add(self, x: Pair, y: Pair) -> Pair:
+        s, e = self.two_sum(x[0], y[0])
+        return self.quick_two_sum(s, self.let(f"{e} + ({x[1]} + {y[1]})"))
 
-def dd_mul(x, y):
-    p, e = two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return quick_two_sum(p, e)
+    def mul(self, x: Pair, y: Pair) -> Pair:
+        p, e = self.two_prod(x[0], y[0])
+        return self.quick_two_sum(
+            p, self.let(f"{e} + ({x[0]} * {y[1]} + {x[1]} * {y[0]})"))
 
+    def mul_d(self, x: Pair, d: str) -> Pair:
+        """x times the double d."""
+        p, e = self.two_prod(x[0], d)
+        return self.quick_two_sum(p, self.let(f"{e} + {x[1]} * {d}"))
 
-def dd_mul_d(x, d: float):
-    p, e = two_prod(x[0], d)
-    e += x[1] * d
-    return quick_two_sum(p, e)
+    def div(self, x: Pair, y: Pair) -> Pair:
+        q = self.let(f"{x[0]} / {y[0]}")
+        r = self.add(x, self.mul_d(y, f"-{q}"))
+        return self.quick_two_sum(q, self.let(f"{r[0]} / {y[0]}"))
 
+    def sqrt(self, a: Pair) -> Pair:
+        """The square root of a, a[0] > 0: math.sqrt and one Newton step;
+        the generated code needs `math` among its globals."""
+        x = self.let(f"math.sqrt({a[0]})")
+        r = self.add(a, self.mul((f"-{x}", "0.0"), (x, "0.0")))
+        return self.quick_two_sum(x, self.let(f"{r[0]} / (2.0 * {x})"))
 
-def dd_div(x, y):
-    q1 = x[0] / y[0]
-    r = dd_add(x, dd_mul_d(y, -q1))
-    q2 = r[0] / y[0]
-    return quick_two_sum(q1, q2)
+    # complex double-doubles, componentwise
 
+    def cadd(self, x, y):
+        return self.add(x[0], y[0]), self.add(x[1], y[1])
 
-def dd_sqrt(a):
-    if a[0] == 0.0:
-        return 0.0, 0.0
-    x = math.sqrt(a[0])
-    r = dd_add(a, dd_mul((-x, 0.0), (x, 0.0)))
-    return quick_two_sum(x, r[0] / (2.0 * x))
+    def cmul(self, x, y):
+        (xr, xi), (yr, yi) = x, y
+        return (self.add(self.mul(xr, yr),
+                         self.mul_d(self.mul(xi, yi), "-1.0")),
+                self.add(self.mul(xr, yi), self.mul(xi, yr)))
 
-
-# complex values: (hi: complex, lo: complex), componentwise double-double
-
-
-def cdd_add(x, y):
-    re = dd_add((x[0].real, x[1].real), (y[0].real, y[1].real))
-    im = dd_add((x[0].imag, x[1].imag), (y[0].imag, y[1].imag))
-    return complex(re[0], im[0]), complex(re[1], im[1])
-
-
-def cdd_mul(x, y):
-    xr = (x[0].real, x[1].real)
-    xi = (x[0].imag, x[1].imag)
-    yr = (y[0].real, y[1].real)
-    yi = (y[0].imag, y[1].imag)
-    re = dd_add(dd_mul(xr, yr), dd_mul_d(dd_mul(xi, yi), -1.0))
-    im = dd_add(dd_mul(xr, yi), dd_mul(xi, yr))
-    return complex(re[0], im[0]), complex(re[1], im[1])
-
-
-def cdd_mul_d(x, d: float):
-    re = dd_mul_d((x[0].real, x[1].real), d)
-    im = dd_mul_d((x[0].imag, x[1].imag), d)
-    return complex(re[0], im[0]), complex(re[1], im[1])
-
-
-def cdd_div_dd(x, y):
-    # complex double-double divided by a real double-double
-    re = dd_div((x[0].real, x[1].real), y)
-    im = dd_div((x[0].imag, x[1].imag), y)
-    return complex(re[0], im[0]), complex(re[1], im[1])
-
-
-def cdd_sqrt(x):
-    """Principal branch, refined by one Newton step in dd arithmetic."""
-    s = cmath.sqrt(x[0])
-    if s == 0:
-        return 0j, 0j
-    # r = x - s^2, a small complex; correction r / (2 s)
-    r = cdd_add(x, cdd_mul_d(cdd_mul((s, 0j), (s, 0j)), -1.0))
-    corr = (r[0] + r[1]) / (2.0 * s)
-    return s, corr
-
-
-def cdd_log(x):
-    """log(hi + lo) = log(hi) + lo/hi to first order, ample here."""
-    return cmath.log(x[0]), x[1] / x[0]
+    def cmul_d(self, x, d: str):
+        return self.mul_d(x[0], d), self.mul_d(x[1], d)

@@ -59,9 +59,10 @@ def h_max(a: float, z: complex) -> float:
     return 6.0 / max(abs(z) * 0.5, math.sqrt(abs(a)), 1.0)
 
 
-def _compile(name: str, args: str, body):
-    """The function `name(args)` whose body is the given lines."""
-    namespace: dict = {}
+def _compile(name: str, args: str, body, modules=None):
+    """The function `name(args)` whose body is the given lines, with the
+    modules of the dict `modules` among its globals."""
+    namespace = dict(modules or {})
     exec(f"def {name}({args}):\n"
          + "".join(f"    {line}\n" for line in body), namespace)
     return namespace[name]

@@ -14,8 +14,8 @@ overflow doubles long before the series lose accuracy:
   at their anchors, ph^2 with ph = e^{-i(u+1)pi/4}, the log prefactor
   and the gamma factor of the a < 0 route;
 - :func:`pair` maps z to zhat, computes the geometry in double-double
-  precision (:func:`_geometry_dd`) and, for each coefficient family,
-  the even-order and odd-order sums from their folds
+  precision and, for each coefficient family, the even-order and
+  odd-order sums from their folds
   (:func:`_folded_sum`, the one sum of this module and the one place
   it warns of truncation), and from them and the anchor sum the cosine
   and sine forms of U(u/2, z) and U'(u/2, z), each written as two
@@ -25,6 +25,13 @@ overflow doubles long before the series lose accuracy:
   ph^2 - conj(ph^2) for the connection formula of the a < 0 route.  It
   does not check the region, which is the caller's choice
   (`pcf._in_lg_region`).
+
+Every double-double operation of both steps runs as straight-line code
+(:func:`_dd_code`): `_dd` writes each operation out as source, and the
+three functions composed from them are compiled once, on first use, so
+that a point pays for its float operations and not for the 210 calls of
+small routines that would carry them, with every value the same to the
+bit.
 
 The forms work in the scaled variable ``zhat`` (the physical argument is
 z = sqrt(2u)*zhat).  Branch conventions: the square root
@@ -38,10 +45,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
-from . import _dd
+from ._taylor_py import _compile
 from .config import LG_ORDER
 from .errors import TruncationWarning
 from .lgcoef import Table, make_tables
@@ -150,9 +157,7 @@ def parameter(u: float) -> LGParameter:
                   for c in make_tables(LG_ORDER))
     anchors = tuple(_folded_sum(odd, x, 1.0).real
                     for (_, odd), x in zip(folds, (-1.0, 1.0)))
-    # (u+1)pi/4 as u*pi/4 + pi/4, since u + 1 itself may round
-    qpi = _dd.dd_add(_dd.dd_mul_d((math.pi, _PI_LO), 0.25 * u),
-                     (0.25 * math.pi, 0.25 * _PI_LO))
+    qpi, s2u = _dd_code()[0](u)
     ph = cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1])
     lq = 0.25 * math.log(2.0 * u)
     log_pref = 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
@@ -162,43 +167,107 @@ def parameter(u: float) -> LGParameter:
         -1j * ph.conjugate() / math.exp(2.0 * anchors[0]),
         0.5 * u * (math.log(0.5 * u) - 1.0))
     return LGParameter(
-        u, folds, _dd.dd_sqrt((2.0 * u, 0.0)), anchors, ph * ph,
+        u, folds, s2u, anchors, ph * ph,
         (log_pref - lq, log_pref + lq), inv_gamma)
 
 
-def _geometry_dd(par: LGParameter, z: complex):
-    """Geometry from the physical argument z = sqrt(2u)*zhat.
+@cache
+def _dd_code():
+    """The double-double arithmetic of :func:`parameter` and :func:`pair`
+    as the functions (parameter, geometry, exponents), written out once
+    from the operations of `_dd.Source` and compiled on first use.  Not
+    at import: `_dd` is imported here, and compiling it and these
+    functions would add milliseconds to every start-up.  The float
+    operations are those of the double-double routines composed in the
+    order written here, so every result is identical to the bit to
+    theirs (``tests/test_lgeval.py`` keeps the routines as the oracle).
 
-    The scaling, the LG variable xi and the phase u*xi are carried in
-    double-double precision: for |z| ~ 100 and u ~ 40 the phase reaches
-    a few thousand, where plain double rounding of xi alone already
-    costs ~3e-13 of relative accuracy in the oscillatory factors.
-    Returns (beta, phi, quarter) with phi = u*xi as a (hi, lo) complex
-    pair and the others plain doubles.
+    ``geometry(z, sh, sl, u)`` maps z = sqrt(2u)*zhat, with sqrt(2u) =
+    sh + sl, to (beta, quarter, phi): beta = zhat/w and quarter = sqrt(w)
+    with w = sqrt(zhat^2 + 1), and phi = u*xi as the double-doubles
+    (Re hi, Re lo, Im hi, Im lo), with the LG variable
+    xi = (zhat w + asinh zhat)/2.  The scaling, w and xi are carried in
+    double-double: for |z| ~ 100 and u ~ 40 the phase reaches a few
+    thousand, where plain double rounding of xi alone already costs
+    ~3e-13 of relative accuracy in the oscillatory factors.  w is the
+    principal root refined by one Newton step, and asinh zhat =
+    log(zhat + w) is taken as log(hi) + lo/hi from the one double
+    cmath.log(hi): phi's error is u/2 times the rounding of that log,
+    which sets the phase error of U and U' at large u, 3.84e-14 at
+    a = 500.7, zhat = -0.3+1.6i, 1.33e-14 at -1+0.8i and 1.32e-14 at
+    -1.2+1.1i, and 2.24e-14 at a = -500.7, zhat = -1+0.8i.  A
+    double-double log would lift that floor, but would move bits.
+
+    ``parameter(u)`` returns the double-doubles (u+1)pi/4 and sqrt(2u).
+    ``exponents(phi, s_odd, s_even, e0, anchor)`` gives, for one family,
+    (cp, cm, e, e_lo): e^{ix} = cp e^m and e^{-ix} = cm e^m with
+    x = i*phi + i*s_odd in double-double and m = |Im x|, safe for large
+    |Im x|, and the exponent e0 + s_even + anchor + m as e + e_lo.
     """
-    zh = _dd.cdd_div_dd((complex(z), 0j), par.s2u)
-    zhat = zh[0] + zh[1]
-    w2 = _dd.cdd_add(_dd.cdd_mul(zh, zh), (1.0 + 0j, 0j))
-    wdd = _dd.cdd_sqrt(w2)
-    w = wdd[0] + wdd[1]
-    beta = zhat / w
-    asinh = _dd.cdd_log(_dd.cdd_add(zh, wdd))
-    xi = _dd.cdd_mul_d(_dd.cdd_add(_dd.cdd_mul(zh, wdd), asinh), 0.5)
-    phi = _dd.cdd_mul_d(xi, par.u)
-    quarter = cmath.sqrt(w)
-    return beta, phi, quarter
+    from . import _dd
+    par = _dd.Source()
+    u4 = par.let("0.25 * u")
+    # (u+1)pi/4 as u*pi/4 + pi/4, since u + 1 itself may round
+    qpi = par.add(par.mul_d((repr(math.pi), repr(_PI_LO)), u4),
+                  (repr(0.25 * math.pi), repr(0.25 * _PI_LO)))
+    s2u = par.sqrt((par.let("2.0 * u"), "0.0"))
 
+    geo = _dd.Source()
+    s2 = ("sh", "sl")
+    zh = (geo.div((geo.let("z.real"), "0.0"), s2),
+          geo.div((geo.let("z.imag"), "0.0"), s2))
+    zhat = geo.let(f"complex({zh[0][0]} + {zh[0][1]}, "
+                   f"{zh[1][0]} + {zh[1][1]})")
+    w2 = geo.cadd(geo.cmul(zh, zh), (("1.0", "0.0"), ("0.0", "0.0")))
+    # w = r + (w2 - r^2)/(2r), r the principal double root; at w2 = 0 the
+    # quotient raises ZeroDivisionError, as beta = zhat/w would
+    r = geo.let(f"cmath.sqrt(complex({w2[0][0]}, {w2[1][0]}))")
+    rdd = (geo.let(f"{r}.real"), "0.0"), (geo.let(f"{r}.imag"), "0.0")
+    res = geo.cadd(w2, geo.cmul_d(geo.cmul(rdd, rdd), "-1.0"))
+    corr = geo.let(f"complex({res[0][0]} + {res[0][1]}, "
+                   f"{res[1][0]} + {res[1][1]}) / (2.0 * {r})")
+    w = geo.let(f"{r} + {corr}")
+    wdd = ((rdd[0][0], geo.let(f"{corr}.real")),
+           (rdd[1][0], geo.let(f"{corr}.imag")))
+    beta = geo.let(f"{zhat} / {w}")
+    zw = geo.cadd(zh, wdd)
+    zw_hi = geo.let(f"complex({zw[0][0]}, {zw[1][0]})")
+    log = geo.let(f"cmath.log({zw_hi})")
+    log_lo = geo.let(f"complex({zw[0][1]}, {zw[1][1]}) / {zw_hi}")
+    asinh = ((geo.let(f"{log}.real"), geo.let(f"{log_lo}.real")),
+             (geo.let(f"{log}.imag"), geo.let(f"{log_lo}.imag")))
+    xi = geo.cmul_d(geo.cadd(geo.cmul(zh, wdd), asinh), "0.5")
+    phi = geo.cmul_d(xi, "u")
+    quarter = geo.let(f"cmath.sqrt({w})")
 
-def _scaled_exp_pair(xr, xim):
-    """e^{ix} and e^{-ix} as (cp, cm, m), e^{+-ix} = (cp, cm) * e^m, with
-    x given as dd (real, imag); safe for large |Im x|."""
-    t, tl = xim
-    m = abs(t)
-    cp = (cmath.exp(1j * xr[0]) * cmath.exp(complex(-tl, xr[1]))
-          * math.exp(-t - m))
-    cm = (cmath.exp(-1j * xr[0]) * cmath.exp(complex(tl, -xr[1]))
-          * math.exp(t - m))
-    return cp, cm, m
+    # x = i*phi + i*s_odd: Re x = -Im(phi) - Im(s_odd), Im x = Re(phi)
+    # + Re(s_odd)
+    ex = _dd.Source()
+    so = ex.let("s_odd.imag"), ex.let("s_odd.real")
+    xr = ex.add(("-pi", "-pil"), (f"-{so[0]}", "0.0"))
+    xim = ex.add(("pr", "prl"), (so[1], "0.0"))
+    m = ex.let(f"abs({xim[0]})")
+    cp = ex.let(f"cmath.exp(1j * {xr[0]}) * cmath.exp(complex(-{xim[1]}, "
+                f"{xr[1]})) * math.exp(-{xim[0]} - {m})")
+    cm = ex.let(f"cmath.exp(-1j * {xr[0]}) * cmath.exp(complex({xim[1]}, "
+                f"-{xr[1]})) * math.exp({xim[0]} - {m})")
+    e = ("e0", "0.0")
+    for term in ("s_even", "anchor", m):
+        e = ex.add(e, (term, "0.0"))
+
+    modules = {"cmath": cmath, "math": math}
+    return (
+        _compile("parameter_dd", "u",
+                 par.lines + [f"return ({qpi[0]}, {qpi[1]}), "
+                              f"({s2u[0]}, {s2u[1]})"], modules),
+        _compile("geometry_dd", "z, sh, sl, u",
+                 geo.lines + [f"return {beta}, {quarter}, ({phi[0][0]}, "
+                              f"{phi[0][1]}, {phi[1][0]}, {phi[1][1]})"],
+                 modules),
+        _compile("exponents_dd",
+                 "phi, s_odd, s_even, e0, anchor",
+                 ["pr, prl, pi, pil = phi"] + ex.lines
+                 + [f"return {cp}, {cm}, {e[0]}, {e[1]}"], modules))
 
 
 def pair(par: LGParameter, z: complex,
@@ -217,7 +286,8 @@ def pair(par: LGParameter, z: complex,
     precondition: u >= U_MIN, and zhat in the closed second quadrant,
     off the imaginary axis and clear of the turning point i, as
     `pcf._in_lg_region` admits."""
-    beta, phi, quarter = _geometry_dd(par, z)
+    _, geometry, exponents = _dd_code()
+    beta, quarter, phi = geometry(z, *par.s2u, par.u)
     b2 = beta * beta
     forms = []
     for tilde, (even, odd) in zip((False, True), par.folds):
@@ -225,17 +295,12 @@ def pair(par: LGParameter, z: complex,
         s_even = _folded_sum(even, beta, b2)
         if not tilde:
             s_odd = -s_odd
-        # x assembled in dd
-        xr = _dd.dd_add((-phi[0].imag, -phi[1].imag), (-s_odd.imag, 0.0))
-        xim = _dd.dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
-        cp, cm, scale = _scaled_exp_pair(xr, xim)
+        cp, cm, e, e_lo = exponents(phi, s_odd, s_even.real,
+                                    par.e[tilde], par.anchors[tilde])
         if tilde:
             mant = -0.5 * (cp - c * cm) * quarter
         else:
             mant = (cp + c * cm) / quarter
         mant *= cmath.exp(1j * s_even.imag)
-        e = (par.e[tilde], 0.0)
-        for term in (s_even.real, par.anchors[tilde], scale):
-            e = _dd.dd_add(e, (term, 0.0))
-        forms.append(ScaledValue.make(mant * math.exp(e[1]), e[0]))
+        forms.append(ScaledValue.make(mant * math.exp(e_lo), e))
     return forms[0], forms[1]

@@ -1,17 +1,22 @@
 """Liouville-Green evaluation: phase functions, regions, gamma ratio."""
 import cmath
+import json
 import math
+import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from scipy.special import gammaln
 
 import pcfzeros.lgeval as lgeval
-from pcfzeros import _dd, pcf
-from pcfzeros.config import LG_ORDER
+from pcfzeros import pcf
+from pcfzeros.config import LG_ORDER, Z_MAX
 from pcfzeros.lgcoef import build_tables, make_tables
-from pcfzeros.lgeval import _geometry_dd, pair, parameter
+from pcfzeros.lgeval import pair, parameter
 from pcfzeros.scaled import ScaledValue
 
 mpmath = pytest.importorskip("mpmath")
@@ -36,10 +41,226 @@ def _exact(s, x, tilde):
     return sum(Fraction(n) * x ** k for k, n in enumerate(nums)) / den
 
 
+def _geometry(par, z):
+    """The geometry of `lgeval.pair` at z, as the generated code computes
+    it, in the layout of `_geometry_dd`: (beta, phi, quarter), phi = u*xi
+    as a (hi, lo) complex pair."""
+    beta, quarter, (pr, pr_lo, pi, pi_lo) = lgeval._dd_code()[1](
+        z, *par.s2u, par.u)
+    return beta, (complex(pr, pi), complex(pr_lo, pi_lo)), quarter
+
+
 def _geometry_at(u, zhat):
     """(beta, u*xi) at the scaled variable zhat, u*xi as one double."""
-    beta, phi, _ = _geometry_dd(parameter(u), math.sqrt(2.0 * u) * zhat)
+    beta, phi, _ = _geometry(parameter(u), math.sqrt(2.0 * u) * zhat)
     return beta, phi[0] + phi[1]
+
+
+# The double-double routines that `lgeval._dd_code` writes out as
+# straight-line code, as plain functions on (hi, lo) pairs of doubles and
+# on pairs of complex doubles taken componentwise, and the geometry and
+# the exponents of `pair` as they computed them: the oracle the generated
+# code must match to the bit.
+
+def two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def quick_two_sum(a, b):
+    # requires |a| >= |b|
+    s = a + b
+    return s, b - (s - a)
+
+
+def split(a):
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def two_prod(a, b):
+    p = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def dd_add(x, y):
+    s, e = two_sum(x[0], y[0])
+    e += x[1] + y[1]
+    return quick_two_sum(s, e)
+
+
+def dd_mul(x, y):
+    p, e = two_prod(x[0], y[0])
+    e += x[0] * y[1] + x[1] * y[0]
+    return quick_two_sum(p, e)
+
+
+def dd_mul_d(x, d):
+    p, e = two_prod(x[0], d)
+    e += x[1] * d
+    return quick_two_sum(p, e)
+
+
+def dd_div(x, y):
+    q1 = x[0] / y[0]
+    r = dd_add(x, dd_mul_d(y, -q1))
+    q2 = r[0] / y[0]
+    return quick_two_sum(q1, q2)
+
+
+def dd_sqrt(a):
+    if a[0] == 0.0:
+        return 0.0, 0.0
+    x = math.sqrt(a[0])
+    r = dd_add(a, dd_mul((-x, 0.0), (x, 0.0)))
+    return quick_two_sum(x, r[0] / (2.0 * x))
+
+
+def cdd_add(x, y):
+    re = dd_add((x[0].real, x[1].real), (y[0].real, y[1].real))
+    im = dd_add((x[0].imag, x[1].imag), (y[0].imag, y[1].imag))
+    return complex(re[0], im[0]), complex(re[1], im[1])
+
+
+def cdd_mul(x, y):
+    xr = (x[0].real, x[1].real)
+    xi = (x[0].imag, x[1].imag)
+    yr = (y[0].real, y[1].real)
+    yi = (y[0].imag, y[1].imag)
+    re = dd_add(dd_mul(xr, yr), dd_mul_d(dd_mul(xi, yi), -1.0))
+    im = dd_add(dd_mul(xr, yi), dd_mul(xi, yr))
+    return complex(re[0], im[0]), complex(re[1], im[1])
+
+
+def cdd_mul_d(x, d):
+    re = dd_mul_d((x[0].real, x[1].real), d)
+    im = dd_mul_d((x[0].imag, x[1].imag), d)
+    return complex(re[0], im[0]), complex(re[1], im[1])
+
+
+def cdd_div_dd(x, y):
+    # complex double-double divided by a real double-double
+    re = dd_div((x[0].real, x[1].real), y)
+    im = dd_div((x[0].imag, x[1].imag), y)
+    return complex(re[0], im[0]), complex(re[1], im[1])
+
+
+def cdd_sqrt(x):
+    """Principal branch, refined by one Newton step in dd arithmetic."""
+    s = cmath.sqrt(x[0])
+    if s == 0:
+        return 0j, 0j
+    # r = x - s^2, a small complex; correction r / (2 s)
+    r = cdd_add(x, cdd_mul_d(cdd_mul((s, 0j), (s, 0j)), -1.0))
+    corr = (r[0] + r[1]) / (2.0 * s)
+    return s, corr
+
+
+def cdd_log(x):
+    """log(hi + lo) = log(hi) + lo/hi to first order."""
+    return cmath.log(x[0]), x[1] / x[0]
+
+
+def _geometry_dd(par, z):
+    """(beta, phi, quarter) at z = sqrt(2u)*zhat, phi = u*xi as a (hi, lo)
+    complex pair."""
+    zh = cdd_div_dd((complex(z), 0j), par.s2u)
+    zhat = zh[0] + zh[1]
+    w2 = cdd_add(cdd_mul(zh, zh), (1.0 + 0j, 0j))
+    wdd = cdd_sqrt(w2)
+    w = wdd[0] + wdd[1]
+    beta = zhat / w
+    asinh = cdd_log(cdd_add(zh, wdd))
+    xi = cdd_mul_d(cdd_add(cdd_mul(zh, wdd), asinh), 0.5)
+    phi = cdd_mul_d(xi, par.u)
+    quarter = cmath.sqrt(w)
+    return beta, phi, quarter
+
+
+def _scaled_exp_pair(xr, xim):
+    """e^{ix} and e^{-ix} as (cp, cm, m), e^{+-ix} = (cp, cm) * e^m, with
+    x given as dd (real, imag)."""
+    t, tl = xim
+    m = abs(t)
+    cp = (cmath.exp(1j * xr[0]) * cmath.exp(complex(-tl, xr[1]))
+          * math.exp(-t - m))
+    cm = (cmath.exp(-1j * xr[0]) * cmath.exp(complex(tl, -xr[1]))
+          * math.exp(t - m))
+    return cp, cm, m
+
+
+def _pair_oracle(par, z, c):
+    """`pair` from the routines above."""
+    beta, phi, quarter = _geometry_dd(par, z)
+    b2 = beta * beta
+    forms = []
+    for tilde, (even, odd) in zip((False, True), par.folds):
+        s_odd = lgeval._folded_sum(odd, beta, b2)
+        s_even = lgeval._folded_sum(even, beta, b2)
+        if not tilde:
+            s_odd = -s_odd
+        xr = dd_add((-phi[0].imag, -phi[1].imag), (-s_odd.imag, 0.0))
+        xim = dd_add((phi[0].real, phi[1].real), (s_odd.real, 0.0))
+        cp, cm, scale = _scaled_exp_pair(xr, xim)
+        if tilde:
+            mant = -0.5 * (cp - c * cm) * quarter
+        else:
+            mant = (cp + c * cm) / quarter
+        mant *= cmath.exp(1j * s_even.imag)
+        e = (par.e[tilde], 0.0)
+        for term in (s_even.real, par.anchors[tilde], scale):
+            e = dd_add(e, (term, 0.0))
+        forms.append(ScaledValue.make(mant * math.exp(e[1]), e[0]))
+    return forms[0], forms[1]
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or of the exception it raises."""
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return repr((type(exc), str(exc)))
+
+
+@pytest.mark.filterwarnings("ignore::pcfzeros.errors.TruncationWarning")
+def test_generated_code_matches_the_routines():
+    # the generated geometry and `pair` repeat the routines' float
+    # operations in their order, so each result is the same to the bit,
+    # signed zeros included, as is each exception: a seeded corpus of z
+    # up to Z_MAX in the closed second quadrant, taken as both routes take
+    # it (z itself for a > 0, -i conj(z) for a < 0), at u from U_MIN to
+    # 1e6, with z = 0, zhat = 1, zhat near the turning point i and, at
+    # u = 50 where sqrt(2u) = 10 is exact, zhat = i, where w^2 = 0 and
+    # both raise ZeroDivisionError
+    rng = random.Random(20261020)
+    n = 0
+    for u in (lgeval.U_MIN, 36.4, 40.0, 50.0, 60.4, 100.0, 1001.4, 4000.0,
+              1e6):
+        par = parameter(u)
+        s = math.sqrt(2.0 * u)
+        zs = [0j, s + 0j, s * 1j, s * (1j + 1e-9), s * (1j - 1e-9j),
+              s * (-1e-7 + 1j), s * (-0.3 + 1.0000001j)]
+        for _ in range(150):
+            r = Z_MAX * rng.random() ** 2
+            zs.append(cmath.rect(r, 0.5 * math.pi * (1.0 + rng.random())))
+        zs += [complex(z.real, 0.0) for z in zs[-10:]]
+        zs += [complex(0.0, z.imag) for z in zs[-20:-10]]
+        for z in zs:
+            for w, c in ((z, par.ph2),
+                         (complex(-z.imag, -z.real),
+                          par.ph2 - par.ph2.conjugate())):
+                assert _outcome(_geometry, par, w) == _outcome(
+                    _geometry_dd, par, w), (u, w)
+                assert _outcome(pair, par, w, c) == _outcome(
+                    _pair_oracle, par, w, c), (u, w)
+                n += 1
+    assert _outcome(_geometry, parameter(50.0), 10j).startswith(
+        "(<class 'ZeroDivisionError'>")
+    assert n >= 3000
 
 
 def test_xi_bar_anchors():
@@ -194,7 +415,7 @@ def _sums(u, z):
     forms from at z: the even-order sum, the odd-order sum (negated for
     the base family) and the odd-order anchor sum."""
     par = parameter(u)
-    beta = _geometry_dd(par, z)[0]
+    beta = _geometry(par, z)[0]
     b2 = beta * beta
     sums = []
     for tilde, (even, odd) in zip((False, True), par.folds):
@@ -237,7 +458,7 @@ def test_three_sums_add_to_the_full_order_sum():
                 if not pcf._in_lg_region(-0.5 * u, complex(-z.imag, -z.real)):
                     continue
                 sums = _sums(u, z)
-                beta = _geometry_dd(parameter(u), z)[0]
+                beta = _geometry(parameter(u), z)[0]
                 for tilde in (False, True):
                     want = _full_sum_loop(u, beta, tilde)
                     size = sum(abs(x) for x in sums[tilde])
@@ -296,7 +517,7 @@ def test_folded_sums_match_the_per_order_loop():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", lgeval.TruncationWarning)
                 sums = _sums(u, z)
-            beta = _geometry_dd(parameter(u), z)[0]
+            beta = _geometry(parameter(u), z)[0]
             want_warnings = 0
             for tilde in (False, True):
                 s_even, w_even = _sum_oracle(u, beta, tilde, 2)
@@ -319,10 +540,12 @@ def test_negative_route_takes_one_point(monkeypatch):
     # parameter record, with its anchor sums, serves every point at that u
     geometries = []
     sums = []
-    geometry = lgeval._geometry_dd
+    parameter_dd, geometry, exponents = lgeval._dd_code()
+    counted = (parameter_dd,
+               lambda *args: geometries.append(1) or geometry(*args),
+               exponents)
     folded_sum = lgeval._folded_sum
-    monkeypatch.setattr(lgeval, "_geometry_dd",
-                        lambda *args: geometries.append(1) or geometry(*args))
+    monkeypatch.setattr(lgeval, "_dd_code", lambda: counted)
     monkeypatch.setattr(lgeval, "_folded_sum",
                         lambda *args: sums.append(1) or folded_sum(*args))
     parameter.cache_clear()
@@ -344,8 +567,8 @@ def _parameter_oracle(u, S):
     odd = [lgeval._fold(c, u, 1) for c in make_tables(S)]
     anchors = (lgeval._folded_sum(odd[0], -1.0, 1.0).real,
                lgeval._folded_sum(odd[1], 1.0, 1.0).real)
-    qpi = _dd.dd_add(_dd.dd_mul_d((math.pi, lgeval._PI_LO), 0.25 * u),
-                     (0.25 * math.pi, 0.25 * lgeval._PI_LO))
+    qpi = dd_add(dd_mul_d((math.pi, lgeval._PI_LO), 0.25 * u),
+                 (0.25 * math.pi, 0.25 * lgeval._PI_LO))
     ph = cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1])
     log_pref = 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
     lq = 0.25 * math.log(2.0 * u)
@@ -355,7 +578,7 @@ def _parameter_oracle(u, S):
         # no per-point expression to compare: the folds are held to the
         # per-order loop by test_folded_sums_match_the_per_order_loop
         folds=None,
-        s2u=_dd.dd_sqrt((2.0 * u, 0.0)),
+        s2u=dd_sqrt((2.0 * u, 0.0)),
         anchors=anchors,
         ph2=ph * ph,
         e=(log_pref - lq, log_pref + lq),
@@ -561,3 +784,38 @@ def test_large_a_point_inside_the_gate_holds_the_exponent_resolution():
             assert abs(arg) <= 1e-13, arg
             assert abs(lr.real) <= 2 * math.ulp(got.exponent) + 3e-14, (
                 lr.real)
+
+
+_LAZY_BUILD = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import pcfzeros
+from pcfzeros import evaluate, lgeval
+method = evaluate(-1.7, -3 + 2j).method
+before = lgeval._dd_code.cache_info().currsize, "pcfzeros._dd" in sys.modules
+compiled = []
+compile_ = lgeval._compile
+lgeval._compile = lambda name, *args: compiled.append(name) or compile_(
+    name, *args)
+methods = [evaluate(a, z).method
+           for a, z in ((20.0, -40 + 35j), (-30.2, -10 + 12j),
+                        (-30.2, -20 + 25j), (40.0, -30 + 30j))]
+info = lgeval._dd_code.cache_info()
+print(json.dumps([method, before, methods, compiled, info.misses]))
+"""
+
+
+def test_generated_code_is_built_once_on_first_use():
+    # compiling `_dd` and the double-double code generated from it takes
+    # milliseconds, so neither the import nor the origin route loads or
+    # builds them, and the LG route builds the code once for every a and
+    # every point
+    src = Path(lgeval.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _LAZY_BUILD, str(src)],
+                          capture_output=True, text=True, check=True)
+    method, before, methods, compiled, misses = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert method == "origin-series" and before == [0, False]
+    assert methods == ["liouville-green"] * 4
+    assert compiled == ["parameter_dd", "geometry_dd", "exponents_dd"]
+    assert misses == 1
