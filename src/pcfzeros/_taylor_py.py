@@ -41,6 +41,21 @@ so another rounding would move it, and every zero after it, by more than
 a real constant (``c_k * 0.25``, ``c_k * k``): CPython's complex product
 is symmetric in its operands, so the bits are the same, and the call
 skips the failed float or int dispatch.
+
+On the real axis the ODE has real coefficients: `propagate_polyline`
+steps a segment on floats where its start, target and data are real
+(imaginary parts zero, the data's +0.0, the data not both zero), as on
+the origin route's first leg wherever Re z^2 >= 0 and its whole path at
+real z, so `evaluate(a, x)` runs on floats alone, each operation at
+about a third of a complex one's cost.  The bits are the same, for
+finite data: a complex operation on operands with zero imaginary parts
+rounds its real part as the float operation does; the kernel only adds,
+subtracts, multiplies, and divides by nonzero literals and positive
+moduli, so a signed zero reaches no nonzero bit; and from +0.0
+imaginary parts each step ends on +0.0 there (its last Horner terms add
+c_0 and c_1), which `complex(x)` restores.  Data with a -0.0 imaginary
+part, and zero data, whose results are zeros of either sign, take the
+complex loop.  The compiled kernel steps on complex numbers throughout.
 """
 from __future__ import annotations
 
@@ -219,14 +234,23 @@ def propagate_polyline(a: float, z0: complex, y0: complex, y1: complex,
     """Propagate (y, y') along straight segments z0 -> waypoints[0] -> ...
 
     Steps within each segment are capped by h_max at the running point.
-    Returns (y, yprime, logscale, ok); the true values are the returned
-    pair times exp(logscale).
+    A real segment from real data steps on floats, through the same
+    `scaled_derivs` and `step_once`, and gives the bits of complex
+    operands (see the module docstring).  Returns (y, yprime, logscale,
+    ok); the true values are the returned pair times exp(logscale).
     """
     zc, yc, ypc = z0, y0, y1
     logscale = 0.0
     for target in waypoints:
+        # floats round alike here, at a third of the cost (module docstring)
+        real = (not (zc.imag or target.imag or yc.imag or ypc.imag)
+                and bool(yc or ypc) and math.copysign(1.0, yc.imag) > 0.0
+                and math.copysign(1.0, ypc.imag) > 0.0)
+        end = target
+        if real:
+            zc, end, yc, ypc = zc.real, target.real, yc.real, ypc.real
         while True:
-            rem = target - zc
+            rem = end - zc
             d = abs(rem)
             if d == 0.0:
                 break
@@ -235,7 +259,7 @@ def propagate_polyline(a: float, z0: complex, y0: complex, y1: complex,
             c0 = scaled_derivs(a, zc, yc, ypc, order + 1)
             y, yp, ok = step_once(a, zc, c0, h)
             if not ok:
-                return y, yp, logscale, False
+                return complex(y), complex(yp), logscale, False
             zc += h
             yc, ypc = y, yp
             m = max(abs(yc), abs(ypc))
@@ -246,4 +270,6 @@ def propagate_polyline(a: float, z0: complex, y0: complex, y1: complex,
             if d <= hm:
                 break
         zc = target
+        if real:
+            yc, ypc = complex(yc), complex(ypc)
     return yc, ypc, logscale, True

@@ -26,7 +26,7 @@ from pcfzeros.chain import run_chain, verify_zeros
 from pcfzeros.errors import StepFailureError
 from pcfzeros.pcf import PcfValue, evaluate, origin_values_scaled
 from pcfzeros.scaled import ScaledValue
-from test_taylor import _kernel_corpus, _loop_verdict
+from test_taylor import _kernel_corpus, _loop_verdict, _real_axis_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "pcfzeros"
@@ -128,6 +128,10 @@ def test_entry_points_bit_for_bit(compiled):
     nan = complex(math.nan, 0.0)
     for c in ([1j, nan], [nan, 1j], [0j, -0.0j, nan, 2.0]):
         same("taylor_eval", c, 0.5 - 0.5j)
+    # real segments from real data, which the pure-Python kernel steps on
+    # floats and the compiled one on complex numbers
+    for a, z0, y0, y1, waypoints in _real_axis_corpus(20261026, 200):
+        same("propagate_polyline", a, z0, y0, y1, waypoints, 30)
     # values grow like exp(z^2/4) along the real axis, past RESCALE_LIMIT
     y, yp, logscale, ok = same("propagate_polyline", 0.3, 0j, 1.0 + 0j,
                                0j, [40.0 + 0j, 41.0 + 2.0j], 30)
@@ -146,6 +150,22 @@ def test_entry_points_bit_for_bit(compiled):
     assert same("taylor_eval", [1j, big, 0j, 0j], 0j)[2]
     c = same("scaled_derivs", 1.0, 0j, 1j, big, 31)
     assert same("step_once", 1.0, 0j, c, 0j)[2]
+
+
+def test_evaluate_on_the_real_axis_bit_for_bit(compiled, use_kernel):
+    # at real z the origin route runs entirely on floats in the
+    # pure-Python kernel; z = x - 0j takes the same path and ends on a
+    # waypoint whose imaginary part is -0.0
+    points = [(a, x) for a in (-30.2, -2.7, -1.7, -0.3, 0.0, 0.3, 2.3, 20.5)
+              for x in (-41.0, -35.5, -20.25, -6.0, -1.5, -0.0, 0.75, 3.0,
+                        12.5, 29.0)]
+    got = {}
+    for kernel in (_taylor_py, compiled):
+        use_kernel(kernel)
+        got[kernel.KERNEL] = [repr(evaluate(a, z)) for a, x in points
+                              for z in (x, complex(x, -0.0))]
+    assert got["python"] == got["c"]
+    assert sum("origin-series" in v for v in got["python"]) == 2 * len(points)
 
 
 def test_step_once_from_short_expansions(compiled):

@@ -172,7 +172,9 @@ def test_step_expands_only_past_its_first_piece(monkeypatch):
 def test_polyline_builds_every_step_through_the_module_name(monkeypatch):
     # each step's expansion is built by a call through the module name
     # `scaled_derivs`, which the benchmark's tracer replaces to count
-    # builds, and the counting changes no result
+    # builds, and the counting changes no result; a real polyline from
+    # real data takes the same names on floats, so a refactor that drops
+    # the float steps or takes them around the names fails here
     build, step_once = _taylor_py.scaled_derivs, _taylor_py.step_once
     built, steps = [], []
 
@@ -181,9 +183,15 @@ def test_polyline_builds_every_step_through_the_module_name(monkeypatch):
         return built[-1]
 
     def step_spy(a, z0, c, h):
-        steps.append(any(c is b for b in built))
+        steps.append((any(c is b for b in built), type(z0), type(h)))
         return step_once(a, z0, c, h)
-    for a, z0, y0, y1, h in _kernel_corpus(20261023, 40):
+    for i, (a, z0, y0, y1, h) in enumerate(_kernel_corpus(20261023, 80)):
+        kind = complex
+        if i % 2:
+            # the same steps along the real axis, from real data
+            kind = float
+            z0, h = complex(z0.real), complex(h.real)
+            y0, y1 = complex(y0.real), complex(y1.real or 1.0)
         args = (a, z0, y0, y1, [z0 + h / 4, z0 + h], TAYLOR_ORDER)
         want = _taylor_py.propagate_polyline(*args)
         with monkeypatch.context() as m:
@@ -193,7 +201,8 @@ def test_polyline_builds_every_step_through_the_module_name(monkeypatch):
             steps.clear()
             got = _taylor_py.propagate_polyline(*args)
         assert repr(got) == repr(want)
-        assert steps and all(steps)
+        assert steps and all(built_here for built_here, _, _ in steps)
+        assert {s[1:] for s in steps} == {(kind, kind)}, args
         assert len(built) >= len(steps)
 
 
@@ -453,6 +462,111 @@ def test_step_once_is_plain_bisection():
     assert depths[_taylor_py.MAX_SPLIT_DEPTH, False] >= 5, depths
 
 
+def _complex_polyline(a, z0, y0, y1, waypoints, order):
+    """`propagate_polyline` as it was before real segments stepped on
+    floats, kept as its oracle: every operand complex, through the
+    kernel's `scaled_derivs` and `step_once`."""
+    zc, yc, ypc = z0, y0, y1
+    logscale = 0.0
+    for target in waypoints:
+        while True:
+            rem = target - zc
+            d = abs(rem)
+            if d == 0.0:
+                break
+            hm = h_max(a, zc)
+            h = rem if d <= hm else rem * (hm / d)
+            c0 = _taylor_py.scaled_derivs(a, zc, yc, ypc, order + 1)
+            y, yp, ok = _taylor_py.step_once(a, zc, c0, h)
+            if not ok:
+                return y, yp, logscale, False
+            zc += h
+            yc, ypc = y, yp
+            m = max(abs(yc), abs(ypc))
+            if m > _taylor_py.RESCALE_LIMIT:
+                logscale += math.log(m)
+                yc /= m
+                ypc /= m
+            if d <= hm:
+                break
+        zc = target
+    return yc, ypc, logscale, True
+
+
+def _real_axis_corpus(seed, m):
+    """m random (a, z0, y0, y1, waypoints) whose first segment lies on the
+    real axis: starts of either sign, 0.0 and -0.0 among them; imaginary
+    parts +0.0 and -0.0 of the points, and of the data in every fourth
+    case; data with a zero of either sign, and zero data; every other a
+    in (-1, 1), where h_max = 6 near the origin and steps bisect deepest;
+    every fifth leg long enough to pass RESCALE_LIMIT; and every third
+    polyline turning off the axis."""
+    rng = np.random.default_rng(seed)
+
+    def zero():
+        return rng.choice([0.0, -0.0])
+
+    def real(scale):
+        return complex(rng.uniform(-scale, scale), zero())
+    for i in range(m):
+        a = rng.uniform(-1.0, 1.0) if i % 2 else rng.uniform(-20.0, 20.0)
+        z0 = complex((zero(), zero(), rng.uniform(-12.0, 12.0))[i % 3],
+                     zero())
+        y0, y1 = real(2.0), real(2.0)
+        if i % 4:
+            y0, y1 = complex(y0.real), complex(y1.real)
+        if i % 7 == 3:
+            y0 = complex(zero(), zero())
+        if i % 11 == 5:
+            y0, y1 = complex(zero()), complex(zero())
+        if i % 5 == 4:
+            target = complex(math.copysign(rng.uniform(36.0, 38.0),
+                                           rng.uniform(-1.0, 1.0)), zero())
+        else:
+            target = z0 + real(8.0)
+        waypoints = [target]
+        if i % 3 == 1:
+            waypoints.append(target + complex(rng.uniform(-3.0, 3.0),
+                                              rng.uniform(0.5, 3.0)))
+        yield a, z0, y0, y1, waypoints
+
+
+def test_real_segments_match_the_complex_loop(monkeypatch):
+    # a real segment from nonzero data whose imaginary parts are +0.0
+    # steps on floats, every other one on complex numbers: both give the
+    # bits of the all-complex loop, signed zeros included
+    step_once, build = _taylor_py.step_once, _taylor_py.scaled_derivs
+    float_steps, rebuilds = [], [0]
+
+    def step_spy(a, z0, c, h):
+        rebuilds[0] = 0
+        got = step_once(a, z0, c, h)
+        if isinstance(z0, float):
+            float_steps.append(rebuilds[0])
+        return got
+
+    def build_spy(*args):
+        rebuilds[0] += 1
+        return build(*args)
+    seen = Counter()
+    for a, z0, y0, y1, waypoints in _real_axis_corpus(20261025, 200):
+        args = (a, z0, y0, y1, waypoints, TAYLOR_ORDER)
+        want = _complex_polyline(*args)
+        with monkeypatch.context() as m:
+            m.setattr(_taylor_py, "step_once", step_spy)
+            m.setattr(_taylor_py, "scaled_derivs", build_spy)
+            float_steps.clear()
+            got = _taylor_py.propagate_polyline(*args)
+        assert repr(got) == repr(want), args
+        seen["float"] += bool(float_steps)
+        seen["complex"] += not float_steps
+        seen["rescaled"] += bool(float_steps) and got[2] > 0.0
+        seen["deep"] += max(float_steps, default=0) >= 7
+        seen["turned"] += bool(float_steps) and len(waypoints) > 1
+    assert seen["float"] >= 100 and seen["complex"] >= 40, seen
+    assert min(seen["rescaled"], seen["deep"], seen["turned"]) >= 15, seen
+
+
 def _origin_path_steps(monkeypatch, a, z):
     """(z0, c0, h) of every `step_once` call of the origin route's
     propagation to z, on the pure-Python kernel."""
@@ -473,7 +587,7 @@ def _origin_path_steps(monkeypatch, a, z):
 def test_first_try_certificate_is_sound(monkeypatch):
     # wherever the majorant proves that a try fails, it fails: over the
     # corpus at orders 3-41 and truncations of their expansions, at every
-    # subdivision depth, and over every step of a long origin path
+    # subdivision depth, and over every step of two long origin paths
     fails = _taylor_py._first_try_fails
     seen = Counter()
     for a, z0, y0, y1, h in _kernel_corpus(20261024, 200):
@@ -488,17 +602,22 @@ def test_first_try_certificate_is_sound(monkeypatch):
                     seen["ok" if ok else "proven" if proven else "open"] += 1
     assert seen["ok"] >= 1000 and seen["proven"] >= 10000, seen
     # a step of h_max on the origin route almost never passes its first
-    # try, and the majorant proves nearly every such failure
+    # try, and the majorant proves nearly every such failure: on a path
+    # whose first leg runs up the imaginary axis, and on one whose first
+    # leg runs along the real axis on floats
     a = -1.7
-    full = Counter()
-    for z0, c, h in _origin_path_steps(monkeypatch, a, -150.0 + 200.0j):
-        ok = _taylor_py.taylor_eval(c, h)[2]
-        proven = fails(a, z0, c, h)
-        assert not (ok and proven), (z0, h)
-        if abs(h) >= 0.999 * h_max(a, z0):
-            full["ok" if ok else "proven" if proven else "open"] += 1
-    assert full["proven"] >= 0.95 * (full["proven"] + full["open"]) > 2000, \
-        full
+    for z, real_steps in ((-150.0 + 200.0j, 0), (-200.0 + 150.0j, 500)):
+        full = Counter()
+        for z0, c, h in _origin_path_steps(monkeypatch, a, z):
+            ok = _taylor_py.taylor_eval(c, h)[2]
+            proven = fails(a, z0, c, h)
+            assert not (ok and proven), (z0, h)
+            if abs(h) >= 0.999 * h_max(a, z0):
+                full["ok" if ok else "proven" if proven else "open"] += 1
+                full["float"] += isinstance(z0, float)
+        assert full["proven"] >= 0.95 * (full["proven"] + full["open"]) \
+            > 2000, (z, full)
+        assert full["float"] >= real_steps, (z, full)
 
 
 def test_kernel_selected():
