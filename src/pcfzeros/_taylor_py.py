@@ -13,10 +13,10 @@ returns its verdict with the values, which the chain hop
 skips only a first try that `_first_try_fails` proves the rule rejects,
 in constant time from a majorant of the ODE, so every Horner sum of a
 step goes through `taylor_eval`.
-`taylor.step_batch` runs `scaled_derivs` on numpy arrays, whose complex
-products and complex/float quotients can round differently from
-CPython's, so the batch matches this kernel's first try to rounding,
-not bit for bit.
+`taylor.step_batch` runs `scaled_derivs` and `_horner` on numpy arrays,
+whose complex products and complex/float quotients can round
+differently from CPython's, so the batch matches this kernel's first
+try to rounding, not bit for bit.
 
 The ODE is y'' = (z^2/4 + a) y.  Derivatives are stored scaled,
 c_k = y^(k)(z0)/k!, so a step is a plain polynomial in h and the

@@ -251,8 +251,9 @@ def run_chain(a: float, L: float) -> list[ZeroRecord]:
     of that end (a < 0) lie in the domain but are not reported.
     A non-finite a or L raises ValueError and a Hermite a
     HermiteParameterError; then `first_zero_estimate` raises ValueError
-    for L <= 2 and for a domain past the zero cap.  All of these come
-    before any zero is computed."""
+    for L <= 2 and for a domain past the zero cap, and the first
+    `evaluate` RegionError where its estimate lies past `evaluate`'s
+    region, as at a = 1e7.  All of these come before any zero is computed."""
     if not (math.isfinite(a) and math.isfinite(L)):
         raise ValueError(f"a={a} and L={L} must be finite")
     if is_hermite(a):

@@ -43,28 +43,21 @@ def step(a: float, z0: complex, c, h: complex) -> tuple[complex, complex]:
     return y, yp
 
 
-def _cabs(x):
-    """|x| elementwise, rounded as Python's abs(complex) is (np.abs can
-    differ in the last bit), so the tail test adds no rounding of its own."""
-    import numpy as np
-    return np.hypot(x.real, x.imag)
-
-
 def step_batch(a: float, z0, y0, y1, h):
     """First try of many independent steps at once, vectorised over numpy
     arrays: expand (y0, y1) at each point of z0 and evaluate at z0 + h.
 
     z0 and h are arrays of one shape; y0 and y1 are scalars or arrays of
     that shape.  Returns complex arrays (y, yprime) and a boolean array
-    ok.  The expansion is the pure-Python kernel's `scaled_derivs`, and
-    the sums and the acceptance test take the operations of the kernel's
-    first try in `step_once` in the same order; but numpy may round
-    complex products and complex/float quotients differently from
-    CPython, so the values match that try to rounding (the tests hold
-    them to 1e-13), not bit for bit.  ok is true where the tail
-    criterion holds on a finite scale, at any |h|.  Where ok is false
-    `step` would subdivide or `propagate` take several steps, and
-    (y, yprime) are not to be used.
+    ok.  The expansion and the Horner sums are the pure-Python kernel's
+    generated code (`scaled_derivs`, `_horner`) run on arrays, and the
+    acceptance test takes the operations of `_tail_ok` in the same
+    order; but numpy may round complex products, complex/float quotients
+    and moduli differently from CPython, so the values match the
+    kernel's first try to rounding (the tests hold them to 1e-13), not
+    bit for bit.  ok is true where the tail criterion holds on a finite
+    scale, at any |h|.  Where ok is false `step` would subdivide or
+    `propagate` take several steps, and (y, yprime) are not to be used.
     """
     import numpy as np   # the batched step is the package's one numpy user
     z0 = np.asarray(z0, dtype=complex)
@@ -73,20 +66,11 @@ def step_batch(a: float, z0, y0, y1, h):
     # rejected entries may overflow; the tail test turns them down
     with np.errstate(over="ignore", invalid="ignore"):
         c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
-        # in place: the ufunc calls of y = y * h + c[k], one array fewer
-        y = c[n].copy()
-        for k in range(n - 1, -1, -1):
-            y *= h
-            y += c[k]
-        yp = n * c[n]
-        for k in range(n - 1, 0, -1):
-            yp *= h
-            yp += k * c[k]
-        ah = _cabs(h)
-        tail = np.maximum(_cabs(c[n]) * ah ** n,
-                          _cabs(c[n - 1]) * ah ** (n - 1))
+        y, yp = _taylor_py._horner(n)(c, h)
+        ah = abs(h)
+        tail = np.maximum(abs(c[n]) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
         bound = _taylor_py.TAIL_TOL * np.maximum(
-            np.maximum(_cabs(y), ah * _cabs(yp)), 1e-300)
+            np.maximum(abs(y), ah * abs(yp)), 1e-300)
         ok = (tail <= bound) & (bound < np.inf)
     return y, yp, ok
 

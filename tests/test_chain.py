@@ -15,10 +15,10 @@ from pcfzeros.chain import (FIRST_ZERO_ITERS, MAX_INNER_ITERS, MAX_ZEROS,
                             refine_first_zero, refine_from_previous,
                             run_chain, sqrt_A, verify_zeros)
 from pcfzeros.config import (DEFAULT_CONFIG, DELTA, EPS, LG_ORDER,
-                             TAYLOR_ORDER)
+                             TAYLOR_ORDER, Z_MAX)
 from pcfzeros.errors import (ConvergenceError, HermiteParameterError,
-                             PcfZerosError, StepFailureError,
-                             TurningPointError)
+                             PcfZerosError, RegionError,
+                             StepFailureError, TurningPointError)
 from pcfzeros.scaled import ScaledValue
 from test_taylor import _loop_verdict
 
@@ -215,6 +215,17 @@ def test_run_chain_input_errors(a, L, exc, message, monkeypatch):
         run_chain(a, L)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_run_chain_large_a_first_estimate_leaves_the_region():
+    # at a = 1e7 the first-zero estimate lies at z ~ -16985+0.0005i, past
+    # Z_MAX; the first evaluate of the first-zero refinement raises, before
+    # any zero is computed.  ROADMAP item 5 may define an empty result for
+    # such a box instead
+    _, z_est = first_zero_estimate(1e7, 3.0)
+    assert abs(z_est) > Z_MAX
+    with pytest.raises(RegionError, match="evaluation region"):
+        run_chain(1e7, 3.0)
 
 
 class _Stepped(Exception):

@@ -311,10 +311,15 @@ def test_step_batch_accepts_steps_over_h_max():
         assert (y[i], yp[i]) == step(a, z, c, complex(h[i])) == (0j, 0j)
 
 
+def _hypot(x):
+    return np.hypot(x.real, x.imag)
+
+
 def _out_of_place_step_batch(a, z0, y0, y1, h):
-    """step_batch with its Horner sums built out of place, a new array
-    per term: the same ufunc calls in the same order as the in-place
-    sums, so the results must be identical to the bit."""
+    """step_batch with its Horner sums as plain loops, a new array per
+    term: the ufunc calls of the kernel's generated sums in the same
+    order, so the results must be identical to the bit; the moduli are
+    exact, as Python's abs(complex) rounds them."""
     n = TAYLOR_ORDER + 1
     with np.errstate(over="ignore", invalid="ignore"):
         c = _taylor_py.scaled_derivs(a, z0, y0, y1, n)
@@ -324,19 +329,20 @@ def _out_of_place_step_batch(a, z0, y0, y1, h):
         yp = n * c[n]
         for k in range(n - 1, 0, -1):
             yp = yp * h + k * c[k]
-        ah = taylor._cabs(h)
-        tail = np.maximum(taylor._cabs(c[n]) * ah ** n,
-                          taylor._cabs(c[n - 1]) * ah ** (n - 1))
+        ah = _hypot(h)
+        tail = np.maximum(_hypot(c[n]) * ah ** n,
+                          _hypot(c[n - 1]) * ah ** (n - 1))
         bound = TAIL_TOL * np.maximum(
-            np.maximum(taylor._cabs(y), ah * taylor._cabs(yp)), 1e-300)
+            np.maximum(_hypot(y), ah * _hypot(yp)), 1e-300)
         ok = (tail <= bound) & (bound < np.inf)
     return y, yp, ok
 
 
 @pytest.mark.parametrize("a, L", [(-30.2, 60.0), (20.5, 50.0)])
 def test_step_batch_in_place_matches_out_of_place(a, L):
-    # verify_zeros' batch: each zero from its neighbor, entries the tail
-    # test rejects included
+    # verify_zeros' batch, entries the tail test rejects included: the
+    # kernel's generated Horner sums run on arrays give the bits of plain
+    # out-of-place loops, and numpy's moduli the verdicts of exact ones
     z = np.array([r.z for r in run_chain(a, L)])
     anchor = np.concatenate((z[1:2], z[:-1]))
     got = step_batch(a, anchor, 0j, 1.0 + 0j, z - anchor)
