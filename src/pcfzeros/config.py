@@ -9,6 +9,7 @@ EPS = 1e-14             # fixed-point relative tolerance
 DELTA = 1e-4            # termination distance from the terminal axis
 TAYLOR_ORDER = 30       # truncation order of the Taylor steps
 LG_ORDER = 12           # truncation order of the LG coefficient tables
+U_MIN = 36.0            # smallest u = 2|a| the LG expansions are trusted at
 
 MAX_ZEROS = 10_000_000      # cap on the zeros of one chain
 # |a| beyond which `pcf.evaluate` raises RegionError: the zero index

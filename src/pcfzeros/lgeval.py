@@ -3,6 +3,8 @@
 The parameter is u = 2|a|: `pcf` evaluates U(a, z) from these
 expansions for a > 0, and for a < 0 from the two solutions at u = -2a
 and the gamma factor of :func:`parameter` (`pcf._evaluate_lg_neg`).
+`pcf` imports this module, and with it `lgcoef`, at its first LG
+evaluation, not with the package.
 
 Two steps, one per parameter and one per point, which returns the
 pair (U, U') as :class:`ScaledValue` results, since the prefactors
@@ -49,12 +51,10 @@ from functools import cache, lru_cache
 from typing import NamedTuple
 
 from ._taylor_py import _compile
-from .config import LG_ORDER
+from .config import LG_ORDER, U_MIN  # noqa: F401  (read as lgeval.U_MIN)
 from .errors import TruncationWarning
 from .lgcoef import Table, make_tables
 from .scaled import ScaledValue
-
-U_MIN = 36.0          # smallest parameter the expansions are trusted at
 
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, the tail of the double
 
@@ -177,7 +177,9 @@ def _dd_code():
     as the functions (parameter, geometry, exponents), written out once
     from the operations of `_dd.Source` and compiled on first use.  Not
     at import: `_dd` is imported here, and compiling it and these
-    functions would add milliseconds to every start-up.  The float
+    functions would add milliseconds to every start-up.  The same rule
+    keeps this module and `lgcoef` out of `import pcfzeros`: `pcf`
+    imports them at its first LG evaluation.  The float
     operations are those of the double-double routines composed in the
     order written here, so every result is identical to the bit to
     theirs (``tests/test_lgeval.py`` keeps the routines as the oracle).

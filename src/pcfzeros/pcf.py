@@ -10,6 +10,11 @@ used instead: U is recessive along the integration path, and the
 negative-parameter expansions, which hold near a Hermite a, need there
 a coefficient that is 0 but keeps about 1e-30 of rounding, against a
 term e^92 times U at a = -20.5, z = -21+3i (5e27 off there).
+
+The LG layer (`lgeval`, and with it `lgcoef`) loads with the first
+evaluation `_in_lg_region` sends to it, not at import: the origin route
+never needs it, and compiling it would add milliseconds to every
+start-up.
 """
 from __future__ import annotations
 
@@ -17,8 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import lgeval, taylor
-from .config import A_MAX, Z_MAX
+from . import taylor
+from .config import A_MAX, U_MIN, Z_MAX
 from .errors import RegionError
 from .scaled import ScaledValue
 
@@ -27,6 +32,9 @@ _LN2 = math.log(2.0)
 # He_n is rescaled past this modulus, into the log scale of its value
 _HERMITE_RESCALE = 1e100
 LG_GATE = 15.0    # |Re z|, |Im z| gate for the positive-parameter LG route
+# the LG layer, bound by the first LG evaluation; the later ones run no
+# import statement, which would cost about 1% of an LG evaluation
+lgeval = None
 
 
 @dataclass(frozen=True)
@@ -211,14 +219,15 @@ def evaluate(a: float, z: complex) -> PcfValue:
 
 def _in_lg_region(a: float, z: complex) -> bool:
     """True where `evaluate` takes the LG route at z, Im z >= 0, for either
-    sign of a: u = 2|a| >= lgeval.U_MIN, and the zhat the route evaluates
+    sign of a: u = 2|a| >= `config.U_MIN`, and the zhat the route evaluates
     at (z/sqrt(2u) if a > 0 and -i conj(z)/sqrt(2u) if a < 0) in the
     closed second quadrant, off the imaginary axis (the segment [0, i]
     and the cut above i) and outside a disk around zhat = i.  For a > 0
     the gate Re z < -LG_GATE, Im z > LG_GATE puts zhat inside the open
-    quadrant; for a < 0, Re zhat = -Im z/sqrt(2u) <= 0 holds already."""
+    quadrant; for a < 0, Re zhat = -Im z/sqrt(2u) <= 0 holds already.
+    It reads no LG module: a point it refuses never loads the LG layer."""
     u = 2.0 * abs(a)
-    if u < lgeval.U_MIN:
+    if u < U_MIN:
         return False
     s = math.sqrt(2.0 * u)
     y = z.imag
@@ -237,6 +246,9 @@ def _in_lg_region(a: float, z: complex) -> bool:
 
 
 def _evaluate_lg(a: float, z: complex) -> PcfValue:
+    global lgeval
+    if lgeval is None:
+        from . import lgeval
     par = lgeval.parameter(2.0 * a)
     U, Up = lgeval.pair(par, z, par.ph2)
     return PcfValue(U, Up, "liouville-green")
@@ -258,6 +270,9 @@ def _evaluate_lg_neg(a: float, z: complex) -> PcfValue:
     exact subtraction: two terms of size |Q| that cancel to |c Q| would
     leave their rounding, about 1e-16 |Q|, in a U much smaller than Q.
     """
+    global lgeval
+    if lgeval is None:
+        from . import lgeval
     par = lgeval.parameter(-2.0 * a)
     U, Up = (v.conjugate() * par.inv_gamma
              for v in lgeval.pair(par, complex(-z.imag, -z.real),
