@@ -6,13 +6,12 @@ of them.  :class:`Source` writes the lines of Python that compute
 Dekker's error-free transformations (Dekker 1971, Numer. Math. 18) and
 the double-double operations built from them, on named operands and
 each result in fresh local names, so that a caller composes one
-function from them and compiles it once (`lgeval`): in the interpreter
-the calls of such small routines, not their float operations, would
-take most of the time.  Each operation is written once, here, as the
-float operations of the textbook routine in their order; the one
-saving is that an operand is split once however often it enters a
-product, and a literal operand while the source is written, which
-gives the same bits.
+function from them and compiles it once (`lgeval`, when it loads): in
+the interpreter the calls of such small routines, not their float
+operations, would take most of the time.  Each operation is written
+once, here, as the float operations of the textbook routine in their
+order; the one saving is that an operand is split once however often
+it enters a product, which gives the same bits.
 """
 from __future__ import annotations
 
@@ -50,16 +49,9 @@ class Source:
     def split(self, a: str) -> Pair:
         """(hi, lo) with hi + lo = a and each half of 26 bits or fewer."""
         if a not in self._splits:
-            try:
-                x = float(a)
-            except ValueError:
-                c = self.let(f"{_SPLITTER!r} * {a}")
-                hi = self.let(f"{c} - ({c} - {a})")
-                self._splits[a] = hi, self.let(f"{a} - {hi}")
-            else:
-                c = _SPLITTER * x
-                hi = c - (c - x)
-                self._splits[a] = repr(hi), repr(x - hi)
+            c = self.let(f"{_SPLITTER!r} * {a}")
+            hi = self.let(f"{c} - ({c} - {a})")
+            self._splits[a] = hi, self.let(f"{a} - {hi}")
         return self._splits[a]
 
     def two_prod(self, a: str, b: str) -> Pair:

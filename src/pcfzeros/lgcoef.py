@@ -34,13 +34,6 @@ def _reduce(nums: list[int], den: int) -> Poly:
     return [n // g for n in nums], den // g
 
 
-def _horner(nums: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(nums):
-        acc = acc * x + c
-    return acc
-
-
 def poly_add(p: Poly, q: Poly) -> Poly:
     (pn, pd), (qn, qd) = p, q
     den = math.lcm(pd, qd)
@@ -73,12 +66,13 @@ def poly_diff(p: Poly) -> Poly:
 
 
 def poly_integral_from(p: Poly, lower: int) -> Poly:
-    """Definite integral of p from the integer `lower` to the variable,
-    as a polynomial."""
+    """Definite integral of p from `lower`, which is 0 or 1, to the
+    variable, as a polynomial."""
     nums, den = p
     m = math.lcm(*range(1, len(nums) + 1))
     out = [0] + [c * (m // (k + 1)) for k, c in enumerate(nums)]
-    out[0] = -_horner(out, lower)
+    if lower:
+        out[0] = -sum(out)
     return _reduce(out, den * m)
 
 

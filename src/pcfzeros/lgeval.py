@@ -3,8 +3,8 @@
 The parameter is u = 2|a|: `pcf` evaluates U(a, z) from these
 expansions for a > 0, and for a < 0 from the two solutions at u = -2a
 and the gamma factor of :func:`parameter` (`pcf._evaluate_lg_neg`).
-`pcf` imports this module, and with it `lgcoef`, at its first LG
-evaluation, not with the package.
+`pcf` imports this module, and with it `lgcoef` and `_dd`, at its first
+LG evaluation, not with the package.
 
 Two steps, one per parameter and one per point, which returns the
 pair (U, U') as :class:`ScaledValue` results, since the prefactors
@@ -30,10 +30,10 @@ overflow doubles long before the series lose accuracy:
 
 Every double-double operation of both steps runs as straight-line code
 (:func:`_dd_code`): `_dd` writes each operation out as source, and the
-three functions composed from them are compiled once, on first use, so
-that a point pays for its float operations and not for the 210 calls of
-small routines that would carry them, with every value the same to the
-bit.
+three functions composed from them are compiled once, when this module
+loads, so that a point pays for its float operations and not for the
+210 calls of small routines that would carry them, with every value the
+same to the bit.
 
 The forms work in the scaled variable ``zhat`` (the physical argument is
 z = sqrt(2u)*zhat).  Branch conventions: the square root
@@ -47,11 +47,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
+from . import _dd
 from ._taylor_py import _compile
-from .config import LG_ORDER, U_MIN  # noqa: F401  (read as lgeval.U_MIN)
+from .config import LG_ORDER
 from .errors import TruncationWarning
 from .lgcoef import Table, make_tables
 from .scaled import ScaledValue
@@ -157,7 +158,7 @@ def parameter(u: float) -> LGParameter:
                   for c in make_tables(LG_ORDER))
     anchors = tuple(_folded_sum(odd, x, 1.0).real
                     for (_, odd), x in zip(folds, (-1.0, 1.0)))
-    qpi, s2u = _dd_code()[0](u)
+    qpi, s2u = _parameter_dd(u)
     ph = cmath.exp(-1j * qpi[0]) * cmath.exp(-1j * qpi[1])
     lq = 0.25 * math.log(2.0 * u)
     log_pref = 0.25 * u * (math.log(2.0) + 1.0 - math.log(u))
@@ -171,17 +172,13 @@ def parameter(u: float) -> LGParameter:
         (log_pref - lq, log_pref + lq), inv_gamma)
 
 
-@cache
 def _dd_code():
     """The double-double arithmetic of :func:`parameter` and :func:`pair`
     as the functions (parameter, geometry, exponents), written out once
-    from the operations of `_dd.Source` and compiled on first use.  Not
-    at import: `_dd` is imported here, and compiling it and these
-    functions would add milliseconds to every start-up.  The same rule
-    keeps this module and `lgcoef` out of `import pcfzeros`: `pcf`
-    imports them at its first LG evaluation.  The float
-    operations are those of the double-double routines composed in the
-    order written here, so every result is identical to the bit to
+    from the operations of `_dd.Source` and compiled when this module
+    loads, into `_parameter_dd`, `_geometry_dd` and `_exponents_dd`.  The
+    float operations are those of the double-double routines composed in
+    the order written here, so every result is identical to the bit to
     theirs (``tests/test_lgeval.py`` keeps the routines as the oracle).
 
     ``geometry(z, sh, sl, u)`` maps z = sqrt(2u)*zhat, with sqrt(2u) =
@@ -206,7 +203,6 @@ def _dd_code():
     x = i*phi + i*s_odd in double-double and m = |Im x|, safe for large
     |Im x|, and the exponent e0 + s_even + anchor + m as e + e_lo.
     """
-    from . import _dd
     par = _dd.Source()
     u4 = par.let("0.25 * u")
     # (u+1)pi/4 as u*pi/4 + pi/4, since u + 1 itself may round
@@ -272,6 +268,9 @@ def _dd_code():
                  + [f"return {cp}, {cm}, {e[0]}, {e[1]}"], modules))
 
 
+_parameter_dd, _geometry_dd, _exponents_dd = _dd_code()
+
+
 def pair(par: LGParameter, z: complex,
          c: complex) -> tuple[ScaledValue, ScaledValue]:
     """U(u/2, z) and U'(u/2, z) at z = sqrt(2u)*zhat, as the cosine and
@@ -288,8 +287,7 @@ def pair(par: LGParameter, z: complex,
     precondition: u >= U_MIN, and zhat in the closed second quadrant,
     off the imaginary axis and clear of the turning point i, as
     `pcf._in_lg_region` admits."""
-    _, geometry, exponents = _dd_code()
-    beta, quarter, phi = geometry(z, *par.s2u, par.u)
+    beta, quarter, phi = _geometry_dd(z, *par.s2u, par.u)
     b2 = beta * beta
     forms = []
     for tilde, (even, odd) in zip((False, True), par.folds):
@@ -297,8 +295,8 @@ def pair(par: LGParameter, z: complex,
         s_even = _folded_sum(even, beta, b2)
         if not tilde:
             s_odd = -s_odd
-        cp, cm, e, e_lo = exponents(phi, s_odd, s_even.real,
-                                    par.e[tilde], par.anchors[tilde])
+        cp, cm, e, e_lo = _exponents_dd(phi, s_odd, s_even.real,
+                                        par.e[tilde], par.anchors[tilde])
         if tilde:
             mant = -0.5 * (cp - c * cm) * quarter
         else:

@@ -11,10 +11,10 @@ negative-parameter expansions, which hold near a Hermite a, need there
 a coefficient that is 0 but keeps about 1e-30 of rounding, against a
 term e^92 times U at a = -20.5, z = -21+3i (5e27 off there).
 
-The LG layer (`lgeval`, and with it `lgcoef`) loads with the first
-evaluation `_in_lg_region` sends to it, not at import: the origin route
-never needs it, and compiling it would add milliseconds to every
-start-up.
+The LG layer (`lgeval`, and with it `lgcoef` and `_dd`) loads with the
+first evaluation `_in_lg_region` sends to it, not at import, and builds
+its double-double code as it loads: the origin route never needs it,
+and compiling it would add milliseconds to every start-up.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ from scipy.special import gammaln
 
 import pcfzeros.lgeval as lgeval
 from pcfzeros import pcf
-from pcfzeros.config import LG_ORDER, Z_MAX
+from pcfzeros.config import LG_ORDER, U_MIN, Z_MAX
 from pcfzeros.lgcoef import build_tables, make_tables
 from pcfzeros.lgeval import pair, parameter
 from pcfzeros.scaled import ScaledValue
@@ -45,7 +45,7 @@ def _geometry(par, z):
     """The geometry of `lgeval.pair` at z, as the generated code computes
     it, in the layout of `_geometry_dd`: (beta, phi, quarter), phi = u*xi
     as a (hi, lo) complex pair."""
-    beta, quarter, (pr, pr_lo, pi, pi_lo) = lgeval._dd_code()[1](
+    beta, quarter, (pr, pr_lo, pi, pi_lo) = lgeval._geometry_dd(
         z, *par.s2u, par.u)
     return beta, (complex(pr, pi), complex(pr_lo, pi_lo)), quarter
 
@@ -238,8 +238,7 @@ def test_generated_code_matches_the_routines():
     # both raise ZeroDivisionError
     rng = random.Random(20261020)
     n = 0
-    for u in (lgeval.U_MIN, 36.4, 40.0, 50.0, 60.4, 100.0, 1001.4, 4000.0,
-              1e6):
+    for u in (U_MIN, 36.4, 40.0, 50.0, 60.4, 100.0, 1001.4, 4000.0, 1e6):
         par = parameter(u)
         s = math.sqrt(2.0 * u)
         zs = [0j, s + 0j, s * 1j, s * (1j + 1e-9), s * (1j - 1e-9j),
@@ -540,12 +539,10 @@ def test_negative_route_takes_one_point(monkeypatch):
     # parameter record, with its anchor sums, serves every point at that u
     geometries = []
     sums = []
-    parameter_dd, geometry, exponents = lgeval._dd_code()
-    counted = (parameter_dd,
-               lambda *args: geometries.append(1) or geometry(*args),
-               exponents)
+    geometry = lgeval._geometry_dd
     folded_sum = lgeval._folded_sum
-    monkeypatch.setattr(lgeval, "_dd_code", lambda: counted)
+    monkeypatch.setattr(lgeval, "_geometry_dd",
+                        lambda *args: geometries.append(1) or geometry(*args))
     monkeypatch.setattr(lgeval, "_folded_sum",
                         lambda *args: sums.append(1) or folded_sum(*args))
     parameter.cache_clear()
@@ -623,11 +620,11 @@ def test_anchor_sums_never_warn():
     last = S - 1 + S % 2
     for tilde, x in ((False, -1), (True, 1)):
         assert abs(_exact(last, Fraction(x), tilde)) / (
-            Fraction(lgeval.U_MIN) ** last) < Fraction(2e-17)
+            Fraction(U_MIN) ** last) < Fraction(2e-17)
     parameter.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error", lgeval.TruncationWarning)
-        for u in (lgeval.U_MIN, 36.4, 40.0, 60.4, 100.0, 1e3, 4000.0, 1e6):
+        for u in (U_MIN, 36.4, 40.0, 60.4, 100.0, 1e3, 4000.0, 1e6):
             parameter(u)
 
 
@@ -789,33 +786,33 @@ def test_large_a_point_inside_the_gate_holds_the_exponent_resolution():
 _LAZY_BUILD = r"""
 import json, sys
 sys.path.insert(0, sys.argv[1])
-import pcfzeros
-from pcfzeros import evaluate, lgeval
+from pcfzeros import _taylor_py, evaluate
 method = evaluate(-1.7, -3 + 2j).method
-before = lgeval._dd_code.cache_info().currsize, "pcfzeros._dd" in sys.modules
-compiled = []
-compile_ = lgeval._compile
-lgeval._compile = lambda name, *args: compiled.append(name) or compile_(
+before = [m for m in ("pcfzeros.lgeval", "pcfzeros._dd") if m in sys.modules]
+compiled, counts = [], []
+compile_ = _taylor_py._compile
+_taylor_py._compile = lambda name, *args: compiled.append(name) or compile_(
     name, *args)
-methods = [evaluate(a, z).method
-           for a, z in ((20.0, -40 + 35j), (-30.2, -10 + 12j),
-                        (-30.2, -20 + 25j), (40.0, -30 + 30j))]
-info = lgeval._dd_code.cache_info()
-print(json.dumps([method, before, methods, compiled, info.misses]))
+methods = []
+for a, z in ((20.0, -40 + 35j), (-30.2, -10 + 12j), (-30.2, -20 + 25j),
+             (40.0, -30 + 30j)):
+    methods.append(evaluate(a, z).method)
+    counts.append(len(compiled))
+print(json.dumps([method, before, methods, compiled, counts]))
 """
 
 
-def test_generated_code_is_built_once_on_first_use():
+def test_generated_code_is_built_once_when_lgeval_loads():
     # compiling `_dd` and the double-double code generated from it takes
     # milliseconds, so neither the import nor the origin route loads or
-    # builds them, and the LG route builds the code once for every a and
-    # every point
+    # builds them; the first LG evaluation loads `lgeval`, which builds
+    # the code once for every a and every point
     src = Path(lgeval.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", _LAZY_BUILD, str(src)],
                           capture_output=True, text=True, check=True)
-    method, before, methods, compiled, misses = json.loads(
+    method, before, methods, compiled, counts = json.loads(
         proc.stdout.splitlines()[-1])
-    assert method == "origin-series" and before == [0, False]
+    assert method == "origin-series" and before == []
     assert methods == ["liouville-green"] * 4
     assert compiled == ["parameter_dd", "geometry_dd", "exponents_dd"]
-    assert misses == 1
+    assert counts == [3] * 4
