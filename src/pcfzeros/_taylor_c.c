@@ -10,16 +10,18 @@
    power past the largest double is inf here, as hypot and pow give, and
    the twin catches Python's OverflowError to the same effect; a try
    whose scale is not finite fails the tail test in both.  The tail test
-   lives in eval alone: taylor_eval returns its verdict with the values,
-   and step and the chain hop (pcfzeros.chain._propagated_quotient) take
-   that verdict as it comes.  step starts from the caller's expansion and
-   skips a first try that first_try_fails proves would fail that test; the
-   proof makes the twin's decision, an inf or nan here leaving the try to
-   run where the twin's OverflowError or ZeroDivisionError does. */
+   lives in eval alone, as in the twin's taylor_eval: taylor_eval returns
+   its verdict with the values, and step and the chain hop
+   (pcfzeros.chain._propagated_quotient) take that verdict as it comes.
+   step starts from the caller's expansion and skips a first try that
+   first_try_fails proves would fail that test; the proof makes the
+   twin's decision, an inf or nan here leaving the try to run where the
+   twin's OverflowError or ZeroDivisionError does.  Arguments go through
+   PyArg_ParseTuple, and scaled_derivs returns the expansion as a tuple,
+   which the API hands on as it is. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
-#include <stdarg.h>
 
 #define TAIL_TOL 1e-15
 #define MAX_SPLIT_DEPTH 6
@@ -96,8 +98,8 @@ tail_(const cplx *c, Py_ssize_t n, double ah)
 }
 
 /* (y, y') of the expansion c_0..c_n at displacement h, n >= 1, and the
-   verdict of the tail criterion of _taylor_py._tail_ok: 1 if the try is
-   accepted as it stands */
+   verdict of the tail criterion, operation for operation that of
+   _taylor_py.taylor_eval: 1 if the try is accepted as it stands */
 static int
 eval(const cplx *c, Py_ssize_t n, cplx h, cplx *y, cplx *yp)
 {
@@ -200,71 +202,37 @@ coefs(PyObject *o, Py_ssize_t *n, int spare)
     return c;
 }
 
-/* Convert the positional arguments of `name` by fmt, one letter each:
-   d double, D complex, i int, O object.  0 with an exception set if
-   the count or a conversion fails. */
-static int
-unpack(PyObject *const *args, Py_ssize_t nargs, const char *name,
-       const char *fmt, ...)
-{
-    Py_ssize_t want = (Py_ssize_t)strlen(fmt);
-    va_list va;
-    if (nargs != want) {
-        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
-                     name, want, nargs);
-        return 0;
-    }
-    va_start(va, fmt);
-    for (Py_ssize_t i = 0; i < nargs && !PyErr_Occurred(); i++) {
-        if (fmt[i] == 'd') {
-            *va_arg(va, double *) = PyFloat_AsDouble(args[i]);
-        } else if (fmt[i] == 'D') {
-            *va_arg(va, cplx *) = as_cplx(args[i]);
-        } else if (fmt[i] == 'i') {
-            long v = PyLong_AsLong(args[i]);
-            if (v < INT_MIN || v > INT_MAX)
-                PyErr_Format(PyExc_OverflowError, "%s(): %ld is out of range",
-                             name, v);
-            *va_arg(va, int *) = (int)v;
-        } else {
-            *va_arg(va, PyObject **) = args[i];
-        }
-    }
-    va_end(va);
-    return !PyErr_Occurred();
-}
-
 static PyObject *
-py_scaled_derivs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+py_scaled_derivs(PyObject *self, PyObject *args)
 {
     double a;
     cplx z0, y0, y1, *c;
     int n;
-    if (!unpack(args, nargs, "scaled_derivs", "dDDDi", &a, &z0, &y0, &y1, &n))
+    if (!PyArg_ParseTuple(args, "dDDDi:scaled_derivs", &a, &z0, &y0, &y1, &n))
         return NULL;
     Py_ssize_t m = ncoef(n);
     if ((c = PyMem_New(cplx, m + 1)) == NULL)
         return PyErr_NoMemory();
     derivs(a, z0, y0, y1, m, c);
-    PyObject *list = PyList_New(m + 1);
-    for (Py_ssize_t i = 0; list != NULL && i <= m; i++) {
+    PyObject *tuple = PyTuple_New(m + 1);
+    for (Py_ssize_t i = 0; tuple != NULL && i <= m; i++) {
         PyObject *v = PyComplex_FromCComplex(c[i]);
         if (v == NULL)
-            Py_CLEAR(list);
+            Py_CLEAR(tuple);
         else
-            PyList_SET_ITEM(list, i, v);
+            PyTuple_SET_ITEM(tuple, i, v);
     }
     PyMem_Free(c);
-    return list;
+    return tuple;
 }
 
 static PyObject *
-py_taylor_eval(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+py_taylor_eval(PyObject *self, PyObject *args)
 {
     PyObject *seq;
     Py_ssize_t n;
     cplx h, y, yp, *c;
-    if (!unpack(args, nargs, "taylor_eval", "OD", &seq, &h)
+    if (!PyArg_ParseTuple(args, "OD:taylor_eval", &seq, &h)
         || !(c = coefs(seq, &n, 0)))
         return NULL;
     int ok = eval(c, n, h, &y, &yp);
@@ -273,13 +241,13 @@ py_taylor_eval(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-py_step_once(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+py_step_once(PyObject *self, PyObject *args)
 {
     double a;
     PyObject *seq;
     Py_ssize_t n;
     cplx z0, h, y, yp, *c;
-    if (!unpack(args, nargs, "step_once", "dDOD", &a, &z0, &seq, &h)
+    if (!PyArg_ParseTuple(args, "dDOD:step_once", &a, &z0, &seq, &h)
         || !(c = coefs(seq, &n, 1)))
         return NULL;
     int good = step(a, z0, c, n, h, c + n + 1, &y, &yp);
@@ -288,14 +256,14 @@ py_step_once(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-py_propagate_polyline(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+py_propagate_polyline(PyObject *self, PyObject *args)
 {
     double a, logscale = 0.0;
     cplx zc, yc, ypc, *c;
     PyObject *wp, *res = NULL;
     int order, good = 1;
-    if (!unpack(args, nargs, "propagate_polyline", "dDDDOi",
-                &a, &zc, &yc, &ypc, &wp, &order)
+    if (!PyArg_ParseTuple(args, "dDDDOi:propagate_polyline",
+                          &a, &zc, &yc, &ypc, &wp, &order)
         || !(wp = PySequence_Fast(wp, "waypoints must be iterable")))
         return NULL;
     Py_ssize_t n = ncoef((Py_ssize_t)order + 1);
@@ -338,13 +306,13 @@ py_propagate_polyline(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef methods[] = {
-    {"scaled_derivs", (PyCFunction)py_scaled_derivs, METH_FASTCALL,
-     "Scaled derivatives c_0..c_n at z0 (n+1 entries, n >= 3)."},
-    {"taylor_eval", (PyCFunction)py_taylor_eval, METH_FASTCALL,
+    {"scaled_derivs", py_scaled_derivs, METH_VARARGS,
+     "Scaled derivatives c_0..c_n at z0, a tuple of n+1 entries (n >= 3)."},
+    {"taylor_eval", py_taylor_eval, METH_VARARGS,
      "Evaluate (y, yprime, ok) of the expansion at displacement h."},
-    {"step_once", (PyCFunction)py_step_once, METH_FASTCALL,
+    {"step_once", py_step_once, METH_VARARGS,
      "One step of size h from the expansion c0; returns (y, yprime, ok)."},
-    {"propagate_polyline", (PyCFunction)py_propagate_polyline, METH_FASTCALL,
+    {"propagate_polyline", py_propagate_polyline, METH_VARARGS,
      "Propagate along straight segments; returns (y, yprime, logscale, ok)."},
     {NULL, NULL, 0, NULL}
 };

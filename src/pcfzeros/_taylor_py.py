@@ -5,14 +5,14 @@ from the hand-written `_taylor_c.c`, is the compiled twin, with the same
 operations in the same order and so the same results to the bit
 (`tests/test_kernels_equiv.py`); a change to the arithmetic here must be
 made there too.  Selection happens in `pcfzeros.taylor` at import time.
-`taylor_eval` and `step_once` take the caller's expansion, the sequence
-`scaled_derivs` returns.  The tail criterion `_tail_ok` is the one home
-of the step rule: `step_once` applies it to each try, and `taylor_eval`
-returns its verdict with the values, which the chain hop
-(`pcfzeros.chain._propagated_quotient`) takes as it comes.  `step_once`
-skips only a first try that `_first_try_fails` proves the rule rejects,
-in constant time from a majorant of the ODE, so every Horner sum of a
-step goes through `taylor_eval`.
+`scaled_derivs` returns the expansion as a tuple, which `taylor` hands
+on as it is; `taylor_eval` and `step_once` take the caller's expansion.
+`taylor_eval` is the one home of the tail criterion, the step rule: it
+returns its verdict with the values, and `step_once` and the chain hop
+(`pcfzeros.chain._propagated_quotient`) take that verdict as it comes.
+`step_once` skips only a first try that `_first_try_fails` proves the
+rule rejects, in constant time from a majorant of the ODE, so every
+Horner sum of a step goes through `taylor_eval`.
 `taylor.step_batch` runs `scaled_derivs` and `_horner` on numpy arrays,
 whose complex products and complex/float quotients can round
 differently from CPython's, so the batch matches this kernel's first
@@ -95,7 +95,7 @@ def _recurrence(n: int):
     body += [f"{c[k + 2]} = (q * {c[k]} + hz * {c[k - 1]}"
              f" + {c[k - 2]} * 0.25) / {float((k + 1) * (k + 2))!r}"
              for k in range(2, n - 1)]
-    body.append(f"return [{', '.join(c)}]")
+    body.append(f"return ({', '.join(c)})")
     return _compile(f"scaled_derivs_{len(c) - 1}", "a, z0, y0, y1", body)
 
 
@@ -117,34 +117,28 @@ def _horner(n: int):
 
 
 def scaled_derivs(a: float, z0: complex, y0: complex, y1: complex, n: int):
-    """Scaled derivatives c_0..c_n at z0 (n+1 entries, n >= 3)."""
+    """Scaled derivatives c_0..c_n at z0, a tuple of n+1 entries
+    (n >= 3)."""
     return _recurrence(n)(a, z0, y0, y1)
 
 
 def taylor_eval(c, h: complex):
     """Evaluate (y, y') of the expansion at displacement h.
 
-    Returns (y, yprime, ok), ok the verdict of the tail criterion
-    `_tail_ok`: the try is accepted as it stands.
-    """
-    n = len(c) - 1
-    if n < 1:
-        raise ValueError("need at least two coefficients")
-    y, yp = _horner(n)(c, h)
-    return y, yp, _tail_ok(c, h, y, yp)
-
-
-def _tail_ok(c, h, y, yp):
-    """The tail criterion of a try (y, y') of the expansion c_0..c_n at
-    displacement h: tail <= TAIL_TOL max(|y|, |h| |y'|, 1e-300) on a
-    finite scale, tail the larger of the last two terms of the y-sum (a
-    single term can vanish by parity at symmetric expansion points).
+    Returns (y, yprime, ok), ok the verdict of the tail criterion, whose
+    one home this is: the try is accepted as it stands if
+    tail <= TAIL_TOL max(|y|, |h| |y'|, 1e-300) on a finite scale, tail
+    the larger of the last two terms of the y-sum (a single term can
+    vanish by parity at symmetric expansion points).
 
     A modulus or a power of |h| past the largest double counts as inf,
     as C's hypot and pow give where Python raises OverflowError, so the
     verdict is the compiled kernel's.
     """
     n = len(c) - 1
+    if n < 1:
+        raise ValueError("need at least two coefficients")
+    y, yp = _horner(n)(c, h)
     try:
         ah = abs(h)
         tail = max(abs(c[n]) * ah ** n, abs(c[n - 1]) * ah ** (n - 1))
@@ -159,13 +153,13 @@ def _tail_ok(c, h, y, yp):
         tail = max(big(abs, c[n]) * big(pow, ah, n),
                    big(abs, c[n - 1]) * big(pow, ah, n - 1))
         bound = TAIL_TOL * max(big(abs, y), ah * big(abs, yp), 1e-300)
-    return tail <= bound < math.inf
+    return y, yp, tail <= bound < math.inf
 
 
 def _first_try_fails(a: float, z0: complex, c, h: complex) -> bool:
-    """True if the try of c at h surely fails the tail test of `_tail_ok`,
-    decided in constant time without evaluating it; c is the expansion
-    c_0..c_n at z0 for parameter a, or a truncation of it.
+    """True if the try of c at h surely fails the tail test of
+    `taylor_eval`, decided in constant time without evaluating it; c is
+    the expansion c_0..c_n at z0 for parameter a, or a truncation of it.
 
     The ODE's majorant Y'' = ((|z0| + t)^2/4 + |a|) Y, Y(0) = |c_0|,
     Y'(0) = |c_1| has Taylor coefficients Y_k >= |c_k|, so |y| and |h| |y'|
@@ -175,7 +169,7 @@ def _first_try_fails(a: float, z0: complex, c, h: complex) -> bool:
 
         B = max(|c_0| + |c_1|/kappa, r (kappa |c_0| + |c_1|)) e^(kappa r).
 
-    The try fails if its tail, computed as `_tail_ok` computes it, exceeds
+    The try fails if its tail, computed as `taylor_eval` computes it, exceeds
     2 TAIL_TOL max(B, 1e-300); the factor 2 covers the rounding of the
     expansion, the sums and the test.  An overflow, a zero division or a
     nan leaves the try uncertified, as the compiled kernel's inf and nan

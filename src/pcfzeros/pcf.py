@@ -160,7 +160,7 @@ def _path_waypoints(a: float, z: complex) -> list[complex]:
     c = x * x - y * y          # Re z^2, conserved on the second leg
     s_end = 2.0 * x * y        # Im z^2, swept from 0 to its target value
     if c >= 0.0:
-        p = complex(math.copysign(math.sqrt(c), x if x != 0.0 else 1.0), 0.0)
+        p = complex(math.copysign(math.sqrt(c), x), 0.0)
     else:
         p = complex(0.0, math.sqrt(-c))
     pts: list[complex] = []

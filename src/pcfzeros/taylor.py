@@ -27,9 +27,9 @@ h_max = _taylor_py.h_max
 def derivatives_at(a: float, z0: complex, y0: complex,
                    y1: complex) -> tuple[complex, ...]:
     """Expansion c_0..c_{N+1}, c_k = y^(k)(z0)/k! and N = TAYLOR_ORDER,
-    of the solution with (y, y') = (y0, y1) at z0, as a tuple: N+1 terms
-    for y and for y'."""
-    return tuple(kernel.scaled_derivs(a, z0, y0, y1, TAYLOR_ORDER + 1))
+    of the solution with (y, y') = (y0, y1) at z0: N+1 terms for y and
+    for y', as the tuple the kernel returns."""
+    return kernel.scaled_derivs(a, z0, y0, y1, TAYLOR_ORDER + 1)
 
 
 def step(a: float, z0: complex, c, h: complex) -> tuple[complex, complex]:
@@ -51,13 +51,13 @@ def step_batch(a: float, z0, y0, y1, h):
     that shape.  Returns complex arrays (y, yprime) and a boolean array
     ok.  The expansion and the Horner sums are the pure-Python kernel's
     generated code (`scaled_derivs`, `_horner`) run on arrays, and the
-    acceptance test takes the operations of `_tail_ok` in the same
-    order; but numpy may round complex products, complex/float quotients
-    and moduli differently from CPython, so the values match the
-    kernel's first try to rounding (the tests hold them to 1e-13), not
-    bit for bit.  ok is true where the tail criterion holds on a finite
-    scale, at any |h|.  Where ok is false `step` would subdivide or
-    `propagate` take several steps, and (y, yprime) are not to be used.
+    acceptance test is `taylor_eval`'s, operation for operation; but
+    numpy may round complex products, complex/float quotients and moduli
+    differently from CPython, so the values match the kernel's first try
+    to rounding (the tests hold them to 1e-13), not bit for bit.  ok is
+    true where the tail criterion holds on a finite scale, at any |h|.
+    Where ok is false `step` would subdivide or `propagate` take several
+    steps, and (y, yprime) are not to be used.
     """
     import numpy as np   # the batched step is the package's one numpy user
     z0 = np.asarray(z0, dtype=complex)
@@ -78,7 +78,7 @@ def step_batch(a: float, z0, y0, y1, h):
 def propagate(a: float, z0: complex, y0: complex, y1: complex, waypoints):
     """Propagate (y, y') along a polyline; returns (y, yprime, logscale)."""
     y, yp, logscale, ok = kernel.propagate_polyline(
-        a, z0, y0, y1, list(waypoints), TAYLOR_ORDER)
+        a, z0, y0, y1, waypoints, TAYLOR_ORDER)
     if not ok:
         raise StepFailureError(
             f"propagation from {z0} failed the tail criterion")

@@ -200,6 +200,38 @@ def test_too_short_expansions_raise(request, kernel):
 
 
 @pytest.mark.parametrize("kernel", ["python", "c"])
+def test_entry_point_arguments(request, kernel):
+    # the compiled kernel's arguments go through PyArg_ParseTuple, the
+    # twin's through Python's own call and arithmetic: both raise
+    # TypeError for a missing argument and for a string in a number's
+    # place, and return results of the same types
+    k = (request.getfixturevalue("compiled") if kernel == "c"
+         else _taylor_py)
+    c = k.scaled_derivs(1.0, 0.5j, 1.0 + 0j, 0j, 31)
+    assert type(c) is tuple and {type(v) for v in c} == {complex}
+    calls = {"scaled_derivs": ((1.0, 0.5j, 1.0 + 0j, 0j, 31), None),
+             "taylor_eval": ((c, 0.1 + 0j), (complex, complex, bool)),
+             "step_once": ((1.0, 0.5j, c, 0.1 + 0j), (complex, complex, bool)),
+             "propagate_polyline": ((1.0, 0j, 1.0 + 0j, 0j, [0.5j], 30),
+                                    (complex, complex, float, bool))}
+    for name, (args, types) in calls.items():
+        f = getattr(k, name)
+        if types:
+            assert tuple(type(v) for v in f(*args)) == types, name
+        with pytest.raises(TypeError):
+            f(*args[:-1])
+        with pytest.raises(TypeError):
+            f(*args[:-1], "0.1")
+    if kernel == "c":
+        # the order is a C int; the twin would generate a function of
+        # that many terms
+        with pytest.raises(OverflowError):
+            k.scaled_derivs(1.0, 0.5j, 1.0 + 0j, 0j, 2**40)
+        with pytest.raises(OverflowError):
+            k.propagate_polyline(1.0, 0j, 1.0 + 0j, 0j, [0.5j], 2**40)
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
 def test_step_is_step_once(request, use_kernel, kernel):
     use_kernel(request.getfixturevalue("compiled") if kernel == "c"
                else _taylor_py)

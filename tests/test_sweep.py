@@ -3,9 +3,10 @@
 Every fourth a of the sweep a = -40 + 0.37 i, i = 0..216, none of them a
 Hermite a, at L = 6, 13 and 25: each run must raise nothing, report at
 most `max_zero_index` zeros, and check every zero to 1e-13.  Past
-|a| = 40, a = +-50.3, 100.3, 200.3, 500.3 and 1000.3 at L = 20, 60 and
-150 must do the same, and their first, middle and last zeros must lie
-within 1e-13 relative Newton distance of mpmath's `pcfu`.
+|a| = 40, a = +-50.3, 100.3, 200.3, 500.3, 1000.3, 2000.3, 5000.3 and
+10000.3 at L = 20, 60 and 150, less five slow runs, must do the same,
+and their first, middle and last zeros must lie within 1e-13 relative
+Newton distance of mpmath's `pcfu`.
 """
 import math
 
@@ -47,14 +48,22 @@ def test_sweep_run(a, L):
 
 
 LARGE_A = [sign * m for sign in (1, -1)
-           for m in (50.3, 100.3, 200.3, 500.3, 1000.3)]
+           for m in (50.3, 100.3, 200.3, 500.3, 1000.3, 2000.3, 5000.3,
+                     10000.3)]
 LARGE_L = (20.0, 60.0, 150.0)
 # runs whose first-zero refinement does not converge: the estimate sits
 # tens of zeros from the index it claims, mid-gap, and each iteration
 # moves about one zero spacing (ROADMAP items 3 and 13)
 LARGE_NO_FIRST_ZERO = (
-    {(a, L) for a in (100.3, 200.3, 500.3, 1000.3) for L in LARGE_L}
+    {(a, L) for a in (100.3, 200.3, 500.3, 1000.3, 2000.3, 5000.3, 10000.3,
+                      -2000.3, -5000.3, -10000.3) for L in LARGE_L}
     | {(-500.3, 20.0), (-1000.3, 20.0), (-1000.3, 60.0)})
+# runs left out: they raise ConvergenceError too, but only after 1.8 to
+# 9.1 s each on the pure-Python kernel, as their first-zero iterates
+# lie below Im z = LG_GATE and take the origin route at |z| of 150-390
+# (ROADMAP items 6 and 13)
+LARGE_SLOW = {(2000.3, 20.0), (5000.3, 20.0), (5000.3, 60.0),
+              (10000.3, 20.0), (10000.3, 60.0)}
 # runs whose last zero, carried inward hop by hop, drifts off mpmath past
 # 1e-13 (the distance given) while `verify_zeros`, which measures the
 # chain's self-consistency, reads about 1e-16; `pcf.evaluate` there agrees
@@ -68,6 +77,8 @@ LARGE_DRIFT = {(50.3, 60.0): 1.5e-13, (50.3, 150.0): 1.0e-12,
 def _large_params():
     for a in LARGE_A:
         for L in LARGE_L:
+            if (a, L) in LARGE_SLOW:
+                continue
             if (a, L) in LARGE_NO_FIRST_ZERO:
                 marks = pytest.mark.xfail(
                     strict=True, raises=ConvergenceError,
