@@ -87,9 +87,9 @@ def build_tables(S: int, tilde: bool = False) -> list[Poly]:
     family (function expansions) with E_1 = (5 b^3 - 6 b)/24, the tilde
     family (derivative expansions, ``tilde=True``) with
     Et_1 = (7 b^3 - 6 b)/24.  Every higher order comes from the recurrence
-        F_{s+1} = +-(1/2) (b^2-1)^2 F_s' +- (1/2) Int_{sigma(s)}^{b} (p^2-1)^2
-                  sum_{j=1}^{s-1} F_j'(p) F_{s-j}'(p) dp,
-    with the upper signs for the base family and the lower ones for the
+        F_{s+1} = +-(1/2) [(b^2-1)^2 F_s' + Int_{sigma(s)}^{b} (p^2-1)^2
+                  sum_{j=1}^{s-1} F_j'(p) F_{s-j}'(p) dp],
+    with the upper sign for the base family and the lower one for the
     tilde family, and the lower limit sigma(s) = 1 for s odd, 0 for s
     even.  At s = 1 the sum is empty, so F_2 = +-(1/2) (b^2-1)^2 F_1',
     which is the printed E_2 = (1/16) (b^2-1)^2 (5 b^2 - 2) and
@@ -100,18 +100,16 @@ def build_tables(S: int, tilde: bool = False) -> list[Poly]:
     sign, c3 = (-1, 7) if tilde else (1, 5)
     F: list[Poly] = [([0, -6, 0, c3], 24)]
     dF = [poly_diff(F[0])]
-    for s in range(1, S):
-        # builds F_{s+1} (index s in the 0-based list)
-        term = poly_scale(poly_mul(_W, dF[s - 1]), sign, 2)
+    for s in range(1, S):   # builds F_{s+1}, index s in the 0-based list
         # the convolution is symmetric in j <-> s - j: each pair once, doubled
         conv: Poly = ([], 1)
         for j in range(1, s // 2 + 1):
             prod = poly_mul(dF[j - 1], dF[s - j - 1])
             conv = poly_add(conv, poly_scale(prod, 1 if 2 * j == s else 2, 1))
-        term = poly_add(term, poly_scale(
-            poly_integral_from(poly_mul(_W, conv), s % 2), sign, 2))
-        F.append(term)
-        dF.append(poly_diff(term))
+        F.append(poly_scale(poly_add(
+            poly_mul(_W, dF[s - 1]),
+            poly_integral_from(poly_mul(_W, conv), s % 2)), sign, 2))
+        dF.append(poly_diff(F[-1]))
     return F
 
 

@@ -53,19 +53,19 @@ def is_hermite(a: float) -> bool:
     return k >= 1 and abs(math.fsum((a, k, -0.5))) < 1e-12
 
 
-# Cephes lgam: ln(pi), ln(sqrt(2 pi)) and the overflow threshold
+# Cephes lgam: ln(pi) and ln(sqrt(2 pi))
 _LOGPI = 1.14472988584940017414
 _LS2PI = 0.91893853320467274178
-_MAXLGM = 2.556348e305
 
 
 def log_gamma(x: float) -> float:
     """ln |Gamma(x)| for real x, +inf at the poles: the Cephes `lgam`
     algorithm, operation for operation, so that it rounds as
-    scipy.special.gammaln does.  Reflection below -34, the recurrence
-    into [2, 3) and a rational there below 13, Stirling's series above,
-    cut to three terms from 1000 and to none above 1e8.  The Horner
-    sums are written out, c*x - d rounding as c*x + (-d) does."""
+    scipy.special.gammaln does, save that it is finite, not inf, from
+    Cephes' cut 2.556348e305 to the sum's overflow at 2.55634816e305.
+    Reflection below -34, the recurrence into [2, 3) and a rational there
+    below 13, Stirling's series above, cut to three terms from 1000.  The
+    Horner sums are written out, c*x - d rounding as c*x + (-d) does."""
     if not math.isfinite(x):
         return x
     if x < -34.0:
@@ -109,11 +109,7 @@ def log_gamma(x: float) -> float:
                  * x - 1.13933444367982507207E6) * x
                 - 2.53252307177582951285E6) * x - 2.01889141433532773231E6)
         return math.log(z) + x * num / den
-    if x > _MAXLGM:
-        return math.inf
     q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
     p = 1.0 / (x * x)
     if x >= 1000.0:
         return q + ((7.9365079365079365079365e-4 * p

@@ -43,6 +43,17 @@ def test_log_gamma_equals_scipy_gammaln():
     assert not bad, f"{len(bad)} of {len(xs)} differ, first {bad[0]}"
 
 
+def test_finite_past_the_cephes_overflow_cut():
+    # Cephes returns inf past 2.556348e305, where ln Gamma is still
+    # finite; the Stirling sum here runs on to its own overflow, and at
+    # both ends of that window it is within an ulp of math.lgamma
+    cut, top = 2.556348e305, 2.5563481638716906e305
+    for x in (math.nextafter(cut, math.inf), top):
+        assert gammaln(x) == math.inf
+        assert abs(log_gamma(x) - math.lgamma(x)) <= math.ulp(log_gamma(x))
+    assert log_gamma(math.nextafter(top, math.inf)) == math.inf
+
+
 def test_gamma_sign_equals_scipy_gammasgn_off_the_poles():
     # gammasgn casts floor(x) to a C int, so the comparison stops at 2^31
     xs = _arguments(seed=13)
