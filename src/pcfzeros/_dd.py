@@ -23,7 +23,7 @@ Pair = tuple[str, str]          # a double-double, as (hi, lo) operands
 class Source:
     """The body of a straight-line function being written: `lines`,
     with every intermediate in a fresh local t1, t2, ...  Operands are
-    local names, literals, or negated names."""
+    local names, literals, negated names, or the differences of `neg`."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -62,6 +62,11 @@ class Source:
         return p, self.let(f"(({ah} * {bh} - {p}) + {ah} * {bl}"
                            f" + {al} * {bh}) + {al} * {bl}")
 
+    def neg(self, x: Pair) -> Pair:
+        """-x as operands, no line: 0.0 - each part, as mul_d(x, "-1.0")
+        rounds it, a zero part included (+0.0)."""
+        return f"(0.0 - {x[0]})", f"(0.0 - {x[1]})"
+
     def add(self, x: Pair, y: Pair) -> Pair:
         s, e = self.two_sum(x[0], y[0])
         return self.quick_two_sum(s, self.let(f"{e} + ({x[1]} + {y[1]})"))
@@ -95,8 +100,7 @@ class Source:
 
     def cmul(self, x, y):
         (xr, xi), (yr, yi) = x, y
-        return (self.add(self.mul(xr, yr),
-                         self.mul_d(self.mul(xi, yi), "-1.0")),
+        return (self.add(self.mul(xr, yr), self.neg(self.mul(xi, yi))),
                 self.add(self.mul(xr, yi), self.mul(xi, yr)))
 
     def cmul_d(self, x, d: str):

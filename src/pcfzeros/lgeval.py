@@ -178,8 +178,10 @@ def _dd_code():
     from the operations of `_dd.Source` and compiled when this module
     loads, into `_parameter_dd`, `_geometry_dd` and `_exponents_dd`.  The
     float operations are those of the double-double routines composed in
-    the order written here, so every result is identical to the bit to
-    theirs (``tests/test_lgeval.py`` keeps the routines as the oracle).
+    the order written here, less those that change no bit (hi + lo of a
+    normalised pair is hi, a product by -1 is `_dd.Source.neg`, by 1/2
+    then u one by u/2), so every result is identical to the bit to theirs
+    (``tests/test_lgeval.py`` keeps the routines as the oracle).
 
     ``geometry(z, sh, sl, u)`` maps z = sqrt(2u)*zhat, with sqrt(2u) =
     sh + sl, to (beta, quarter, phi): beta = zhat/w and quarter = sqrt(w)
@@ -214,16 +216,14 @@ def _dd_code():
     s2 = ("sh", "sl")
     zh = (geo.div((geo.let("z.real"), "0.0"), s2),
           geo.div((geo.let("z.imag"), "0.0"), s2))
-    zhat = geo.let(f"complex({zh[0][0]} + {zh[0][1]}, "
-                   f"{zh[1][0]} + {zh[1][1]})")
+    zhat = geo.let(f"complex({zh[0][0]}, {zh[1][0]})")
     w2 = geo.cadd(geo.cmul(zh, zh), (("1.0", "0.0"), ("0.0", "0.0")))
     # w = r + (w2 - r^2)/(2r), r the principal double root; at w2 = 0 the
     # quotient raises ZeroDivisionError, as beta = zhat/w would
     r = geo.let(f"cmath.sqrt(complex({w2[0][0]}, {w2[1][0]}))")
     rdd = (geo.let(f"{r}.real"), "0.0"), (geo.let(f"{r}.imag"), "0.0")
-    res = geo.cadd(w2, geo.cmul_d(geo.cmul(rdd, rdd), "-1.0"))
-    corr = geo.let(f"complex({res[0][0]} + {res[0][1]}, "
-                   f"{res[1][0]} + {res[1][1]}) / (2.0 * {r})")
+    res = geo.cadd(w2, tuple(map(geo.neg, geo.cmul(rdd, rdd))))
+    corr = geo.let(f"complex({res[0][0]}, {res[1][0]}) / (2.0 * {r})")
     w = geo.let(f"{r} + {corr}")
     wdd = ((rdd[0][0], geo.let(f"{corr}.real")),
            (rdd[1][0], geo.let(f"{corr}.imag")))
@@ -234,8 +234,7 @@ def _dd_code():
     log_lo = geo.let(f"complex({zw[0][1]}, {zw[1][1]}) / {zw_hi}")
     asinh = ((geo.let(f"{log}.real"), geo.let(f"{log_lo}.real")),
              (geo.let(f"{log}.imag"), geo.let(f"{log_lo}.imag")))
-    xi = geo.cmul_d(geo.cadd(geo.cmul(zh, wdd), asinh), "0.5")
-    phi = geo.cmul_d(xi, "u")
+    phi = geo.cmul_d(geo.cadd(geo.cmul(zh, wdd), asinh), geo.let("0.5 * u"))
     quarter = geo.let(f"cmath.sqrt({w})")
 
     # x = i*phi + i*s_odd: Re x = -Im(phi) - Im(s_odd), Im x = Re(phi)

@@ -13,7 +13,8 @@ import pytest
 from scipy.special import gammaln
 
 import pcfzeros.lgeval as lgeval
-from pcfzeros import pcf
+from pcfzeros import _dd, pcf
+from pcfzeros._taylor_py import _compile
 from pcfzeros.config import LG_ORDER, U_MIN, Z_MAX
 from pcfzeros.lgcoef import build_tables, make_tables
 from pcfzeros.lgeval import pair, parameter
@@ -60,7 +61,9 @@ def _geometry_at(u, zhat):
 # straight-line code, as plain functions on (hi, lo) pairs of doubles and
 # on pairs of complex doubles taken componentwise, and the geometry and
 # the exponents of `pair` as they computed them: the oracle the generated
-# code must match to the bit.
+# code must match to the bit.  The oracle keeps the steps the generated
+# code leaves out because they change no bit (its products by -1 and by
+# 1/2, and hi + lo of a normalised pair).
 
 def two_sum(a, b):
     s = a + b
@@ -260,6 +263,35 @@ def test_generated_code_matches_the_routines():
     assert _outcome(_geometry, parameter(50.0), 10j).startswith(
         "(<class 'ZeroDivisionError'>")
     assert n >= 3000
+
+
+def test_neg_rounds_as_a_product_by_minus_one():
+    # `_dd.Source.neg` writes no line, and its operands take the bits,
+    # signed zeros included, of the product by -1.0 it replaces, whose
+    # zero parts come out +0.0 (plain -x would give -0.0 for +0.0): a
+    # seeded corpus of normalised pairs, two_sum outputs and pairs whose
+    # low part is +-0.0, over hi of both signs, zero and 2^-60 to 2^60
+    rng = random.Random(20261021)
+    pairs = [(h, l) for h in (0.0, -0.0, 1.0, -1.0) for l in (0.0, -0.0)]
+    for _ in range(3000):
+        h = math.copysign(2.0 ** rng.uniform(-60.0, 60.0), rng.random() - 0.5)
+        b = h * rng.uniform(-1.0, 1.0) * 2.0 ** -rng.randint(0, 60)
+        pairs += [(h, 0.0), (h, -0.0),
+                  (h, math.ulp(h) * rng.uniform(-0.5, 0.5)), two_sum(h, b)]
+    src = _dd.Source()
+    prod = src.mul_d(("h", "l"), "-1.0")
+    lines = len(src.lines)
+    neg = src.neg(("h", "l"))
+    assert len(src.lines) == lines
+    f = _compile("f", "h, l", src.lines + [
+        f"return ({prod[0]}, {prod[1]}), ({neg[0]}, {neg[1]})"])
+    seen = 0
+    for h, l in pairs:
+        assert h + l == h, (h, l)
+        want, got = f(h, l)
+        assert repr(got) == repr(want), (h, l)
+        seen += repr(-l) != repr(want[1])
+    assert seen >= 3000 and len(pairs) >= 12000
 
 
 def test_xi_bar_anchors():

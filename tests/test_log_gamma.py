@@ -16,17 +16,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _arguments(seed, n=20000):
-    """Seeded arguments in every branch of Cephes lgam, plus the integers
-    (the poles, where both give +inf, at and below 0) and half-integers
-    of [-200, 200) and the branch edges."""
+    """Seeded arguments in every branch of Cephes lgam (above 13 its
+    Stirling series has five terms, three from 1000 and none from 1e8;
+    log_gamma keeps five), plus the integers (the poles, where both give
+    +inf, at and below 0) and half-integers of [-200, 200) and the branch
+    edges."""
     rng = np.random.default_rng(seed)
     return np.concatenate([
         rng.uniform(-34.0, 13.0, n),                  # recurrence, rational
         rng.uniform(-300.0, -34.0, n),                # reflection
         -np.exp(rng.uniform(math.log(34.0), math.log(1e300), n)),
-        rng.uniform(13.0, 1000.0, n),                 # Stirling, A series
-        rng.uniform(1000.0, 1e8, n),                  # three-term tail
-        np.exp(rng.uniform(math.log(1e8), math.log(1e308), n)),  # bare
+        rng.uniform(13.0, 1000.0, n),                 # Stirling, 5 terms
+        rng.uniform(1000.0, 1e8, n),                  # 3 terms in Cephes
+        np.exp(rng.uniform(math.log(1e8), math.log(1e308), n)),  # none
         np.exp(rng.uniform(-745.0, 0.0, n)),          # near the pole at 0
         np.arange(-200.0, 200.0, 0.5),
         [-34.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305, 1e306,

@@ -261,6 +261,31 @@ def test_path_independence():
     assert abs(v1 - v2) < 1e-10 * abs(v1)
 
 
+@pytest.mark.parametrize("a", [-30.2, -1.7, 2.3, 20.5])
+def test_path_waypoints_on_and_near_the_axes(a):
+    # where |Im z^2| <= 1 the path is the axis point p that the hyperbola
+    # Re w^2 = Re z^2 meets, kept if |p| > 1e-12, and then z: on the real
+    # axis of both signs, the positive imaginary axis, at z = 0, off the
+    # axes with |Im z^2| < 1e-12, and at Im z^2 = -0.6
+    cases = [
+        (complex(5.0, 0.0), [complex(5.0, 0.0)]),
+        (complex(-5.0, 0.0), [complex(-5.0, 0.0)]),
+        (complex(-150.0, 0.0), [complex(-150.0, 0.0)]),
+        (complex(5.0, -0.0), [complex(5.0, 0.0)]),
+        (complex(0.0, 7.0), [complex(0.0, 7.0)]),
+        (complex(-0.0, 7.0), [complex(0.0, 7.0)]),
+        (complex(0.0, 0.0), []),
+        (complex(-0.0, 0.0), []),
+        (complex(-3.0, 1e-14), [complex(-3.0, 0.0)]),
+        (complex(1e-14, 4.0), [complex(0.0, 4.0)]),
+        (complex(-4.0, 1e-13), [complex(-4.0, 0.0)]),
+        (complex(-1e-13, 1e-13), []),
+        (complex(-3.0, 0.1), [complex(-math.sqrt(9.0 - 0.1 * 0.1), 0.0)]),
+    ]
+    for z, axis in cases:
+        assert repr(pcf._path_waypoints(a, z)) == repr(axis + [z]), (a, z)
+
+
 def test_dispatch_continuity_near_gate():
     # crossing the automatic Taylor/LG boundary must not jump the value
     a = 25.0
