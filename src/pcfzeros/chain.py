@@ -90,7 +90,7 @@ def first_zero_estimate(a: float, L: float) -> tuple[int, complex]:
     if L <= 2.0:
         raise ValueError("L must exceed 2")
     aa = abs(a)
-    m = max(0, round(_string_index(a, L)))
+    m = round(_string_index(a, L))
     tau_m = complex(
         (2.0 * m + 0.5 - aa) * math.pi,
         -0.5 * math.log(math.pi) - (aa + 0.5) * math.log(2.0)

@@ -55,11 +55,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return _reduce(out, pd * qd)
 
 
-def poly_scale(p: Poly, num: int, den: int) -> Poly:
-    """p times num/den, den positive."""
-    return _reduce([num * c for c in p[0]], p[1] * den)
-
-
 def poly_diff(p: Poly) -> Poly:
     nums, den = p
     return _reduce([k * nums[k] for k in range(1, len(nums))], den)
@@ -104,11 +99,11 @@ def build_tables(S: int, tilde: bool = False) -> list[Poly]:
         # the convolution is symmetric in j <-> s - j: each pair once, doubled
         conv: Poly = ([], 1)
         for j in range(1, s // 2 + 1):
-            prod = poly_mul(dF[j - 1], dF[s - j - 1])
-            conv = poly_add(conv, poly_scale(prod, 1 if 2 * j == s else 2, 1))
-        F.append(poly_scale(poly_add(
+            conv = poly_add(conv, poly_mul(poly_mul(dF[j - 1], dF[s - j - 1]),
+                                           ([1 if 2 * j == s else 2], 1)))
+        F.append(poly_mul(poly_add(
             poly_mul(_W, dF[s - 1]),
-            poly_integral_from(poly_mul(_W, conv), s % 2)), sign, 2))
+            poly_integral_from(poly_mul(_W, conv), s % 2)), ([sign], 2)))
         dF.append(poly_diff(F[-1]))
     return F
 

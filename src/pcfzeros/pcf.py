@@ -59,29 +59,27 @@ _LS2PI = 0.91893853320467274178
 
 
 def log_gamma(x: float) -> float:
-    """ln |Gamma(x)| for real x, +inf at the poles: the Cephes `lgam`
-    algorithm, so that it rounds as scipy.special.gammaln does, save that
-    it is finite, not inf, from Cephes' cut 2.556348e305 to the sum's
-    overflow at 2.55634816e305.  Reflection below -34, the recurrence into
-    [2, 3) and a rational there below 13, Stirling's five-term series
-    above (Cephes' three from 1000 gave the same doubles where sampled).
-    The Horner sums are written out, c*x - d rounding as c*x + (-d) does."""
+    """ln |Gamma(x)| for real x: the Cephes `lgam` algorithm, so that it
+    rounds as scipy.special.gammaln does, save that it is finite, not inf,
+    from Cephes' cut 2.556348e305 to the sum's overflow at 2.55634816e305.
+    The poles are the one rule: +inf at every integer x <= 0, -0.0 too.
+    Reflection below -34, the recurrence into [2, 3) and a rational there
+    below 13, Stirling's five-term series above (Cephes' three from 1000
+    gave the same doubles where sampled).  The Horner sums are written
+    out, c*x - d rounding as c*x + (-d) does."""
     if not math.isfinite(x):
         return x
+    if x <= 0.0 and x == math.floor(x):
+        return math.inf
     if x < -34.0:
         q = -x
         w = log_gamma(q)
         p = math.floor(q)
-        if p == q:
-            return math.inf
         z = q - p
         if z > 0.5:
             p += 1.0
             z = p - q
-        z = q * math.sin(math.pi * z)
-        if z == 0.0:
-            return math.inf
-        return _LOGPI - math.log(z) - w
+        return _LOGPI - math.log(q * math.sin(math.pi * z)) - w
     if x < 13.0:
         z = 1.0
         p = 0.0
@@ -91,8 +89,6 @@ def log_gamma(x: float) -> float:
             u = x + p
             z *= u
         while u < 2.0:
-            if u == 0.0:
-                return math.inf
             z /= u
             p += 1.0
             u = x + p

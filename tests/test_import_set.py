@@ -33,6 +33,14 @@ print(json.dumps({
     "finite": all(math.isfinite(r.est_rel_error) for r in checked)}))
 """
 
+NEGATIVE_FIRST = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from pcfzeros import evaluate
+value = evaluate(-30.2, -10 + 12j)
+print(json.dumps([repr(value), "pcfzeros.lgeval" in sys.modules]))
+"""
+
 
 @functools.cache
 def _script_output():
@@ -58,3 +66,15 @@ def test_lg_layer_loads_with_the_first_lg_evaluation():
     got = _script_output()
     assert got["lg_before"] == []
     assert "pcfzeros.lgeval" in got["lg_after"]
+
+
+def test_a_negative_a_lg_evaluation_first_loads_the_lg_layer():
+    # the negative-a route binds the LG layer itself when no positive-a
+    # LG evaluation has run before it
+    src = Path(pcfzeros.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", NEGATIVE_FIRST, str(src)],
+                          capture_output=True, text=True, check=True)
+    got, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded
+    assert got == repr(pcfzeros.evaluate(-30.2, -10 + 12j))
+    assert "liouville-green" in got

@@ -265,6 +265,22 @@ def test_step_is_step_once(request, use_kernel, kernel):
             taylor.step(-3.2, -4.0 + 2.0j, c, h)
 
 
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_failed_propagation_raises(request, use_kernel, kernel):
+    # data at 1e308 overflow every subdivision of the first step: the
+    # polyline stops with ok=False, the same bits on either kernel, and
+    # propagate turns that into a raise
+    k = request.getfixturevalue("compiled") if kernel == "c" else _taylor_py
+    use_kernel(k)
+    args = (1.0, 0j, 1e308 + 0j, 1e308 + 0j, [1 + 0j])
+    got = k.propagate_polyline(*args, taylor.TAYLOR_ORDER)
+    assert got[3] is False
+    assert repr(got) == repr(
+        _taylor_py.propagate_polyline(*args, taylor.TAYLOR_ORDER))
+    with pytest.raises(StepFailureError):
+        taylor.propagate(*args)
+
+
 @pytest.mark.parametrize("a, L", [(-3.2, 15.0), (-30.2, 12.0), (20.5, 50.0)])
 def test_chain_agreement(compiled, use_kernel, a, L):
     # index, zero, iterations and estimate, bit for bit

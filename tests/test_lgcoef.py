@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 import sympy as sp
 
 from pcfzeros import lgcoef
@@ -120,6 +121,11 @@ def test_tables_are_cached_and_consistent():
     for fam, fam_float in ((E, t1[0]), (Et, t1[1])):
         for p_exact, p_float in zip(fam, fam_float, strict=True):
             assert [float(c) for c in p_exact] == list(p_float)
+
+
+def test_no_order_is_an_error():
+    with pytest.raises(ValueError, match="S must be >= 1"):
+        lgcoef.build_tables(0)
 
 
 def test_integer_form_is_reduced():

@@ -39,7 +39,14 @@ def _arguments(seed, n=20000):
 def test_log_gamma_equals_scipy_gammaln():
     xs = _arguments(seed=12)
     want = gammaln(xs).tolist()
-    assert [log_gamma(-float(k)) for k in range(201)] == [math.inf] * 201
+    # the one pole rule: +inf at every integer <= 0 and at -0.0, finite a
+    # double away from each pole below 0 (beside 0, Cephes' 1/x overflows)
+    poles = [-float(k) for k in range(401)] + [-0.0, -2.0 ** 52,
+                                               -2.0 ** 53 + 1.0, -1e300]
+    assert [log_gamma(x) for x in poles] == [math.inf] * len(poles)
+    assert all(math.isfinite(log_gamma(math.nextafter(x, d)))
+               for x in poles[1:401] + [-2.0 ** 52 + 1.0]
+               for d in (math.inf, -math.inf))
     bad = [(x, log_gamma(x), w) for x, w in zip(xs.tolist(), want)
            if log_gamma(x) != w]
     assert not bad, f"{len(bad)} of {len(xs)} differ, first {bad[0]}"

@@ -28,8 +28,9 @@ def test_zero_handling():
     assert z.is_zero
     assert z.to_complex() == 0.0
     assert (z + ScaledValue.make(2.0)).to_complex() == 2.0
-    # a zero product or quotient is the zero of `make`
     x = ScaledValue.make(1.3 - 0.7j, 2.0)
+    assert repr(x + z) == repr(x) == repr(x - z)
+    # a zero product or quotient is the zero of `make`
     for v in (z * x, x * z, z / x):
         assert repr(v) == repr(ScaledValue(0j, 0.0))
 
@@ -43,7 +44,9 @@ def test_arithmetic_matches_complex():
     assert close(a - b, wa - wb)
     assert close(a * b, wa * wb)
     assert close(a / b, wa / wb)
-    assert close(a * 3.5, wa * 3.5)
+    for d in (3.5, -0.25, 2.0 - 5.0j):
+        assert close(a * d, wa * d)
+        assert close(a / d, wa / d)
     assert close(-a, -wa)
     assert close(a.conjugate(), wa.conjugate())
 
