@@ -34,9 +34,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _fail(exc: Exception, where: str = "") -> int:
+    """Report a failure on stderr and return the exit status: 1 for invalid
+    input or a file that cannot be read or written, 2 for any other error
+    of this package."""
+    print(f"pcfzeros: {where}{exc}", file=sys.stderr)
+    if isinstance(exc, (ValueError, HermiteParameterError, OSError)):
+        return 1
+    return 2
+
+
 def _emit(text: str, out_path: str | None) -> int:
-    """Write text to out_path, or to stdout when it is None.  Returns 0,
-    or 1 after reporting on stderr that out_path cannot be written."""
+    """Write text to out_path, or to stdout when it is None, and return
+    the exit status."""
     if out_path is None:
         sys.stdout.write(text)
         return 0
@@ -44,8 +54,7 @@ def _emit(text: str, out_path: str | None) -> int:
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"pcfzeros: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, f"cannot write {out_path}: ")
     return 0
 
 
@@ -74,26 +83,15 @@ def _json_report(a, L, zeros) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _exit_status(exc: Exception) -> int:
-    """Exit status for a failed run: 1 for a Hermite parameter or another
-    ValueError, 2 for any other error of this package."""
-    if isinstance(exc, (HermiteParameterError, ValueError)):
-        return 1
-    return 2
-
-
 def table_mode(path: str, out_path: str | None) -> int:
-    """One count row per 'a L' line.  A line that fails is reported on
-    stderr with its line number and left out of the CSV; the exit status
-    is the worst over all lines (1 for a malformed line, a Hermite
-    parameter or another ValueError, 2 for any other error of this
-    package, and 1 when out_path cannot be written)."""
+    """One count row per 'a L' line.  A line that fails is reported with
+    its line number and left out of the CSV; the exit status is the worst
+    over the lines and the output."""
     try:
         with open(path) as fh:
             raw = fh.readlines()
     except OSError as exc:
-        print(f"pcfzeros: cannot read table file: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, "cannot read table file: ")
     lines = ["a,L,n_zeros,wall_time_seconds"]
     status = 0
     for lineno, line in enumerate(raw, start=1):
@@ -108,8 +106,7 @@ def table_mode(path: str, out_path: str | None) -> int:
             a, L = float(parts[0]), float(parts[1])
             zeros = run_chain(a, L)
         except (PcfZerosError, ValueError) as exc:
-            print(f"pcfzeros: {path}:{lineno}: {exc}", file=sys.stderr)
-            status = max(status, _exit_status(exc))
+            status = max(status, _fail(exc, f"{path}:{lineno}: "))
             continue
         wall = time.perf_counter() - t0
         lines.append(f"{_fmt(a)},{_fmt(L)},{len(zeros)},{wall:.6f}")
@@ -126,28 +123,22 @@ def main(argv=None) -> int:
 
     if args.table is not None:
         # a table line gives its own a and L, and the mode writes counts
-        # as CSV, so these flags would be ignored
-        ignored = [flag for flag, given in (
-            ("--a", args.a is not None), ("--L", args.L is not None),
-            ("--verify", args.verify), ("--format", args.format != "csv"))
-            if given]
+        # as CSV, so a flag off its default would be ignored
+        ignored = [f"--{name}" for name in ("a", "L", "verify", "format")
+                   if getattr(args, name) != parser.get_default(name)]
         if ignored:
-            print(f"pcfzeros: --table does not take {', '.join(ignored)}",
-                  file=sys.stderr)
-            return 1
+            return _fail(ValueError(
+                f"--table does not take {', '.join(ignored)}"))
         return table_mode(args.table, args.out)
 
-    if args.a is None or args.L is None:
-        print("pcfzeros: --a and --L are required", file=sys.stderr)
-        return 1
-
     try:
+        if args.a is None or args.L is None:
+            raise ValueError("--a and --L are required")
         zeros = run_chain(args.a, args.L)
         if args.verify:
             zeros = verify_zeros(args.a, zeros)
     except (PcfZerosError, ValueError) as exc:
-        print(f"pcfzeros: {exc}", file=sys.stderr)
-        return _exit_status(exc)
+        return _fail(exc)
 
     if args.format == "csv":
         return _emit(_csv_report(zeros), args.out)

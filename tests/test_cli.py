@@ -2,9 +2,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pcfzeros
 from pcfzeros import chain, cli
 from pcfzeros.cli import main
 from pcfzeros.config import MAX_ZEROS
@@ -237,3 +242,30 @@ def test_single_run_and_table_share_exit_status(exc, status, tmp_path,
         code, out, err = run(argv, capsys)
         assert code == status, argv
         assert "forced" in err
+
+
+def _command(*args):
+    """Run `python -m pcfzeros.cli` as its own process, on this package."""
+    src = Path(pcfzeros.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "pcfzeros.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_command_runs_as_a_process(tmp_path):
+    # the module's __main__ line turns main's return value into the exit
+    # status of the process
+    proc = _command("--a", "-1.7", "--L", "12")
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(csv.reader(io.StringIO(proc.stdout)))) == 24
+    assert proc.stderr == ""
+    table = tmp_path / "cases.txt"
+    table.write_text("-1.7 12\n-1.5 10\n")
+    proc = _command("--table", str(table))
+    assert proc.returncode == 1
+    lines = proc.stdout.strip().split("\n")
+    assert lines[0] == "a,L,n_zeros,wall_time_seconds"
+    assert [ln.split(",")[:3] for ln in lines[1:]] == [["-1.7", "12", "23"]]
+    assert proc.stderr.startswith(f"pcfzeros: {table}:2: ")
+    assert proc.stderr.count("\n") == 1
